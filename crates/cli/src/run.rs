@@ -88,13 +88,9 @@ pub fn run(cli: Cli, out: &mut impl std::io::Write) -> Result<(), CliError> {
                     )?;
                 }
                 Some(StreamInfo::Framed(h)) => {
-                    let name = match global().get(h.codec_id) {
-                        Some(c) => c.name(),
-                        None if h.codec_id == pwrel_pipeline::stream::EXTERNAL_CODEC_ID => {
-                            "<external>"
-                        }
-                        None => "<unknown codec id>",
-                    };
+                    let name = global()
+                        .get(h.codec_id)
+                        .map_or("<unknown codec id>", |c| c.name());
                     writeln!(
                         out,
                         "{input}: {} bytes, framed stream: codec {name} (id {}), \

@@ -234,23 +234,6 @@ impl<C> PwRelCompressor<C> {
     where
         C: AbsErrorCodec<F>,
     {
-        self.decompress_full_pooled(bytes, rec, &pwrel_data::SerialLanes)
-    }
-
-    /// [`PwRelCompressor::decompress_full_traced`] with an executor for
-    /// the inner codec's intra-stream fan-out (interleaved entropy
-    /// sub-streams decode on a worker pool). Identical output for any
-    /// executor; the serial executor reproduces `decompress_full_traced`
-    /// exactly.
-    pub fn decompress_full_pooled<F: Float>(
-        &self,
-        bytes: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<F>, Dims), CodecError>
-    where
-        C: AbsErrorCodec<F>,
-    {
         if !bytes.starts_with(MAGIC) {
             return Err(CodecError::Mismatch("bad PWT magic"));
         }
@@ -284,7 +267,7 @@ impl<C> PwRelCompressor<C> {
         let inner_len = len_of(varint::read_uvarint(bytes, &mut pos)?)?;
         let inner_stream = bytesio::get_bytes(bytes, &mut pos, inner_len)?;
 
-        let (mapped, dims) = self.inner.decompress_abs_pooled(inner_stream, rec, exec)?;
+        let (mapped, dims) = self.inner.decompress_abs_traced(inner_stream, rec)?;
         let data = {
             let _inv = Span::enter(rec, stage::TRANSFORM_INV);
             transform::inverse(&mapped, base, zero_threshold, sign_section)?

@@ -83,22 +83,6 @@ pub trait AbsErrorCodec<F: Float> {
         let _ = rec;
         self.decompress_abs(bytes)
     }
-
-    /// [`AbsErrorCodec::decompress_abs_traced`] with an executor for
-    /// intra-stream fan-out (e.g. decoding interleaved entropy
-    /// sub-streams on a worker pool). The default ignores the executor;
-    /// codecs whose stream format exposes independently decodable
-    /// sub-streams override it. Output must be identical for any
-    /// executor.
-    fn decompress_abs_pooled(
-        &self,
-        bytes: &[u8],
-        rec: &dyn pwrel_trace::Recorder,
-        exec: &dyn crate::exec::LaneExecutor,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        let _ = exec;
-        self.decompress_abs_traced(bytes, rec)
-    }
 }
 
 #[cfg(test)]

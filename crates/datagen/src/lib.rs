@@ -7,7 +7,10 @@
 //!
 //! 1. **Shared data model** for every codec in the workspace: the [`Float`]
 //!    trait (bit-level access to `f32`/`f64`), the [`Dims`] grid descriptor,
-//!    and the [`Field`] container.
+//!    the [`Field`] container, the [`AbsErrorCodec`] contract the paper's
+//!    transform wraps, and the [`stage`] traits codecs are assembled
+//!    from. Scheduling work across threads is decided above the codecs,
+//!    by `pwrel-pipeline`'s chunk executors.
 //! 2. **Synthetic stand-ins** for the four HPC applications evaluated in the
 //!    paper — HACC (1D particle velocities), CESM-ATM (2D climate fields),
 //!    NYX (3D cosmology) and Hurricane ISABEL (3D storm simulation). The
@@ -19,7 +22,6 @@
 pub mod codec;
 mod dataset_ext;
 pub mod dims;
-pub mod exec;
 pub mod field;
 pub mod float;
 pub mod grf;
@@ -32,7 +34,6 @@ pub mod nyx;
 
 pub use codec::{AbsErrorCodec, CodecError};
 pub use dims::Dims;
-pub use exec::{LaneExecutor, SerialLanes};
 pub use field::Field;
 pub use float::Float;
 pub use stage::{

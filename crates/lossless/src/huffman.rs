@@ -16,11 +16,10 @@
 //!   is the global order restricted to `i ≡ lane (mod LANES)`, so code
 //!   assignment, table bytes, and total payload bits are unchanged; only
 //!   the transport layout differs. The decoder runs [`LANES`] readers in
-//!   one fused loop (refill/LUT latency overlaps across lanes on one
-//!   core) or fans the lanes across a [`LaneExecutor`].
+//!   one fused loop, so refill/LUT latency overlaps across lanes on one
+//!   core.
 
 use pwrel_bitstream::{varint, BitReader, BitWriter, Error, Result};
-use pwrel_data::{LaneExecutor, SerialLanes};
 use pwrel_kernels::dispatch::{hist_kernel, BatchKernel};
 use pwrel_kernels::hist::LaneHistogram;
 
@@ -39,10 +38,6 @@ pub const LANES: usize = 4;
 /// stream, and a legacy decoder handed an interleaved buffer fails loudly
 /// ("alphabet too large") instead of misparsing it.
 const INTERLEAVED_MARKER: u64 = (1 << 29) | LANES as u64;
-
-/// Below this many symbols a pooled decode's fan-out bookkeeping costs
-/// more than the decode itself; the fused single-thread loop runs instead.
-const MIN_POOLED_SYMBOLS: usize = 1 << 12;
 
 /// Number of symbols sub-stream `lane` holds out of `n` total.
 #[inline]
@@ -579,42 +574,6 @@ impl CanonicalCode {
         Ok(out)
     }
 
-    /// Decodes `n` interleaved symbols by fanning the [`LANES`] sub-streams
-    /// across `exec` — each lane bulk-decodes into its own buffer
-    /// concurrently, then a single merge pass restores global round-robin
-    /// order. Byte-for-byte the same result as the fused path at any
-    /// executor width.
-    fn decode_interleaved_pooled(
-        &self,
-        lanes: &[&[u8]; LANES],
-        counts: &[usize; LANES],
-        n: usize,
-        exec: &dyn LaneExecutor,
-    ) -> Result<Vec<u32>> {
-        let mut results: [Result<Vec<u32>>; LANES] = std::array::from_fn(|_| Ok(Vec::new()));
-        let task = |slot: &mut Result<Vec<u32>>, bytes: &[u8], count: usize| {
-            let mut r = BitReader::new(bytes);
-            let mut v = Vec::new();
-            *slot = self.decode_all(&mut r, count, &mut v).map(|()| v);
-        };
-        {
-            let [r0, r1, r2, r3] = &mut results;
-            let mut t0 = || task(r0, lanes[0], counts[0]);
-            let mut t1 = || task(r1, lanes[1], counts[1]);
-            let mut t2 = || task(r2, lanes[2], counts[2]);
-            let mut t3 = || task(r3, lanes[3], counts[3]);
-            exec.run_lanes(&mut [&mut t0, &mut t1, &mut t2, &mut t3]);
-        }
-        let mut out = vec![0u32; n];
-        for (j, result) in results.into_iter().enumerate() {
-            let lane = result?;
-            for (k, &s) in lane.iter().enumerate() {
-                out[LANES * k + j] = s;
-            }
-        }
-        Ok(out)
-    }
-
     /// Bit-by-bit canonical decode (long codes and stream tails).
     ///
     /// `counts`, `first_code` and `offsets` share one length, so the loop
@@ -801,22 +760,10 @@ pub fn encode_symbols_single(symbols: &[u32], alphabet: usize) -> Vec<u8> {
 /// through the fused multi-reader loop, anything else through the legacy
 /// single-stream path.
 pub fn decode_symbols(data: &[u8], pos: &mut usize) -> Result<Vec<u32>> {
-    decode_symbols_pooled(data, pos, &SerialLanes)
-}
-
-/// [`decode_symbols`] with an explicit lane executor: interleaved buffers
-/// large enough to amortize the fan-out decode their sub-streams across
-/// `exec` (byte-identical output at any executor width); legacy buffers
-/// and small inputs take the single-thread paths.
-pub fn decode_symbols_pooled(
-    data: &[u8],
-    pos: &mut usize,
-    exec: &dyn LaneExecutor,
-) -> Result<Vec<u32>> {
     let mut probe = *pos;
     if varint::read_uvarint(data, &mut probe)? == INTERLEAVED_MARKER {
         *pos = probe;
-        return decode_symbols_interleaved(data, pos, exec);
+        return decode_symbols_interleaved(data, pos);
     }
     decode_symbols_single(data, pos)
 }
@@ -862,11 +809,7 @@ fn decode_symbols_single(data: &[u8], pos: &mut usize) -> Result<Vec<u32>> {
 // carved from the validated payload — the lane lengths' checked sum
 // equals `payload_len` and `end = pos + payload_len` was rejected if it
 // exceeded `data.len()`, so every `off` range is in bounds.
-fn decode_symbols_interleaved(
-    data: &[u8],
-    pos: &mut usize,
-    exec: &dyn LaneExecutor,
-) -> Result<Vec<u32>> {
+fn decode_symbols_interleaved(data: &[u8], pos: &mut usize) -> Result<Vec<u32>> {
     let code = CanonicalCode::deserialize(data, pos)?;
     let n = varint::read_uvarint(data, pos)? as usize;
     let payload_len = varint::read_uvarint(data, pos)? as usize;
@@ -915,11 +858,7 @@ fn decode_symbols_interleaved(
         off += lens[lane];
         s
     });
-    let out = if exec.width() > 1 && n >= MIN_POOLED_SYMBOLS {
-        code.decode_interleaved_pooled(&lanes, &counts, n, exec)?
-    } else {
-        code.decode_interleaved_fused(&lanes, n)?
-    };
+    let out = code.decode_interleaved_fused(&lanes, n)?;
     *pos = end;
     Ok(out)
 }
@@ -1106,22 +1045,6 @@ mod tests {
         assert!(buf.len() < 2500);
     }
 
-    /// A `LaneExecutor` that actually interleaves: lanes run round-robin
-    /// one call... no — sequentially, but `width()` reports > 1 so the
-    /// pooled path is taken.
-    struct FakePool;
-    impl pwrel_data::LaneExecutor for FakePool {
-        fn run_lanes(&self, lanes: &mut [&mut (dyn FnMut() + Send)]) {
-            // Reverse order: the merge must not depend on lane run order.
-            for lane in lanes.iter_mut().rev() {
-                lane();
-            }
-        }
-        fn width(&self) -> usize {
-            4
-        }
-    }
-
     fn mixed_symbols(n: usize) -> Vec<u32> {
         (0..n as u32).map(|i| (i * i + 7 * i) % 300).collect()
     }
@@ -1138,18 +1061,6 @@ mod tests {
             assert_eq!(p0, new_buf.len());
             assert_eq!(p1, old_buf.len());
         }
-    }
-
-    #[test]
-    fn pooled_decode_matches_fused_at_any_width() {
-        let syms = mixed_symbols(30_000);
-        let buf = encode_symbols(&syms, 512);
-        let mut pos = 0;
-        let fused = decode_symbols(&buf, &mut pos).unwrap();
-        let mut pos = 0;
-        let pooled = decode_symbols_pooled(&buf, &mut pos, &FakePool).unwrap();
-        assert_eq!(fused, syms);
-        assert_eq!(pooled, syms);
     }
 
     #[test]

@@ -8,49 +8,34 @@
 //! boundary, so the error bound is preserved per-slab at a small
 //! compression-ratio cost), and decompression pipelines the same way.
 //!
-//! The container is the framed stream format from
-//! [`pwrel_pipeline::stream`] (`PWS1` header + self-describing frames),
-//! so everything this wrapper emits is readable by the registry's
-//! sequential `decompress_stream` and vice versa — the pipelined and
-//! sequential engines are byte-identical for the same chunk size. Chunks
-//! flow through [`WorkerPool::pipeline`]: the calling thread reads chunk
-//! `k+2` and writes frame `k` while workers compress the chunks in
-//! between, with the bounded in-flight window capping peak memory at a
-//! few chunks regardless of field size. Chunk buffers recycle through a
-//! [`BufferPool`] arena, so the engine's own steady-state allocation per
-//! chunk is zero after warm-up.
+//! [`ChunkedCodec`] adds no engine of its own. It is a
+//! [`ChunkExecutor`] for the one framed-stream engine pair in
+//! [`pwrel_pipeline::stream`] — the same engine the registry's
+//! `compress_stream`/`decompress_stream` run inline — so the two emit
+//! identical bytes for the same chunk size and either side decodes the
+//! other's output. Chunk work flows through [`WorkerPool::pipeline`]:
+//! the calling thread reads chunk `k+2` and writes frame `k` while
+//! workers compress the chunks in between, with the bounded in-flight
+//! window capping peak memory at a few chunks regardless of field size.
 
 use crate::pool::WorkerPool;
-use pwrel_data::{CodecError, Dims, Float};
-use pwrel_pipeline::stream::{self, EXTERNAL_CODEC_ID};
+use pwrel_data::{CodecError, Dims};
+use pwrel_pipeline::stream::{self, ChunkExecutor};
 use pwrel_pipeline::{
-    BufferPool, ChunkPlan, ChunkSink, ChunkSource, CodecRegistry, CompressOpts, FrameHeader,
-    FrameWalker, PipelineElem, SliceSource, StreamHeader, StreamStats, VecSink,
+    ChunkSink, ChunkSource, CodecRegistry, CompressOpts, PipelineElem, StreamHeader, StreamStats,
 };
 use pwrel_trace::{stage, Recorder, Span};
 use std::io::{Read, Write};
 
-/// Per-chunk encode hook the pipelined compress engine fans out to
-/// workers.
-type CompressChunkFn<'a, F> = &'a (dyn Fn(&[F], Dims) -> Result<Vec<u8>, CodecError> + Sync);
-
-/// Per-chunk decode hook the pipelined decompress engine fans out to
-/// workers.
-type DecompressChunkFn<'a, F> = &'a (dyn Fn(&[u8]) -> Result<(Vec<F>, Dims), CodecError> + Sync);
-
-/// One decoded chunk in flight: recycled payload buffer, expected slab
-/// dims, and the worker's decode result.
-type DecodedChunk<F> = (Vec<u8>, Dims, Result<(Vec<F>, Dims), CodecError>);
-
-/// Chunk-pipelined wrapper running any per-buffer codec over a framed
-/// stream with bounded memory.
+/// Chunk-pipelined framed-stream compression of registered codecs over
+/// a worker pool, with bounded memory.
 #[derive(Debug, Clone)]
 pub struct ChunkedCodec {
     /// Worker pool used for both directions.
     pub pool: WorkerPool,
     /// Requested elements per chunk (rounded to whole slices of the
-    /// slowest axis; see [`ChunkPlan`]). Zero or more than the field's
-    /// total element count is a usage error surfaced as
+    /// slowest axis; see [`pwrel_pipeline::ChunkPlan`]). Zero or more
+    /// than the field's total element count is a usage error surfaced as
     /// [`CodecError::InvalidArgument`], never a panic or a silent
     /// single-chunk fallback.
     pub chunk_elems: usize,
@@ -71,349 +56,6 @@ impl ChunkedCodec {
         }
     }
 
-    /// The chunk-pipelined compress engine: plans slabs, writes the
-    /// stream header, then runs read → compress → write-frame over the
-    /// pool with frames emitted strictly in chunk order (byte-identical
-    /// to the sequential engine in `pwrel-pipeline`). On error the
-    /// stream written so far is abandoned mid-frame — callers discard it.
-    #[allow(clippy::too_many_arguments)] // mirrors the sequential engine plus identity
-    fn run_compress<F: Float>(
-        &self,
-        codec_id: u8,
-        entropy_mode: u8,
-        granularity: usize,
-        src: &mut dyn ChunkSource<F>,
-        out: &mut dyn Write,
-        dims: Dims,
-        opts: &CompressOpts,
-        compress_chunk: CompressChunkFn<'_, F>,
-        rec: &dyn Recorder,
-    ) -> Result<StreamStats, CodecError> {
-        let plan = ChunkPlan::new(dims, self.chunk_elems, granularity)?;
-        let header = StreamHeader {
-            codec_id,
-            elem_bits: F::BITS as u8,
-            dims,
-            bound: opts.bound,
-            base: opts.base,
-            entropy_mode,
-            n_chunks: plan.n_chunks() as u64,
-        };
-        let mut head = Vec::with_capacity(48);
-        stream::encode_stream_header(&mut head, &header);
-        out.write_all(&head).map_err(stream::write_failed)?;
-
-        let arena: BufferPool<F> = BufferPool::new();
-        let mut stats = StreamStats {
-            chunks: plan.n_chunks() as u64,
-            elements: dims.len() as u64,
-            bytes_in: (dims.len() * F::NBYTES) as u64,
-            bytes_out: head.len() as u64,
-        };
-        let mut produced = 0usize;
-        let mut index = 0u64;
-        let mut covered = 0u64;
-        self.pool.pipeline_traced(
-            self.window.max(1),
-            || {
-                if produced == plan.n_chunks() {
-                    return Ok(None);
-                }
-                let (_, n) = plan.chunk_range(produced);
-                let d = plan.chunk_dims(produced);
-                let mut buf = arena.take(n);
-                src.next_chunk(n, &mut buf)?;
-                if buf.len() != n {
-                    return Err(CodecError::InvalidArgument(
-                        "chunk source returned the wrong length",
-                    ));
-                }
-                produced += 1;
-                Ok(Some((buf, d)))
-            },
-            |(buf, d): (Vec<F>, Dims)| {
-                let _chunk = Span::enter(rec, stage::CHUNK_COMPRESS);
-                let payload = compress_chunk(&buf, d);
-                (buf, payload)
-            },
-            |(buf, payload): (Vec<F>, Result<Vec<u8>, CodecError>)| {
-                let n = buf.len();
-                arena.put(buf);
-                let payload = payload?;
-                head.clear();
-                stream::encode_frame_header(
-                    &mut head,
-                    &FrameHeader {
-                        index,
-                        start: covered,
-                        n_elems: n as u64,
-                        bound: opts.bound,
-                        payload_len: payload.len() as u64,
-                    },
-                );
-                out.write_all(&head).map_err(stream::write_failed)?;
-                out.write_all(&payload).map_err(stream::write_failed)?;
-                stats.bytes_out += (head.len() + payload.len()) as u64;
-                index += 1;
-                covered += n as u64;
-                Ok(())
-            },
-            rec,
-        )?;
-        if rec.is_enabled() {
-            rec.add(stage::C_STREAM_CHUNKS, stats.chunks);
-            rec.add(stage::C_BYTES_IN, stats.bytes_in);
-            rec.add(stage::C_BYTES_OUT, stats.bytes_out);
-            arena.record(rec);
-        }
-        Ok(stats)
-    }
-
-    /// The chunk-pipelined decompress engine: admits frames through the
-    /// shared [`FrameWalker`] rules (sequential indices, contiguous
-    /// coverage, payload plausibility) on the reading thread, fans the
-    /// payloads out to workers, and delivers chunks to `sink` strictly
-    /// in raster order.
-    fn run_decompress<F: Float>(
-        &self,
-        header: &StreamHeader,
-        input: &mut dyn Read,
-        sink: &mut dyn ChunkSink<F>,
-        decompress_chunk: DecompressChunkFn<'_, F>,
-        rec: &dyn Recorder,
-    ) -> Result<StreamStats, CodecError> {
-        if header.elem_bits as u32 != F::BITS {
-            return Err(CodecError::Mismatch("element type does not match stream"));
-        }
-        let mut walker = FrameWalker::new(header);
-        let arena: BufferPool<u8> = BufferPool::new();
-        let mut stats = StreamStats {
-            chunks: header.n_chunks,
-            elements: header.dims.len() as u64,
-            ..StreamStats::default()
-        };
-        let mut covered = 0usize;
-        self.pool.pipeline_traced(
-            self.window.max(1),
-            || {
-                if walker.remaining() == 0 {
-                    return Ok(None);
-                }
-                let fh = stream::decode_frame_header(input)?;
-                let chunk_dims = walker.admit(&fh)?;
-                // admit() capped payload_len, so sizing from it is safe.
-                let len = fh.payload_len as usize;
-                let mut payload = arena.take(len);
-                payload.resize(len, 0);
-                input
-                    .read_exact(&mut payload)
-                    .map_err(stream::read_failed)?;
-                Ok(Some((payload, chunk_dims)))
-            },
-            |(payload, d): (Vec<u8>, Dims)| {
-                let _chunk = Span::enter(rec, stage::CHUNK_DECOMPRESS);
-                let res = decompress_chunk(&payload);
-                (payload, d, res)
-            },
-            |(payload, chunk_dims, res): DecodedChunk<F>| {
-                stats.bytes_in += payload.len() as u64;
-                arena.put(payload);
-                let (data, d) = res?;
-                if d != chunk_dims || data.len() != chunk_dims.len() {
-                    return Err(CodecError::Corrupt("chunk payload shape mismatch"));
-                }
-                sink.put_chunk(covered, &data)?;
-                covered += data.len();
-                stats.bytes_out += (data.len() * F::NBYTES) as u64;
-                Ok(())
-            },
-            rec,
-        )?;
-        walker.finish()?;
-        if rec.is_enabled() {
-            rec.add(stage::C_STREAM_CHUNKS, stats.chunks);
-            rec.add(stage::C_DECOMP_BYTES_IN, stats.bytes_in);
-            rec.add(stage::C_DECOMP_BYTES_OUT, stats.bytes_out);
-            arena.record(rec);
-        }
-        Ok(stats)
-    }
-
-    /// Compresses `data` chunk-by-chunk with `compress_chunk` on the
-    /// pool, emitting a framed stream under the reserved external codec
-    /// id (the closure, not a registry entry, defines the payloads; the
-    /// recorded bound is zero because the wrapper cannot know it).
-    pub fn compress<F, C>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        compress_chunk: C,
-    ) -> Result<Vec<u8>, CodecError>
-    where
-        F: Float,
-        C: Fn(&[F], Dims) -> Result<Vec<u8>, CodecError> + Sync,
-    {
-        self.compress_traced(data, dims, compress_chunk, pwrel_trace::noop())
-    }
-
-    /// [`ChunkedCodec::compress`] with per-stage recording: a `chunks`
-    /// span brackets the fan-out, each chunk records a `chunk_compress`
-    /// span from whichever worker runs it, and the pool adds task
-    /// counts. Emits the same bytes.
-    pub fn compress_traced<F, C>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        compress_chunk: C,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError>
-    where
-        F: Float,
-        C: Fn(&[F], Dims) -> Result<Vec<u8>, CodecError> + Sync,
-    {
-        if data.len() != dims.len() {
-            return Err(CodecError::InvalidArgument("data length != dims"));
-        }
-        let _chunks = Span::enter(rec, stage::CHUNKS);
-        let mut src = SliceSource::new(data);
-        let mut out = Vec::new();
-        self.run_compress(
-            EXTERNAL_CODEC_ID,
-            pwrel_pipeline::container::ENTROPY_MODE_SINGLE,
-            1,
-            &mut src,
-            &mut out,
-            dims,
-            &CompressOpts::rel(0.0),
-            &compress_chunk,
-            rec,
-        )?;
-        Ok(out)
-    }
-
-    /// Decompresses a framed stream with `decompress_chunk` on the pool.
-    pub fn decompress<F, D>(
-        &self,
-        bytes: &[u8],
-        decompress_chunk: D,
-    ) -> Result<(Vec<F>, Dims), CodecError>
-    where
-        F: Float,
-        D: Fn(&[u8]) -> Result<(Vec<F>, Dims), CodecError> + Sync,
-    {
-        self.decompress_traced(bytes, decompress_chunk, pwrel_trace::noop())
-    }
-
-    /// [`ChunkedCodec::decompress`] with per-stage recording.
-    pub fn decompress_traced<F, D>(
-        &self,
-        bytes: &[u8],
-        decompress_chunk: D,
-        rec: &dyn Recorder,
-    ) -> Result<(Vec<F>, Dims), CodecError>
-    where
-        F: Float,
-        D: Fn(&[u8]) -> Result<(Vec<F>, Dims), CodecError> + Sync,
-    {
-        let _chunks = Span::enter(rec, stage::CHUNKS);
-        let mut input: &[u8] = bytes;
-        let header = stream::decode_stream_header(&mut input)?;
-        let mut sink = VecSink::new();
-        self.run_decompress(&header, &mut input, &mut sink, &decompress_chunk, rec)?;
-        if !input.is_empty() {
-            return Err(CodecError::Corrupt("trailing bytes after final frame"));
-        }
-        Ok((sink.into_inner(), header.dims))
-    }
-
-    /// Compresses in-memory data chunk-by-chunk through a registered
-    /// codec. The emitted stream is byte-identical to the registry's
-    /// sequential [`CodecRegistry::compress_stream`] at the same chunk
-    /// size, so either side can decode the other's output.
-    pub fn compress_with<F: PipelineElem>(
-        &self,
-        registry: &CodecRegistry,
-        codec: &str,
-        data: &[F],
-        dims: Dims,
-        opts: &CompressOpts,
-    ) -> Result<Vec<u8>, CodecError> {
-        self.compress_with_traced(registry, codec, data, dims, opts, pwrel_trace::noop())
-    }
-
-    /// [`ChunkedCodec::compress_with`] with per-stage recording: a
-    /// `chunks` span brackets the fan-out and each chunk records its
-    /// codec stages from whichever worker thread runs it. Emits the
-    /// same bytes.
-    pub fn compress_with_traced<F: PipelineElem>(
-        &self,
-        registry: &CodecRegistry,
-        codec: &str,
-        data: &[F],
-        dims: Dims,
-        opts: &CompressOpts,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError> {
-        let c = registry
-            .by_name(codec)
-            .ok_or(CodecError::InvalidArgument("unknown codec name"))?;
-        if data.len() != dims.len() {
-            return Err(CodecError::InvalidArgument("data length != dims"));
-        }
-        let _chunks = Span::enter(rec, stage::CHUNKS);
-        let mut src = SliceSource::new(data);
-        let mut out = Vec::new();
-        self.run_compress(
-            c.id(),
-            c.entropy_mode(),
-            c.chunk_granularity(),
-            &mut src,
-            &mut out,
-            dims,
-            opts,
-            &|slice: &[F], d: Dims| F::codec_compress_traced(c, slice, d, opts, rec),
-            rec,
-        )?;
-        Ok(out)
-    }
-
-    /// Decompresses a framed stream whose codec is resolved from the
-    /// stream header via the registry.
-    pub fn decompress_with<F: PipelineElem>(
-        &self,
-        registry: &CodecRegistry,
-        bytes: &[u8],
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        self.decompress_with_traced(registry, bytes, pwrel_trace::noop())
-    }
-
-    /// [`ChunkedCodec::decompress_with`] with per-stage recording.
-    pub fn decompress_with_traced<F: PipelineElem>(
-        &self,
-        registry: &CodecRegistry,
-        bytes: &[u8],
-        rec: &dyn Recorder,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        let _chunks = Span::enter(rec, stage::CHUNKS);
-        let mut input: &[u8] = bytes;
-        let header = stream::decode_stream_header(&mut input)?;
-        let codec = registry
-            .get(header.codec_id)
-            .ok_or(CodecError::InvalidArgument("unknown codec id in stream"))?;
-        let mut sink = VecSink::new();
-        self.run_decompress(
-            &header,
-            &mut input,
-            &mut sink,
-            &|p: &[u8]| F::codec_decompress_traced(codec, p, rec),
-            rec,
-        )?;
-        if !input.is_empty() {
-            return Err(CodecError::Corrupt("trailing bytes after final frame"));
-        }
-        Ok((sink.into_inner(), header.dims))
-    }
-
     /// The out-of-core entry point: compresses a chunk source into a
     /// framed stream on `out` with a registered codec, pipelined over
     /// the pool. Peak memory is about `window` chunks — the field is
@@ -430,7 +72,9 @@ impl ChunkedCodec {
         self.compress_stream_traced(registry, codec, src, out, dims, opts, pwrel_trace::noop())
     }
 
-    /// [`ChunkedCodec::compress_stream`] with per-stage recording.
+    /// [`ChunkedCodec::compress_stream`] with per-stage recording: a
+    /// root `stream_compress` span on the calling thread, and one
+    /// `chunk_compress` span per chunk on whichever worker runs it.
     /// Emits the same bytes.
     #[allow(clippy::too_many_arguments)] // mirrors compress_stream plus the recorder
     pub fn compress_stream_traced<F: PipelineElem>(
@@ -447,17 +91,7 @@ impl ChunkedCodec {
             .by_name(codec)
             .ok_or(CodecError::InvalidArgument("unknown codec name"))?;
         let _root = Span::enter(rec, stage::STREAM_COMPRESS);
-        self.run_compress(
-            c.id(),
-            c.entropy_mode(),
-            c.chunk_granularity(),
-            src,
-            out,
-            dims,
-            opts,
-            &|slice: &[F], d: Dims| F::codec_compress_traced(c, slice, d, opts, rec),
-            rec,
-        )
+        stream::compress_frames(c, self, src, out, dims, opts, self.chunk_elems, rec)
     }
 
     /// The out-of-core decode entry point: decompresses a framed stream
@@ -500,75 +134,116 @@ impl ChunkedCodec {
         sink: &mut dyn ChunkSink<F>,
         rec: &dyn Recorder,
     ) -> Result<StreamStats, CodecError> {
-        if header.elem_bits as u32 != F::BITS {
-            return Err(CodecError::Mismatch("element type does not match stream"));
-        }
-        let codec = registry
-            .get(header.codec_id)
-            .ok_or(CodecError::InvalidArgument("unknown codec id in stream"))?;
-        self.run_decompress(
-            header,
-            input,
-            sink,
-            &|p: &[u8]| F::codec_decompress_traced(codec, p, rec),
-            rec,
-        )
+        let codec = registry.stream_codec::<F>(header)?;
+        stream::decompress_frames(codec, self, header, input, sink, rec)
+    }
+}
+
+/// Runs the engine's per-chunk work on the pool with a bounded window of
+/// `window` chunks; reads, writes and the pool-task count stay on the
+/// calling thread.
+impl ChunkExecutor for ChunkedCodec {
+    fn run<T, R, P, W, C>(
+        &self,
+        produce: P,
+        work: W,
+        consume: C,
+        rec: &dyn Recorder,
+    ) -> Result<(), CodecError>
+    where
+        T: Send,
+        R: Send,
+        P: FnMut() -> Result<Option<T>, CodecError>,
+        W: Fn(T) -> R + Sync,
+        C: FnMut(R) -> Result<(), CodecError>,
+    {
+        self.pool
+            .pipeline_traced(self.window, produce, work, consume, rec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwrel_core::{LogBase, PwRelCompressor};
-    use pwrel_data::grf;
-    use pwrel_pipeline::{global, ReadSource, WriteSink};
-    use pwrel_sz::SzCompressor;
+    use pwrel_data::{grf, Float};
+    use pwrel_pipeline::{global, ReadSource, SliceSource, VecSink, WriteSink};
 
-    fn sz_t() -> PwRelCompressor<SzCompressor> {
-        PwRelCompressor::new(SzCompressor::default(), LogBase::Two)
+    /// Compresses `data` as `sz_t` under relative bound `br` through
+    /// `chunked`.
+    fn sz_t_stream<F: PipelineElem>(
+        chunked: &ChunkedCodec,
+        data: &[F],
+        dims: Dims,
+        br: f64,
+    ) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        chunked.compress_stream(
+            global(),
+            "sz_t",
+            &mut SliceSource::new(data),
+            &mut out,
+            dims,
+            &CompressOpts::rel(br),
+        )?;
+        Ok(out)
+    }
+
+    /// Decodes a whole framed stream through `chunked`; bytes after the
+    /// final frame are corruption.
+    fn decode<F: PipelineElem>(
+        chunked: &ChunkedCodec,
+        bytes: &[u8],
+    ) -> Result<(Vec<F>, Dims), CodecError> {
+        let mut input = bytes;
+        let mut sink = VecSink::new();
+        let (header, _) = chunked.decompress_stream(global(), &mut input, &mut sink)?;
+        if !input.is_empty() {
+            return Err(CodecError::Corrupt("trailing bytes after final frame"));
+        }
+        Ok((sink.into_inner(), header.dims))
+    }
+
+    /// Point-wise relative bound on non-zeros, exact zeros kept.
+    fn assert_bounded(orig: &[f32], dec: &[f32], br: f64) {
+        assert_eq!(orig.len(), dec.len());
+        for (&a, &b) in orig.iter().zip(dec) {
+            if a == 0.0 {
+                assert_eq!(b, 0.0, "zeros must survive chunking");
+            } else {
+                assert!(((a as f64 - b as f64) / a as f64).abs() <= br, "{a} -> {b}");
+            }
+        }
     }
 
     #[test]
-    fn chunked_round_trip_preserves_bound_3d() {
+    fn chunked_round_trip_preserves_bound_and_zeros_3d() {
         let dims = Dims::d3(24, 16, 16);
-        let data = grf::gaussian_field(dims, 42, 2, 2);
-        let positive: Vec<f32> = data.iter().map(|v| v.abs() + 0.1).collect();
-        let codec = sz_t();
+        let mut data = grf::gaussian_field(dims, 42, 2, 2);
+        for v in data.iter_mut().step_by(97) {
+            *v = 0.0;
+        }
         // 6 slices of 256 elements per chunk -> 4 chunks.
         let chunked = ChunkedCodec::new(WorkerPool::new(4), 6 * 256);
         let br = 1e-3;
-        let stream = chunked
-            .compress(&positive, dims, |slice, d| codec.compress(slice, d, br))
-            .unwrap();
-        let (dec, d2) = chunked
-            .decompress::<f32, _>(&stream, |s| codec.decompress_full(s))
-            .unwrap();
+        let stream = sz_t_stream(&chunked, &data, dims, br).unwrap();
+        let (dec, d2) = decode::<f32>(&chunked, &stream).unwrap();
         assert_eq!(d2, dims);
-        for (&a, &b) in positive.iter().zip(&dec) {
-            assert!(((a as f64 - b as f64) / a as f64).abs() <= br);
-        }
+        assert_bounded(&data, &dec, br);
     }
 
     #[test]
     fn chunked_output_is_deterministic_across_worker_counts() {
         let dims = Dims::d2(40, 32);
         let data = grf::gaussian_field(dims, 7, 3, 2);
-        let codec = sz_t();
-        let br = 1e-2;
         let one = ChunkedCodec::new(WorkerPool::new(1), 8 * 32);
         let four = ChunkedCodec::new(WorkerPool::new(4), 8 * 32);
-        let a = one
-            .compress(&data, dims, |s, d| codec.compress(s, d, br))
-            .unwrap();
-        let b = four
-            .compress(&data, dims, |s, d| codec.compress(s, d, br))
-            .unwrap();
+        let a = sz_t_stream(&one, &data, dims, 1e-2).unwrap();
+        let b = sz_t_stream(&four, &data, dims, 1e-2).unwrap();
         assert_eq!(a, b, "stream must not depend on scheduling");
     }
 
     #[test]
     fn pipelined_bytes_match_sequential_registry_stream() {
-        use pwrel_pipeline::CompressOpts;
         let dims = Dims::d2(32, 24);
         let data: Vec<f32> = grf::gaussian_field(dims, 3, 2, 2)
             .iter()
@@ -578,15 +253,22 @@ mod tests {
         let chunked = ChunkedCodec::new(WorkerPool::new(4), chunk_elems);
         let opts = CompressOpts::rel(1e-2);
         for codec in global().iter() {
-            let pipelined = chunked
-                .compress_with(global(), codec.name(), &data, dims, &opts)
+            let mut pipelined = Vec::new();
+            chunked
+                .compress_stream::<f32>(
+                    global(),
+                    codec.name(),
+                    &mut SliceSource::new(&data),
+                    &mut pipelined,
+                    dims,
+                    &opts,
+                )
                 .unwrap_or_else(|e| panic!("{}: {e:?}", codec.name()));
             let mut sequential = Vec::new();
-            let mut src = SliceSource::new(&data[..]);
             global()
                 .compress_stream::<f32>(
                     codec.name(),
-                    &mut src,
+                    &mut SliceSource::new(&data),
                     &mut sequential,
                     dims,
                     &opts,
@@ -596,7 +278,7 @@ mod tests {
             assert_eq!(
                 pipelined,
                 sequential,
-                "{}: pipelined and sequential engines must emit identical streams",
+                "{}: pool and inline executors must emit identical streams",
                 codec.name()
             );
         }
@@ -606,28 +288,23 @@ mod tests {
     fn chunked_1d_and_partial_chunks() {
         let dims = Dims::d1(1001);
         let data: Vec<f32> = (0..1001).map(|i| (i as f32 + 2.0).ln()).collect();
-        let codec = sz_t();
+        // 150-element chunks: six full ones and a final 101-element one.
         let chunked = ChunkedCodec::new(WorkerPool::new(3), 150);
-        let stream = chunked
-            .compress(&data, dims, |s, d| codec.compress(s, d, 1e-2))
-            .unwrap();
-        let (dec, _) = chunked
-            .decompress::<f32, _>(&stream, |s| codec.decompress_full(s))
-            .unwrap();
-        assert_eq!(dec.len(), data.len());
-        for (&a, &b) in data.iter().zip(&dec) {
-            assert!(((a - b) / a).abs() <= 1e-2);
-        }
+        let stream = sz_t_stream(&chunked, &data, dims, 1e-2).unwrap();
+        let mut input = &stream[..];
+        let header = stream::decode_stream_header(&mut input).unwrap();
+        assert_eq!(header.n_chunks, 7);
+        let (dec, _) = decode::<f32>(&chunked, &stream).unwrap();
+        assert_bounded(&data, &dec, 1e-2);
     }
 
     #[test]
     fn chunk_size_usage_errors_not_panics() {
         let dims = Dims::d2(16, 16);
         let data = vec![1.0f32; dims.len()];
-        let codec = sz_t();
         for bad in [0usize, dims.len() + 1, dims.len() * 10] {
             let chunked = ChunkedCodec::new(WorkerPool::new(2), bad);
-            let r = chunked.compress(&data, dims, |s, d| codec.compress(s, d, 1e-2));
+            let r = sz_t_stream(&chunked, &data, dims, 1e-2);
             assert!(
                 matches!(r, Err(CodecError::InvalidArgument(_))),
                 "chunk_elems={bad} must be a usage error, got {r:?}"
@@ -635,14 +312,11 @@ mod tests {
         }
         // A full-field chunk is legal: exactly one frame.
         let chunked = ChunkedCodec::new(WorkerPool::new(2), dims.len());
-        assert!(chunked
-            .compress(&data, dims, |s, d| codec.compress(s, d, 1e-2))
-            .is_ok());
+        assert!(sz_t_stream(&chunked, &data, dims, 1e-2).is_ok());
     }
 
     #[test]
     fn registry_round_trip_every_codec() {
-        use pwrel_pipeline::CompressOpts;
         let dims = Dims::d2(24, 32);
         let data: Vec<f32> = grf::gaussian_field(dims, 11, 2, 2)
             .iter()
@@ -651,11 +325,18 @@ mod tests {
         let chunked = ChunkedCodec::new(WorkerPool::new(3), 6 * 32);
         let opts = CompressOpts::rel(1e-2);
         for codec in global().iter() {
-            let stream = chunked
-                .compress_with(global(), codec.name(), &data, dims, &opts)
+            let mut stream = Vec::new();
+            chunked
+                .compress_stream::<f32>(
+                    global(),
+                    codec.name(),
+                    &mut SliceSource::new(&data),
+                    &mut stream,
+                    dims,
+                    &opts,
+                )
                 .unwrap_or_else(|e| panic!("{}: {e:?}", codec.name()));
-            let (dec, d2) = chunked
-                .decompress_with::<f32>(global(), &stream)
+            let (dec, d2) = decode::<f32>(&chunked, &stream)
                 .unwrap_or_else(|e| panic!("{}: {e:?}", codec.name()));
             assert_eq!(d2, dims, "{}", codec.name());
             assert_eq!(dec.len(), data.len(), "{}", codec.name());
@@ -668,7 +349,6 @@ mod tests {
 
     #[test]
     fn out_of_core_round_trip_via_read_write() {
-        use pwrel_pipeline::CompressOpts;
         let dims = Dims::d3(16, 8, 8);
         let data: Vec<f32> = grf::gaussian_field(dims, 9, 2, 2)
             .iter()
@@ -709,8 +389,7 @@ mod tests {
 
     #[test]
     fn traced_chunked_round_trip_records_fanout() {
-        use pwrel_pipeline::CompressOpts;
-        use pwrel_trace::{stage, TraceSink};
+        use pwrel_trace::TraceSink;
         let dims = Dims::d2(40, 32);
         let data: Vec<f32> = grf::gaussian_field(dims, 5, 2, 2)
             .iter()
@@ -719,23 +398,31 @@ mod tests {
         let chunked = ChunkedCodec::new(WorkerPool::new(4), 10 * 32);
         let opts = CompressOpts::rel(1e-2);
         let sink = TraceSink::new();
-        let stream = chunked
-            .compress_with_traced(global(), "sz_t", &data, dims, &opts, &sink)
+        let mut stream = Vec::new();
+        chunked
+            .compress_stream_traced::<f32>(
+                global(),
+                "sz_t",
+                &mut SliceSource::new(&data),
+                &mut stream,
+                dims,
+                &opts,
+                &sink,
+            )
             .unwrap();
-        let plain = chunked
-            .compress_with(global(), "sz_t", &data, dims, &opts)
-            .unwrap();
+        let plain = sz_t_stream(&chunked, &data, dims, 1e-2).unwrap();
         assert_eq!(stream, plain, "tracing must not change the stream");
-        let (dec, d2) = chunked
-            .decompress_with_traced::<f32>(global(), &stream, &sink)
+        let mut dec = VecSink::<f32>::new();
+        chunked
+            .decompress_stream_traced(global(), &mut &stream[..], &mut dec, &sink)
             .unwrap();
-        assert_eq!(d2, dims);
-        assert_eq!(dec.len(), data.len());
+        assert_eq!(dec.into_inner().len(), data.len());
 
         let rows = pwrel_trace::export::stage_rows(&sink);
-        // Two chunks spans (one per direction), one chunk span per frame
-        // per direction, pool tasks from both pipelined fan-outs.
-        assert_eq!(rows[stage::CHUNKS].calls, 2);
+        // One root span per direction, one chunk span per frame per
+        // direction, pool tasks from both pipelined runs.
+        assert_eq!(rows[stage::STREAM_COMPRESS].calls, 1);
+        assert_eq!(rows[stage::STREAM_DECOMPRESS].calls, 1);
         assert_eq!(rows[stage::CHUNK_COMPRESS].calls, 4);
         assert_eq!(rows[stage::CHUNK_DECOMPRESS].calls, 4);
         let counters: std::collections::BTreeMap<_, _> = sink.counters().into_iter().collect();
@@ -753,24 +440,21 @@ mod tests {
     fn corrupt_stream_rejected() {
         let dims = Dims::d1(100);
         let data = vec![1.5f32; 100];
-        let codec = sz_t();
         let chunked = ChunkedCodec::new(WorkerPool::new(2), 25);
-        let stream = chunked
-            .compress(&data, dims, |s, d| codec.compress(s, d, 1e-2))
-            .unwrap();
-        let dec = |s: &[u8]| codec.decompress_full::<f32>(s);
-        assert!(chunked.decompress::<f32, _>(&stream[..10], dec).is_err());
+        let stream = sz_t_stream(&chunked, &data, dims, 1e-2).unwrap();
+        assert!(decode::<f32>(&chunked, &stream[..10]).is_err());
         let mut bad = stream.clone();
         bad[0] = b'X';
-        assert!(chunked.decompress::<f32, _>(&bad, dec).is_err());
+        assert!(decode::<f32>(&chunked, &bad).is_err());
         // f64 element type mismatch.
-        assert!(chunked
-            .decompress::<f64, _>(&stream, |s| codec.decompress_full::<f64>(s))
-            .is_err());
+        assert!(matches!(
+            decode::<f64>(&chunked, &stream),
+            Err(CodecError::Mismatch(_))
+        ));
         // Truncation after a whole frame must still be caught.
         for cut in [stream.len() - 1, stream.len() / 2] {
             assert!(
-                chunked.decompress::<f32, _>(&stream[..cut], dec).is_err(),
+                decode::<f32>(&chunked, &stream[..cut]).is_err(),
                 "cut={cut}"
             );
         }
@@ -783,12 +467,11 @@ mod tests {
             .iter()
             .map(|v| v.abs() + 0.5)
             .collect();
-        let codec = sz_t();
-        let whole = codec.compress(&data, dims, 1e-2).unwrap();
-        let chunked = ChunkedCodec::new(WorkerPool::new(4), dims.len() / 8);
-        let split = chunked
-            .compress(&data, dims, |s, d| codec.compress(s, d, 1e-2))
+        let whole = global()
+            .compress("sz_t", &data, dims, &CompressOpts::rel(1e-2))
             .unwrap();
+        let chunked = ChunkedCodec::new(WorkerPool::new(4), dims.len() / 8);
+        let split = sz_t_stream(&chunked, &data, dims, 1e-2).unwrap();
         assert!(
             split.len() < whole.len() * 2,
             "{} vs {}",

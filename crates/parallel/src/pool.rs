@@ -388,38 +388,6 @@ impl WorkerPool {
             .collect()
     }
 
-    /// [`WorkerPool::map`] with per-task recording: each task observes
-    /// its queue wait (submission to claim, microseconds) and the task
-    /// count is added to the pool-task counter. With a disabled recorder
-    /// this is exactly `map` — no clock reads, no wrapper closure.
-    pub fn map_traced<T, R, F>(
-        &self,
-        tasks: Vec<T>,
-        f: F,
-        rec: &dyn pwrel_trace::Recorder,
-    ) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        if !rec.is_enabled() {
-            return self.map(tasks, f);
-        }
-        let n = tasks.len() as u64;
-        let submitted = std::time::Instant::now();
-        let out = self.map(tasks, |t| {
-            // Elapsed-at-claim covers the time the task sat behind
-            // earlier tasks — the queue wait an operator tunes chunk
-            // size / worker count against.
-            let wait_us = submitted.elapsed().as_micros() as f64;
-            rec.observe(pwrel_trace::stage::O_QUEUE_WAIT_US, wait_us);
-            f(t)
-        });
-        rec.add(pwrel_trace::stage::C_POOL_TASKS, n);
-        out
-    }
-
     /// Runs a bounded-window streaming pipeline on the pool: `producer`
     /// yields items on the calling thread, workers apply `f`
     /// concurrently, and `consumer` receives every result on the calling
@@ -645,46 +613,10 @@ impl WorkerPool {
     }
 }
 
-impl pwrel_data::LaneExecutor for WorkerPool {
-    /// Fans the lane closures across the pool via [`WorkerPool::map`].
-    ///
-    /// Must only be called from a thread *outside* the pool's workers: a
-    /// `map` call serializes on the pool's submit lock, which is held for
-    /// the whole duration of any in-flight `map`/`pipeline`, so nested
-    /// submission from a worker thread deadlocks. The codec plumbing
-    /// honors this by routing pooled lane decode only through the
-    /// sequential engines, never from inside `ChunkedCodec` worker tasks.
-    fn run_lanes(&self, lanes: &mut [&mut (dyn FnMut() + Send)]) {
-        let tasks: Vec<&mut (dyn FnMut() + Send)> = lanes.iter_mut().map(|l| &mut **l).collect();
-        self.map(tasks, |lane| lane());
-    }
-
-    fn width(&self) -> usize {
-        self.workers()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn lane_executor_runs_all_lanes_on_the_pool() {
-        use pwrel_data::LaneExecutor;
-        let pool = WorkerPool::new(4);
-        assert_eq!(LaneExecutor::width(&pool), 4);
-        let mut hits = [0u32; 4];
-        {
-            let [h0, h1, h2, h3] = &mut hits;
-            let mut l0 = || *h0 += 1;
-            let mut l1 = || *h1 += 2;
-            let mut l2 = || *h2 += 3;
-            let mut l3 = || *h3 += 4;
-            pool.run_lanes(&mut [&mut l0, &mut l1, &mut l2, &mut l3]);
-        }
-        assert_eq!(hits, [1, 2, 3, 4]);
-    }
 
     #[test]
     fn results_keep_input_order() {
@@ -776,37 +708,6 @@ mod tests {
         assert!(poisoned.is_err());
         let out = pool.map(vec![10, 20], |t| t + 1);
         assert_eq!(out, vec![11, 21]);
-    }
-
-    #[test]
-    fn map_traced_records_queue_waits_from_worker_threads() {
-        use pwrel_trace::{stage, TraceSink};
-        let pool = WorkerPool::new(4);
-        let sink = TraceSink::new();
-        let out = pool.map_traced((0..200u64).collect::<Vec<_>>(), |t| t * 2, &sink);
-        assert_eq!(out.len(), 200);
-        assert_eq!(out[7], 14);
-        let counters = sink.counters();
-        assert!(counters.contains(&(stage::C_POOL_TASKS, 200)));
-        let obs = sink.observations();
-        let (_, wait) = obs
-            .iter()
-            .find(|(name, _)| *name == stage::O_QUEUE_WAIT_US)
-            .expect("queue-wait observations");
-        assert_eq!(wait.count, 200);
-        assert!(wait.min >= 0.0 && wait.max >= wait.min);
-    }
-
-    #[test]
-    fn map_traced_with_noop_matches_map() {
-        let pool = WorkerPool::new(4);
-        let traced = pool.map_traced(
-            (0..64u64).collect::<Vec<_>>(),
-            |t| t + 1,
-            pwrel_trace::noop(),
-        );
-        let plain = pool.map((0..64u64).collect::<Vec<_>>(), |t| t + 1);
-        assert_eq!(traced, plain);
     }
 
     #[test]

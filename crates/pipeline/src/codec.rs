@@ -1,10 +1,8 @@
 //! The object-safe whole-codec trait and its generic dispatch helper.
 
-use crate::stream::{self, ChunkSink, ChunkSource, StreamHeader, StreamStats};
 use pwrel_core::LogBase;
 use pwrel_data::{CodecError, Dims, Float};
 use pwrel_trace::Recorder;
-use std::io::{Read, Write};
 
 /// Per-run compression options shared by every registered codec.
 ///
@@ -32,15 +30,20 @@ impl CompressOpts {
 /// An error-bounded compression pipeline as one dispatchable unit.
 ///
 /// Object safety is the point: registries hold `Box<dyn Codec>` and the
-/// CLI / bench / chunker route through them without per-codec match
-/// arms. That forces monomorphic `f32`/`f64` entry points instead of a
-/// generic method; [`PipelineElem`] recovers the generic view for
+/// CLI / bench / stream engines route through them without per-codec
+/// match arms. That forces monomorphic `f32`/`f64` entry points instead
+/// of a generic method; [`PipelineElem`] recovers the generic view for
 /// callers parameterized over the element type.
+///
+/// There is one data method per direction and element type. Each takes
+/// the recorder the run reports to; untraced callers pass
+/// [`pwrel_trace::noop`], and instrumentation must not change a byte.
 ///
 /// The payload produced by `compress_*` is the codec's native
 /// self-describing stream; the registry wraps it in the unified
-/// container (see [`crate::container`]), so implementations never deal
-/// with the outer header.
+/// container (see [`crate::container`]) and the framed-stream engines
+/// in one frame per chunk (see [`crate::stream`]), so implementations
+/// never deal with outer headers.
 pub trait Codec: Send + Sync {
     /// Stable stream id recorded in the container header.
     fn id(&self) -> u8;
@@ -51,30 +54,6 @@ pub trait Codec: Send + Sync {
     /// One-line human description for codec listings.
     fn describe(&self) -> &'static str;
 
-    /// Compresses `f32` data under `opts`.
-    fn compress_f32(
-        &self,
-        data: &[f32],
-        dims: Dims,
-        opts: &CompressOpts,
-    ) -> Result<Vec<u8>, CodecError>;
-
-    /// Compresses `f64` data under `opts`.
-    fn compress_f64(
-        &self,
-        data: &[f64],
-        dims: Dims,
-        opts: &CompressOpts,
-    ) -> Result<Vec<u8>, CodecError>;
-
-    /// Decompresses an `f32` payload produced by
-    /// [`Codec::compress_f32`].
-    fn decompress_f32(&self, payload: &[u8]) -> Result<(Vec<f32>, Dims), CodecError>;
-
-    /// Decompresses an `f64` payload produced by
-    /// [`Codec::compress_f64`].
-    fn decompress_f64(&self, payload: &[u8]) -> Result<(Vec<f64>, Dims), CodecError>;
-
     /// The stage spans this codec emits when compressed through a live
     /// recorder — the contract the trace exporters and the coverage
     /// tests check against. Constants come from [`pwrel_trace::stage`].
@@ -83,78 +62,6 @@ pub trait Codec: Send + Sync {
     /// promised.
     fn stages(&self) -> &'static [&'static str] {
         &[]
-    }
-
-    /// [`Codec::compress_f32`] with per-stage recording. The default
-    /// ignores the recorder; instrumented codecs override it. Must emit
-    /// the same bytes as the plain method.
-    fn compress_f32_traced(
-        &self,
-        data: &[f32],
-        dims: Dims,
-        opts: &CompressOpts,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError> {
-        let _ = rec;
-        self.compress_f32(data, dims, opts)
-    }
-
-    /// [`Codec::compress_f64`] with per-stage recording.
-    fn compress_f64_traced(
-        &self,
-        data: &[f64],
-        dims: Dims,
-        opts: &CompressOpts,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError> {
-        let _ = rec;
-        self.compress_f64(data, dims, opts)
-    }
-
-    /// [`Codec::decompress_f32`] with per-stage recording.
-    fn decompress_f32_traced(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-    ) -> Result<(Vec<f32>, Dims), CodecError> {
-        let _ = rec;
-        self.decompress_f32(payload)
-    }
-
-    /// [`Codec::decompress_f64`] with per-stage recording.
-    fn decompress_f64_traced(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-    ) -> Result<(Vec<f64>, Dims), CodecError> {
-        let _ = rec;
-        self.decompress_f64(payload)
-    }
-
-    /// [`Codec::decompress_f32_traced`] with an executor for intra-chunk
-    /// fan-out: codecs whose payload carries independently decodable
-    /// entropy sub-streams decode them through `exec` (e.g. the worker
-    /// pool). The default ignores the executor. Output must be identical
-    /// for any executor, so the registry can route either way.
-    fn decompress_f32_pooled(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<f32>, Dims), CodecError> {
-        let _ = exec;
-        self.decompress_f32_traced(payload, rec)
-    }
-
-    /// [`Codec::decompress_f32_pooled`] for `f64` data.
-    fn decompress_f64_pooled(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<f64>, Dims), CodecError> {
-        let _ = exec;
-        self.decompress_f64_traced(payload, rec)
     }
 
     /// Preferred slice multiple (along the slowest axis) for framed
@@ -177,99 +84,39 @@ pub trait Codec: Send + Sync {
         crate::container::ENTROPY_MODE_SINGLE
     }
 
-    /// Compresses an `f32` chunk source into a framed stream on `out`
-    /// with chunks of about `chunk_elems` elements (see
-    /// [`stream::ChunkPlan`] for the usage errors and granularity
-    /// rounding). Peak memory is one chunk plus the codec's own working
-    /// set — the full field is never resident.
-    ///
-    /// The default runs the sequential engine over the one-shot
-    /// [`Codec::compress_f32_traced`] per chunk; codecs with a cheaper
-    /// native streaming path may override it as long as the emitted
-    /// bytes stay format-identical.
-    fn compress_stream_f32(
+    /// Compresses `f32` data under `opts`, recording stages on `rec`.
+    fn compress_f32(
         &self,
-        src: &mut dyn ChunkSource<f32>,
-        out: &mut dyn Write,
+        data: &[f32],
         dims: Dims,
         opts: &CompressOpts,
-        chunk_elems: usize,
         rec: &dyn Recorder,
-    ) -> Result<StreamStats, CodecError> {
-        stream::compress_frames_with(
-            self.id(),
-            self.entropy_mode(),
-            self.chunk_granularity(),
-            src,
-            out,
-            dims,
-            opts,
-            chunk_elems,
-            &mut |data, d| self.compress_f32_traced(data, d, opts, rec),
-            rec,
-        )
-    }
+    ) -> Result<Vec<u8>, CodecError>;
 
-    /// [`Codec::compress_stream_f32`] for `f64` data.
-    fn compress_stream_f64(
+    /// Compresses `f64` data under `opts`, recording stages on `rec`.
+    fn compress_f64(
         &self,
-        src: &mut dyn ChunkSource<f64>,
-        out: &mut dyn Write,
+        data: &[f64],
         dims: Dims,
         opts: &CompressOpts,
-        chunk_elems: usize,
         rec: &dyn Recorder,
-    ) -> Result<StreamStats, CodecError> {
-        stream::compress_frames_with(
-            self.id(),
-            self.entropy_mode(),
-            self.chunk_granularity(),
-            src,
-            out,
-            dims,
-            opts,
-            chunk_elems,
-            &mut |data, d| self.compress_f64_traced(data, d, opts, rec),
-            rec,
-        )
-    }
+    ) -> Result<Vec<u8>, CodecError>;
 
-    /// Decompresses the frames following an already-decoded stream
-    /// `header` (see [`stream::decode_stream_header`]) into `sink`,
-    /// chunk by chunk. `input` must be positioned at the first frame;
-    /// it is consumed exactly through the final frame.
-    fn decompress_stream_f32(
+    /// Decompresses an `f32` payload produced by
+    /// [`Codec::compress_f32`], recording stages on `rec`.
+    fn decompress_f32(
         &self,
-        header: &StreamHeader,
-        input: &mut dyn Read,
-        sink: &mut dyn ChunkSink<f32>,
+        payload: &[u8],
         rec: &dyn Recorder,
-    ) -> Result<StreamStats, CodecError> {
-        stream::decompress_frames_with(
-            header,
-            input,
-            sink,
-            &mut |payload| self.decompress_f32_traced(payload, rec),
-            rec,
-        )
-    }
+    ) -> Result<(Vec<f32>, Dims), CodecError>;
 
-    /// [`Codec::decompress_stream_f32`] for `f64` data.
-    fn decompress_stream_f64(
+    /// Decompresses an `f64` payload produced by
+    /// [`Codec::compress_f64`], recording stages on `rec`.
+    fn decompress_f64(
         &self,
-        header: &StreamHeader,
-        input: &mut dyn Read,
-        sink: &mut dyn ChunkSink<f64>,
+        payload: &[u8],
         rec: &dyn Recorder,
-    ) -> Result<StreamStats, CodecError> {
-        stream::decompress_frames_with(
-            header,
-            input,
-            sink,
-            &mut |payload| self.decompress_f64_traced(payload, rec),
-            rec,
-        )
-    }
+    ) -> Result<(Vec<f64>, Dims), CodecError>;
 }
 
 mod sealed {
@@ -287,56 +134,15 @@ pub trait PipelineElem: Float + sealed::Sealed {
         data: &[Self],
         dims: Dims,
         opts: &CompressOpts,
+        rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError>;
 
     /// Calls the matching monomorphic decompress method.
-    fn codec_decompress(codec: &dyn Codec, payload: &[u8])
-        -> Result<(Vec<Self>, Dims), CodecError>;
-
-    /// Calls the matching monomorphic traced compress method.
-    fn codec_compress_traced(
-        codec: &dyn Codec,
-        data: &[Self],
-        dims: Dims,
-        opts: &CompressOpts,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError>;
-
-    /// Calls the matching monomorphic traced decompress method.
-    fn codec_decompress_traced(
+    fn codec_decompress(
         codec: &dyn Codec,
         payload: &[u8],
         rec: &dyn Recorder,
     ) -> Result<(Vec<Self>, Dims), CodecError>;
-
-    /// Calls the matching monomorphic pooled decompress method.
-    fn codec_decompress_pooled(
-        codec: &dyn Codec,
-        payload: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<Self>, Dims), CodecError>;
-
-    /// Calls the matching monomorphic streaming compress method.
-    #[allow(clippy::too_many_arguments)] // mirrors the Codec streaming signature
-    fn codec_compress_stream(
-        codec: &dyn Codec,
-        src: &mut dyn ChunkSource<Self>,
-        out: &mut dyn Write,
-        dims: Dims,
-        opts: &CompressOpts,
-        chunk_elems: usize,
-        rec: &dyn Recorder,
-    ) -> Result<StreamStats, CodecError>;
-
-    /// Calls the matching monomorphic streaming decompress method.
-    fn codec_decompress_stream(
-        codec: &dyn Codec,
-        header: &StreamHeader,
-        input: &mut dyn Read,
-        sink: &mut dyn ChunkSink<Self>,
-        rec: &dyn Recorder,
-    ) -> Result<StreamStats, CodecError>;
 }
 
 impl PipelineElem for f32 {
@@ -345,61 +151,17 @@ impl PipelineElem for f32 {
         data: &[f32],
         dims: Dims,
         opts: &CompressOpts,
-    ) -> Result<Vec<u8>, CodecError> {
-        codec.compress_f32(data, dims, opts)
-    }
-
-    fn codec_decompress(codec: &dyn Codec, payload: &[u8]) -> Result<(Vec<f32>, Dims), CodecError> {
-        codec.decompress_f32(payload)
-    }
-
-    fn codec_compress_traced(
-        codec: &dyn Codec,
-        data: &[f32],
-        dims: Dims,
-        opts: &CompressOpts,
         rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
-        codec.compress_f32_traced(data, dims, opts, rec)
+        codec.compress_f32(data, dims, opts, rec)
     }
 
-    fn codec_decompress_traced(
+    fn codec_decompress(
         codec: &dyn Codec,
         payload: &[u8],
         rec: &dyn Recorder,
     ) -> Result<(Vec<f32>, Dims), CodecError> {
-        codec.decompress_f32_traced(payload, rec)
-    }
-
-    fn codec_decompress_pooled(
-        codec: &dyn Codec,
-        payload: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<f32>, Dims), CodecError> {
-        codec.decompress_f32_pooled(payload, rec, exec)
-    }
-
-    fn codec_compress_stream(
-        codec: &dyn Codec,
-        src: &mut dyn ChunkSource<f32>,
-        out: &mut dyn Write,
-        dims: Dims,
-        opts: &CompressOpts,
-        chunk_elems: usize,
-        rec: &dyn Recorder,
-    ) -> Result<StreamStats, CodecError> {
-        codec.compress_stream_f32(src, out, dims, opts, chunk_elems, rec)
-    }
-
-    fn codec_decompress_stream(
-        codec: &dyn Codec,
-        header: &StreamHeader,
-        input: &mut dyn Read,
-        sink: &mut dyn ChunkSink<f32>,
-        rec: &dyn Recorder,
-    ) -> Result<StreamStats, CodecError> {
-        codec.decompress_stream_f32(header, input, sink, rec)
+        codec.decompress_f32(payload, rec)
     }
 }
 
@@ -409,60 +171,16 @@ impl PipelineElem for f64 {
         data: &[f64],
         dims: Dims,
         opts: &CompressOpts,
-    ) -> Result<Vec<u8>, CodecError> {
-        codec.compress_f64(data, dims, opts)
-    }
-
-    fn codec_decompress(codec: &dyn Codec, payload: &[u8]) -> Result<(Vec<f64>, Dims), CodecError> {
-        codec.decompress_f64(payload)
-    }
-
-    fn codec_compress_traced(
-        codec: &dyn Codec,
-        data: &[f64],
-        dims: Dims,
-        opts: &CompressOpts,
         rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
-        codec.compress_f64_traced(data, dims, opts, rec)
+        codec.compress_f64(data, dims, opts, rec)
     }
 
-    fn codec_decompress_traced(
+    fn codec_decompress(
         codec: &dyn Codec,
         payload: &[u8],
         rec: &dyn Recorder,
     ) -> Result<(Vec<f64>, Dims), CodecError> {
-        codec.decompress_f64_traced(payload, rec)
-    }
-
-    fn codec_decompress_pooled(
-        codec: &dyn Codec,
-        payload: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<f64>, Dims), CodecError> {
-        codec.decompress_f64_pooled(payload, rec, exec)
-    }
-
-    fn codec_compress_stream(
-        codec: &dyn Codec,
-        src: &mut dyn ChunkSource<f64>,
-        out: &mut dyn Write,
-        dims: Dims,
-        opts: &CompressOpts,
-        chunk_elems: usize,
-        rec: &dyn Recorder,
-    ) -> Result<StreamStats, CodecError> {
-        codec.compress_stream_f64(src, out, dims, opts, chunk_elems, rec)
-    }
-
-    fn codec_decompress_stream(
-        codec: &dyn Codec,
-        header: &StreamHeader,
-        input: &mut dyn Read,
-        sink: &mut dyn ChunkSink<f64>,
-        rec: &dyn Recorder,
-    ) -> Result<StreamStats, CodecError> {
-        codec.decompress_stream_f64(header, input, sink, rec)
+        codec.decompress_f64(payload, rec)
     }
 }

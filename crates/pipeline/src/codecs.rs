@@ -13,14 +13,11 @@ use pwrel_data::{CodecError, Dims, Float};
 use pwrel_fpzip::FpzipCompressor;
 use pwrel_isabela::IsabelaCompressor;
 use pwrel_sz::SzCompressor;
-use pwrel_trace::{noop, stage, Recorder, Span};
+use pwrel_trace::{stage, Recorder, Span};
 use pwrel_zfp::ZfpCompressor;
 
-/// Generates the boilerplate that bridges the monomorphic `Codec`
-/// methods onto one generic pair of recorder-taking functions. The
-/// plain methods pass the no-op recorder; the `*_traced` variants
-/// thread the caller's recorder through — same code path either way,
-/// so the traced route cannot drift from the untraced one.
+/// Generates the four monomorphic `Codec` data methods, each a call to
+/// the adapter's one generic `compress_impl` / `decompress_impl` pair.
 macro_rules! dispatch_elem {
     () => {
         fn compress_f32(
@@ -28,8 +25,9 @@ macro_rules! dispatch_elem {
             data: &[f32],
             dims: Dims,
             opts: &CompressOpts,
+            rec: &dyn Recorder,
         ) -> Result<Vec<u8>, CodecError> {
-            self.compress_impl(data, dims, opts, noop())
+            self.compress_impl(data, dims, opts, rec)
         }
 
         fn compress_f64(
@@ -37,39 +35,12 @@ macro_rules! dispatch_elem {
             data: &[f64],
             dims: Dims,
             opts: &CompressOpts,
-        ) -> Result<Vec<u8>, CodecError> {
-            self.compress_impl(data, dims, opts, noop())
-        }
-
-        fn decompress_f32(&self, payload: &[u8]) -> Result<(Vec<f32>, Dims), CodecError> {
-            self.decompress_impl(payload, noop())
-        }
-
-        fn decompress_f64(&self, payload: &[u8]) -> Result<(Vec<f64>, Dims), CodecError> {
-            self.decompress_impl(payload, noop())
-        }
-
-        fn compress_f32_traced(
-            &self,
-            data: &[f32],
-            dims: Dims,
-            opts: &CompressOpts,
             rec: &dyn Recorder,
         ) -> Result<Vec<u8>, CodecError> {
             self.compress_impl(data, dims, opts, rec)
         }
 
-        fn compress_f64_traced(
-            &self,
-            data: &[f64],
-            dims: Dims,
-            opts: &CompressOpts,
-            rec: &dyn Recorder,
-        ) -> Result<Vec<u8>, CodecError> {
-            self.compress_impl(data, dims, opts, rec)
-        }
-
-        fn decompress_f32_traced(
+        fn decompress_f32(
             &self,
             payload: &[u8],
             rec: &dyn Recorder,
@@ -77,7 +48,7 @@ macro_rules! dispatch_elem {
             self.decompress_impl(payload, rec)
         }
 
-        fn decompress_f64_traced(
+        fn decompress_f64(
             &self,
             payload: &[u8],
             rec: &dyn Recorder,
@@ -122,15 +93,6 @@ impl SzT {
         // The base is read from the payload; the constructor's base is a
         // compile-side default.
         PwRelCompressor::new(self.config(), LogBase::Two).decompress_full_traced(payload, rec)
-    }
-
-    fn decompress_pooled_impl<F: Float>(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        PwRelCompressor::new(self.config(), LogBase::Two).decompress_full_pooled(payload, rec, exec)
     }
 }
 
@@ -177,24 +139,6 @@ impl Codec for SzT {
 
     fn entropy_mode(&self) -> u8 {
         crate::container::ENTROPY_MODE_INTERLEAVED
-    }
-
-    fn decompress_f32_pooled(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<f32>, Dims), CodecError> {
-        self.decompress_pooled_impl(payload, rec, exec)
-    }
-
-    fn decompress_f64_pooled(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<f64>, Dims), CodecError> {
-        self.decompress_pooled_impl(payload, rec, exec)
     }
 
     dispatch_elem!();
@@ -280,15 +224,6 @@ impl SzAbs {
     ) -> Result<(Vec<F>, Dims), CodecError> {
         SzCompressor::default().decompress_traced(payload, rec)
     }
-
-    fn decompress_pooled_impl<F: Float>(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        SzCompressor::default().decompress_pooled(payload, rec, exec)
-    }
 }
 
 impl Codec for SzAbs {
@@ -310,24 +245,6 @@ impl Codec for SzAbs {
 
     fn entropy_mode(&self) -> u8 {
         crate::container::ENTROPY_MODE_INTERLEAVED
-    }
-
-    fn decompress_f32_pooled(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<f32>, Dims), CodecError> {
-        self.decompress_pooled_impl(payload, rec, exec)
-    }
-
-    fn decompress_f64_pooled(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<f64>, Dims), CodecError> {
-        self.decompress_pooled_impl(payload, rec, exec)
     }
 
     dispatch_elem!();

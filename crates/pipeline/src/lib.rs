@@ -8,8 +8,10 @@
 //! absolute-error-bounded compressor — and this crate is where that
 //! genericity becomes operational:
 //!
-//! * [`Codec`] is the object-safe whole-codec contract (monomorphic
-//!   `f32`/`f64` entry points so registries can hold `Box<dyn Codec>`),
+//! * [`Codec`] is the object-safe whole-codec contract: metadata plus
+//!   one compress and one decompress method per element type (`f32`,
+//!   `f64`), each taking the run's recorder, so registries can hold
+//!   `Box<dyn Codec>`,
 //! * [`CodecRegistry`] maps codec ids and names to implementations and
 //!   owns the compress/decompress dispatch,
 //! * [`container`] defines the one versioned self-describing outer
@@ -19,9 +21,12 @@
 //!   per-codec magics,
 //! * [`stream`] is the framed streaming layer: a stream header plus
 //!   self-describing per-chunk frames so whole fields compress and
-//!   decompress through chunk sources/sinks with bounded memory
-//!   (`compress_stream`/`decompress_stream` on [`Codec`] and
-//!   [`CodecRegistry`]).
+//!   decompress through chunk sources/sinks with bounded memory. Its one
+//!   engine pair ([`stream::compress_frames`] /
+//!   [`stream::decompress_frames`]) runs on a [`stream::ChunkExecutor`]:
+//!   inline ([`stream::Sequential`]) behind
+//!   `CodecRegistry::{compress,decompress}_stream`, or on a worker pool
+//!   behind `pwrel-parallel`'s `ChunkedCodec`.
 //!
 //! The stage traits the codecs are assembled from (`Transform`,
 //! `Predictor`, `Quantizer`, `Encoder`, `LosslessStage`, …) live in

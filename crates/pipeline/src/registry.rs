@@ -4,7 +4,7 @@ use crate::codec::{Codec, CompressOpts, PipelineElem};
 use crate::codecs;
 use crate::container::{self, ContainerHeader, CONTAINER_VERSION};
 use crate::legacy;
-use crate::stream::{self, ChunkSink, ChunkSource, StreamHeader, StreamStats, VecSink};
+use crate::stream::{self, ChunkSink, ChunkSource, Sequential, StreamHeader, StreamStats, VecSink};
 use pwrel_data::{CodecError, Dims};
 use pwrel_trace::{noop, stage, Recorder, Span};
 use std::sync::OnceLock;
@@ -111,7 +111,7 @@ impl CodecRegistry {
                 (data.len() * (F::BITS as usize / 8)) as u64,
             );
         }
-        let payload = F::codec_compress_traced(codec, data, dims, opts, rec)?;
+        let payload = F::codec_compress(codec, data, dims, opts, rec)?;
         let header = ContainerHeader {
             version: CONTAINER_VERSION,
             codec_id: codec.id(),
@@ -130,8 +130,10 @@ impl CodecRegistry {
 
     /// Compresses a chunk source into a framed stream on `out` with the
     /// named codec: the bounded-memory counterpart of
-    /// [`CodecRegistry::compress`]. See [`crate::stream`] for the frame
-    /// format and [`stream::ChunkPlan`] for chunk sizing rules.
+    /// [`CodecRegistry::compress`]. Runs [`stream::compress_frames`]
+    /// inline on the calling thread ([`stream::Sequential`]). See
+    /// [`crate::stream`] for the frame format and [`stream::ChunkPlan`]
+    /// for chunk sizing rules.
     pub fn compress_stream<F: PipelineElem>(
         &self,
         name: &str,
@@ -163,12 +165,12 @@ impl CodecRegistry {
             .by_name(name)
             .ok_or(CodecError::InvalidArgument("unknown codec name"))?;
         let _root = Span::enter(rec, stage::STREAM_COMPRESS);
-        F::codec_compress_stream(codec, src, out, dims, opts, chunk_elems, rec)
+        stream::compress_frames(codec, &Sequential, src, out, dims, opts, chunk_elems, rec)
     }
 
     /// Decompresses a framed stream from `input` into `sink`, chunk by
-    /// chunk with bounded memory, returning the stream header and the
-    /// run counters.
+    /// chunk with bounded memory and on the calling thread, returning
+    /// the stream header and the run counters.
     pub fn decompress_stream<F: PipelineElem>(
         &self,
         input: &mut dyn std::io::Read,
@@ -204,49 +206,22 @@ impl CodecRegistry {
         sink: &mut dyn ChunkSink<F>,
         rec: &dyn Recorder,
     ) -> Result<StreamStats, CodecError> {
-        if header.elem_bits as u32 != F::BITS {
-            return Err(CodecError::Mismatch("element type does not match stream"));
-        }
-        let codec = self
-            .get(header.codec_id)
-            .ok_or(CodecError::InvalidArgument("unknown codec id in stream"))?;
-        F::codec_decompress_stream(codec, header, input, sink, rec)
+        let codec = self.stream_codec::<F>(header)?;
+        stream::decompress_frames(codec, &Sequential, header, input, sink, rec)
     }
 
-    /// [`CodecRegistry::decompress_stream_traced`] with intra-chunk
-    /// fan-out: the frames are still read and decoded strictly in order
-    /// on the calling thread, but each chunk's independently addressable
-    /// entropy sub-streams decode through `exec` (e.g. the worker pool).
-    /// The complement of the chunk-parallel engine in `pwrel-parallel`:
-    /// use that one when there are many chunks, this one when a few
-    /// large chunks leave workers idle. Output is byte-identical to the
-    /// sequential engine for any executor.
-    ///
-    /// When `exec` is a worker pool, this must be called from outside
-    /// any pool task — nested submission deadlocks.
-    pub fn decompress_stream_pooled<F: PipelineElem>(
+    /// The codec a framed stream's `header` names, after checking that
+    /// the stream holds `F` elements: the lookup every caller of
+    /// [`stream::decompress_frames`] makes first.
+    pub fn stream_codec<F: PipelineElem>(
         &self,
-        input: &mut dyn std::io::Read,
-        sink: &mut dyn ChunkSink<F>,
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(StreamHeader, StreamStats), CodecError> {
-        let _root = Span::enter(rec, stage::STREAM_DECOMPRESS);
-        let header = stream::decode_stream_header(input)?;
+        header: &StreamHeader,
+    ) -> Result<&dyn Codec, CodecError> {
         if header.elem_bits as u32 != F::BITS {
             return Err(CodecError::Mismatch("element type does not match stream"));
         }
-        let codec = self
-            .get(header.codec_id)
-            .ok_or(CodecError::InvalidArgument("unknown codec id in stream"))?;
-        let stats = stream::decompress_frames_with(
-            &header,
-            input,
-            sink,
-            &mut |payload| F::codec_decompress_pooled(codec, payload, rec, exec),
-            rec,
-        )?;
-        Ok((header, stats))
+        self.get(header.codec_id)
+            .ok_or(CodecError::InvalidArgument("unknown codec id in stream"))
     }
 
     /// Decompresses a unified container, a framed stream, or (by legacy
@@ -294,7 +269,7 @@ impl CodecRegistry {
         let codec = self
             .get(header.codec_id)
             .ok_or(CodecError::InvalidArgument("unknown codec id in container"))?;
-        let (data, dims) = F::codec_decompress_traced(codec, payload, rec)?;
+        let (data, dims) = F::codec_decompress(codec, payload, rec)?;
         if dims != header.dims {
             return Err(CodecError::Corrupt("payload dims disagree with container"));
         }

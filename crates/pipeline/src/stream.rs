@@ -34,12 +34,19 @@
 //! errors, which `CodecError` cannot distinguish from truncation) also
 //! map to `Corrupt`.
 //!
+//! One engine pair, [`compress_frames`] and [`decompress_frames`], writes
+//! and reads every framed stream. A [`ChunkExecutor`] decides where the
+//! per-chunk codec calls run: [`Sequential`] runs them inline (the
+//! registry's streaming methods), and `pwrel-parallel`'s `ChunkedCodec`
+//! runs them on its worker pool. Reads and writes stay on the calling
+//! thread in chunk order, so the bytes never depend on the executor.
+//!
 //! The engines recycle their chunk and payload buffers through a
 //! [`BufferPool`] arena, so their own steady-state allocation per chunk
 //! is zero after warm-up; codec-internal allocations are the codecs'
 //! business (see DESIGN.md §14).
 
-use crate::codec::CompressOpts;
+use crate::codec::{Codec, CompressOpts, PipelineElem};
 use pwrel_bitstream::{bytesio, varint};
 use pwrel_core::LogBase;
 use pwrel_data::{CodecError, Dims, Float};
@@ -56,13 +63,6 @@ pub const STREAM_VERSION: u8 = 2;
 
 /// Leading byte of every frame; a cheap desync detector.
 pub const FRAME_MARKER: u8 = 0xF7;
-
-/// Codec id recorded by the closure-based [`ChunkedCodec`] wrapper,
-/// reserved so registry decode refuses it with a usage error instead of
-/// misrouting the payloads.
-///
-/// [`ChunkedCodec`]: ../../pwrel_parallel/chunked/struct.ChunkedCodec.html
-pub const EXTERNAL_CODEC_ID: u8 = 0;
 
 /// Frames may record at most this many payload bytes per element before
 /// the decoder rejects the length as implausible (all workspace codecs
@@ -598,8 +598,7 @@ impl<T> BufferPool<T> {
     }
 }
 
-/// Frame-admission state machine shared by the sequential and pipelined
-/// decoders: validates each [`FrameHeader`] against the stream header
+/// Frame-admission state machine of [`decompress_frames`]: validates each [`FrameHeader`] against the stream header
 /// (sequential index, contiguous coverage, shape, payload plausibility)
 /// and tracks coverage so truncation after any whole frame is still
 /// caught by [`FrameWalker::finish`].
@@ -679,41 +678,91 @@ impl FrameWalker {
     }
 }
 
-/// Per-chunk encode hook for [`compress_frames_with`]: chunk data plus
-/// its slab dims to the codec-native payload.
-pub type CompressChunkFn<'a, F> = &'a mut dyn FnMut(&[F], Dims) -> Result<Vec<u8>, CodecError>;
-
-/// Per-chunk decode hook for [`decompress_frames_with`]: codec-native
-/// payload to the reconstruction and its slab dims.
-pub type DecompressChunkFn<'a, F> = &'a mut dyn FnMut(&[u8]) -> Result<(Vec<F>, Dims), CodecError>;
-
-/// Compresses a chunk source into a framed stream, one frame per chunk,
-/// with `compress_chunk` producing each chunk's codec-native payload.
+/// Where a framed-stream engine runs its per-chunk codec calls.
 ///
-/// This is the sequential engine the `Codec` trait's provided streaming
-/// methods delegate to; the pipelined variant lives in `pwrel-parallel`
-/// and shares the format helpers and the [`FrameWalker`] rules.
-#[allow(clippy::too_many_arguments)] // mirrors the Codec streaming signature plus identity
-pub fn compress_frames_with<F: Float>(
-    codec_id: u8,
-    entropy_mode: u8,
-    granularity: usize,
+/// The engine pair splits every run into three steps: `produce` reads the next
+/// chunk (compress) or admits the next frame (decompress) on the calling
+/// thread, `work` runs the codec on it, and `consume` writes the frame or
+/// hands the reconstruction to the sink, again on the calling thread. An
+/// executor only decides where `work` runs, and it must pass results to
+/// `consume` in production order, so the output never depends on the
+/// executor. [`Sequential`] runs everything inline; `pwrel-parallel`'s
+/// `ChunkedCodec` runs `work` on its worker pool. The seam lives here
+/// because this crate sits below `pwrel-parallel` in the crate graph.
+pub trait ChunkExecutor {
+    /// Polls `produce` until it yields `None`, passing every item through
+    /// `work` and each result to `consume` in production order. The
+    /// first `produce` or `consume` error ends the run and is returned.
+    fn run<T, R, P, W, C>(
+        &self,
+        produce: P,
+        work: W,
+        consume: C,
+        rec: &dyn Recorder,
+    ) -> Result<(), CodecError>
+    where
+        T: Send,
+        R: Send,
+        P: FnMut() -> Result<Option<T>, CodecError>,
+        W: Fn(T) -> R + Sync,
+        C: FnMut(R) -> Result<(), CodecError>;
+}
+
+/// The inline [`ChunkExecutor`]: each chunk is read, coded and written
+/// on the calling thread before the next one is read.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Sequential;
+
+impl ChunkExecutor for Sequential {
+    fn run<T, R, P, W, C>(
+        &self,
+        mut produce: P,
+        work: W,
+        mut consume: C,
+        _rec: &dyn Recorder,
+    ) -> Result<(), CodecError>
+    where
+        T: Send,
+        R: Send,
+        P: FnMut() -> Result<Option<T>, CodecError>,
+        W: Fn(T) -> R + Sync,
+        C: FnMut(R) -> Result<(), CodecError>,
+    {
+        while let Some(t) = produce()? {
+            consume(work(t))?;
+        }
+        Ok(())
+    }
+}
+
+/// Compresses a chunk source into a framed stream on `out` with
+/// `codec`, one frame per chunk of about `chunk_elems` elements (see
+/// [`ChunkPlan`] for the usage errors and granularity rounding). Peak
+/// memory is the chunks `exec` keeps in flight plus the codec's own
+/// working set — the full field is never resident.
+///
+/// Frames are written in chunk order whatever `exec` is, so the bytes
+/// do not depend on it. On error the stream written so far is abandoned
+/// mid-frame; callers discard it.
+#[allow(clippy::too_many_arguments)] // the codec call plus the executor
+pub fn compress_frames<F: PipelineElem>(
+    codec: &dyn Codec,
+    exec: &impl ChunkExecutor,
     src: &mut dyn ChunkSource<F>,
     out: &mut dyn Write,
     dims: Dims,
     opts: &CompressOpts,
     chunk_elems: usize,
-    compress_chunk: CompressChunkFn<'_, F>,
     rec: &dyn Recorder,
 ) -> Result<StreamStats, CodecError> {
-    let plan = ChunkPlan::new(dims, chunk_elems, granularity)?;
+    let plan = ChunkPlan::new(dims, chunk_elems, codec.chunk_granularity())?;
     let header = StreamHeader {
-        codec_id,
+        codec_id: codec.id(),
         elem_bits: F::BITS as u8,
         dims,
         bound: opts.bound,
         base: opts.base,
-        entropy_mode,
+        entropy_mode: codec.entropy_mode(),
         n_chunks: plan.n_chunks() as u64,
     };
     let mut head = Vec::with_capacity(48);
@@ -727,33 +776,53 @@ pub fn compress_frames_with<F: Float>(
         bytes_in: (dims.len() * F::NBYTES) as u64,
         bytes_out: head.len() as u64,
     };
-    for i in 0..plan.n_chunks() {
-        let _chunk = Span::enter(rec, stage::CHUNK_COMPRESS);
-        let (start, n) = plan.chunk_range(i);
-        let mut buf = arena.take(n);
-        src.next_chunk(n, &mut buf)?;
-        if buf.len() != n {
-            return Err(CodecError::InvalidArgument(
-                "chunk source returned the wrong length",
-            ));
-        }
-        let payload = compress_chunk(&buf, plan.chunk_dims(i))?;
-        arena.put(buf);
-        head.clear();
-        encode_frame_header(
-            &mut head,
-            &FrameHeader {
-                index: i as u64,
-                start: start as u64,
-                n_elems: n as u64,
-                bound: opts.bound,
-                payload_len: payload.len() as u64,
-            },
-        );
-        out.write_all(&head).map_err(write_failed)?;
-        out.write_all(&payload).map_err(write_failed)?;
-        stats.bytes_out += (head.len() + payload.len()) as u64;
-    }
+    let mut read = 0usize;
+    let mut written = 0usize;
+    exec.run(
+        || {
+            if read == plan.n_chunks() {
+                return Ok(None);
+            }
+            let (_, n) = plan.chunk_range(read);
+            let mut buf = arena.take(n);
+            src.next_chunk(n, &mut buf)?;
+            if buf.len() != n {
+                return Err(CodecError::InvalidArgument(
+                    "chunk source returned the wrong length",
+                ));
+            }
+            let chunk_dims = plan.chunk_dims(read);
+            read += 1;
+            Ok(Some((buf, chunk_dims)))
+        },
+        |(buf, chunk_dims): (Vec<F>, Dims)| {
+            let _chunk = Span::enter(rec, stage::CHUNK_COMPRESS);
+            let payload = F::codec_compress(codec, &buf, chunk_dims, opts, rec);
+            (buf, payload)
+        },
+        |(buf, payload)| {
+            arena.put(buf);
+            let payload = payload?;
+            let (start, n) = plan.chunk_range(written);
+            head.clear();
+            encode_frame_header(
+                &mut head,
+                &FrameHeader {
+                    index: written as u64,
+                    start: start as u64,
+                    n_elems: n as u64,
+                    bound: opts.bound,
+                    payload_len: payload.len() as u64,
+                },
+            );
+            out.write_all(&head).map_err(write_failed)?;
+            out.write_all(&payload).map_err(write_failed)?;
+            stats.bytes_out += (head.len() + payload.len()) as u64;
+            written += 1;
+            Ok(())
+        },
+        rec,
+    )?;
     if rec.is_enabled() {
         rec.add(stage::C_STREAM_CHUNKS, stats.chunks);
         rec.add(stage::C_BYTES_IN, stats.bytes_in);
@@ -764,20 +833,24 @@ pub fn compress_frames_with<F: Float>(
 }
 
 /// Decompresses the frames following an already-decoded stream header
-/// into `sink`, with `decompress_chunk` decoding each payload.
+/// into `sink` with `codec`. Frames are admitted through [`FrameWalker`]
+/// on the calling thread, and chunks reach `sink` in raster order
+/// whatever `exec` is.
 ///
-/// The reader is consumed exactly through the final frame (no
-/// read-ahead), so framed streams embed cleanly in larger byte streams.
-pub fn decompress_frames_with<F: Float>(
+/// `header` must name `codec` and the element type `F`
+/// ([`CodecRegistry::stream_codec`] checks both). The reader is consumed
+/// exactly through the final frame (no read-ahead), so framed streams
+/// embed cleanly in larger byte streams.
+///
+/// [`CodecRegistry::stream_codec`]: crate::CodecRegistry::stream_codec
+pub fn decompress_frames<F: PipelineElem>(
+    codec: &dyn Codec,
+    exec: &impl ChunkExecutor,
     header: &StreamHeader,
     input: &mut dyn Read,
     sink: &mut dyn ChunkSink<F>,
-    decompress_chunk: DecompressChunkFn<'_, F>,
     rec: &dyn Recorder,
 ) -> Result<StreamStats, CodecError> {
-    if header.elem_bits as u32 != F::BITS {
-        return Err(CodecError::Mismatch("element type does not match stream"));
-    }
     let mut walker = FrameWalker::new(header);
     let arena: BufferPool<u8> = BufferPool::new();
     let mut stats = StreamStats {
@@ -786,25 +859,39 @@ pub fn decompress_frames_with<F: Float>(
         ..StreamStats::default()
     };
     let mut covered = 0usize;
-    while walker.remaining() > 0 {
-        let _chunk = Span::enter(rec, stage::CHUNK_DECOMPRESS);
-        let fh = decode_frame_header(input)?;
-        let chunk_dims = walker.admit(&fh)?;
-        // admit() capped payload_len, so sizing a buffer from it is safe.
-        let len = fh.payload_len as usize;
-        let mut payload = arena.take(len);
-        payload.resize(len, 0);
-        input.read_exact(&mut payload).map_err(read_failed)?;
-        let (data, d) = decompress_chunk(&payload)?;
-        arena.put(payload);
-        if d != chunk_dims || data.len() != chunk_dims.len() {
-            return Err(CodecError::Corrupt("chunk payload shape mismatch"));
-        }
-        sink.put_chunk(covered, &data)?;
-        covered += data.len();
-        stats.bytes_in += fh.payload_len;
-        stats.bytes_out += (data.len() * F::NBYTES) as u64;
-    }
+    exec.run(
+        || {
+            if walker.remaining() == 0 {
+                return Ok(None);
+            }
+            let fh = decode_frame_header(input)?;
+            let chunk_dims = walker.admit(&fh)?;
+            // admit() capped payload_len, so sizing a buffer from it is safe.
+            let len = fh.payload_len as usize;
+            let mut payload = arena.take(len);
+            payload.resize(len, 0);
+            input.read_exact(&mut payload).map_err(read_failed)?;
+            Ok(Some((payload, chunk_dims)))
+        },
+        |(payload, chunk_dims): (Vec<u8>, Dims)| {
+            let _chunk = Span::enter(rec, stage::CHUNK_DECOMPRESS);
+            let decoded = F::codec_decompress(codec, &payload, rec);
+            (payload, chunk_dims, decoded)
+        },
+        |(payload, chunk_dims, decoded)| {
+            stats.bytes_in += payload.len() as u64;
+            arena.put(payload);
+            let (data, d) = decoded?;
+            if d != chunk_dims || data.len() != chunk_dims.len() {
+                return Err(CodecError::Corrupt("chunk payload shape mismatch"));
+            }
+            sink.put_chunk(covered, &data)?;
+            covered += data.len();
+            stats.bytes_out += (data.len() * F::NBYTES) as u64;
+            Ok(())
+        },
+        rec,
+    )?;
     walker.finish()?;
     if rec.is_enabled() {
         rec.add(stage::C_STREAM_CHUNKS, stats.chunks);

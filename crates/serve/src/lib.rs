@@ -28,11 +28,14 @@
 //! connection are sequential, as the protocol requires), bounded by the
 //! connection cap; heavy requests additionally pass the global in-flight
 //! gate or are rejected with `busy` so overload degrades predictably
-//! instead of queueing unboundedly. With `workers > 1` each connection
-//! lazily builds its own [`pwrel_parallel::WorkerPool`]-backed
-//! [`pwrel_parallel::ChunkedCodec`]; pools are per-connection because
-//! the pool's submit side is exclusive — sharing one pool would
-//! serialize every request in the process.
+//! instead of queueing unboundedly. Every compress and decompress runs
+//! the one framed-stream engine of [`pwrel_pipeline::stream`]: inline on
+//! the connection thread at `workers = 1`, or, with `workers > 1`, on a
+//! [`pwrel_parallel::ChunkedCodec`] that each connection lazily builds
+//! over its own [`pwrel_parallel::WorkerPool`]. The bytes are the same
+//! either way. Pools are per-connection because the pool's submit side
+//! is exclusive — sharing one pool would serialize every request in the
+//! process.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

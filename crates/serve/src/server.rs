@@ -145,7 +145,8 @@ impl<R: Read> Read for MeteredReader<R> {
     }
 }
 
-/// Per-connection lazily built parallel engine (`workers > 1` only).
+/// Per-connection lazily built pool executor for the stream engine
+/// (`workers > 1` only).
 /// Per-connection because the pool's submit side is exclusive: one
 /// shared pool would serialize every request in the process, and
 /// submitting from inside a pool task deadlocks.
@@ -550,8 +551,8 @@ fn handle_compress(
     let t0 = Instant::now();
     let mut seg = SegmentWriter::new(writer);
     let result = match hdr.elem_bits {
-        32 => run_compress::<f32>(shared, conn, name, &hdr, reader, &mut seg),
-        64 => run_compress::<f64>(shared, conn, name, &hdr, reader, &mut seg),
+        32 => compress_body::<f32>(shared, conn, name, &hdr, reader, &mut seg),
+        64 => compress_body::<f64>(shared, conn, name, &hdr, reader, &mut seg),
         _ => Err(pwrel_data::CodecError::InvalidArgument(
             "element width must be 32 or 64",
         )),
@@ -560,7 +561,7 @@ fn handle_compress(
     finish_heavy(seg, result.map(|_| ()), reader, shared)
 }
 
-fn run_compress<F: PipelineElem>(
+fn compress_body<F: PipelineElem>(
     shared: &Shared,
     conn: &mut ConnCtx,
     name: &str,
@@ -645,8 +646,8 @@ fn handle_decompress(
     let t0 = Instant::now();
     let mut seg = SegmentWriter::new(writer);
     let result = match header.elem_bits {
-        32 => run_decompress::<f32>(shared, conn, &header, reader, &mut seg),
-        64 => run_decompress::<f64>(shared, conn, &header, reader, &mut seg),
+        32 => decompress_body::<f32>(shared, conn, &header, reader, &mut seg),
+        64 => decompress_body::<f64>(shared, conn, &header, reader, &mut seg),
         _ => Err(pwrel_data::CodecError::Corrupt(
             "element width must be 32 or 64",
         )),
@@ -655,7 +656,7 @@ fn handle_decompress(
     finish_heavy(seg, result, reader, shared)
 }
 
-fn run_decompress<F: PipelineElem>(
+fn decompress_body<F: PipelineElem>(
     shared: &Shared,
     conn: &mut ConnCtx,
     header: &StreamHeader,

@@ -424,18 +424,6 @@ pub(crate) fn decompress<F: Float>(
     bytes: &[u8],
     rec: &dyn Recorder,
 ) -> Result<(Vec<F>, Dims), CodecError> {
-    decompress_pooled(bytes, rec, &pwrel_data::SerialLanes)
-}
-
-/// [`decompress`] with entropy sub-stream fan-out: interleaved Huffman
-/// payloads decode their lanes through `exec`. Must not be called from
-/// inside a worker-pool task when `exec` is the pool itself (see
-/// `HuffmanStage::decode_pooled`).
-pub(crate) fn decompress_pooled<F: Float>(
-    bytes: &[u8],
-    rec: &dyn Recorder,
-    exec: &dyn pwrel_data::LaneExecutor,
-) -> Result<(Vec<F>, Dims), CodecError> {
     let stream = SzStream::deserialize_traced(bytes, rec)?;
     if stream.float_bits as u32 != F::BITS {
         return Err(CodecError::Mismatch("element type differs from stream"));
@@ -479,7 +467,7 @@ pub(crate) fn decompress_pooled<F: Float>(
     let codes = {
         let _huff = Span::enter(rec, stage::HUFFMAN);
         record_entropy_lanes(rec, &stream.codes_buf);
-        HuffmanStage.decode_pooled(&stream.codes_buf, &mut pos, exec)?
+        HuffmanStage.decode(&stream.codes_buf, &mut pos)?
     };
     if codes.len() != n {
         return Err(CodecError::Corrupt("code count != point count"));

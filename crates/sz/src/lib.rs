@@ -205,20 +205,6 @@ impl SzCompressor {
     ) -> Result<(Vec<F>, Dims), CodecError> {
         engine::decompress(bytes, rec)
     }
-
-    /// [`SzCompressor::decompress_traced`] with entropy sub-stream
-    /// fan-out: interleaved Huffman payloads decode their four lanes
-    /// through `exec` (e.g. the worker pool) instead of one fused loop.
-    /// Must be called from outside any pool task when `exec` is the pool
-    /// itself — nested submission deadlocks.
-    pub fn decompress_pooled<F: Float>(
-        &self,
-        bytes: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        engine::decompress_pooled(bytes, rec, exec)
-    }
 }
 
 impl<F: Float> AbsErrorCodec<F> for SzCompressor {
@@ -264,15 +250,6 @@ impl<F: Float> AbsErrorCodec<F> for SzCompressor {
         rec: &dyn Recorder,
     ) -> Result<(Vec<F>, Dims), CodecError> {
         self.decompress_traced(bytes, rec)
-    }
-
-    fn decompress_abs_pooled(
-        &self,
-        bytes: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        self.decompress_pooled(bytes, rec, exec)
     }
 }
 

@@ -74,23 +74,6 @@ impl<F: Float> Quantizer<F> for LinearQuantizer {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HuffmanStage;
 
-impl HuffmanStage {
-    /// [`Encoder::decode`] with sub-stream fan-out: interleaved payloads
-    /// decode their four lanes through `exec` (a [`pwrel_data::LaneExecutor`],
-    /// e.g. the worker pool); legacy single-stream payloads are unaffected.
-    ///
-    /// Callers must uphold the executor's threading contract — with the
-    /// worker pool as `exec`, this must not run *inside* a pool task.
-    pub fn decode_pooled(
-        &self,
-        bytes: &[u8],
-        pos: &mut usize,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<Vec<u32>, CodecError> {
-        Ok(huffman::decode_symbols_pooled(bytes, pos, exec)?)
-    }
-}
-
 impl Encoder for HuffmanStage {
     fn name(&self) -> &'static str {
         "huffman"

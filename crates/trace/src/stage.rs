@@ -41,9 +41,6 @@ pub const PLANE_CODE: &str = "plane_code";
 /// ISABELA): the whole native encode/decode.
 pub const ENCODE: &str = "encode";
 
-/// Chunked-container slab fan-out (compress or decompress of all slabs).
-pub const CHUNKS: &str = "chunks";
-
 /// Framed-stream root span opened around a whole `compress_stream` run.
 pub const STREAM_COMPRESS: &str = "stream_compress";
 /// Framed-stream root span opened around a whole `decompress_stream` run.
@@ -66,7 +63,7 @@ pub const C_DECOMP_BYTES_OUT: &str = "decompress_bytes_out";
 pub const C_QUANT_VALUES: &str = "quant_values";
 /// Counter: values outside the quantization capacity (escaped literals).
 pub const C_QUANT_OUTLIERS: &str = "quant_outliers";
-/// Counter: tasks executed through the worker pool.
+/// Counter: chunks a pooled framed-stream run handed to the worker pool.
 pub const C_POOL_TASKS: &str = "pool_tasks";
 /// Counter: frames written or decoded by the framed-stream engines.
 pub const C_STREAM_CHUNKS: &str = "stream_chunks";
@@ -82,7 +79,7 @@ pub const C_ENTROPY_INTERLEAVED: &str = "entropy_interleaved";
 pub const C_ENTROPY_SUBSTREAMS: &str = "entropy_substreams";
 
 /// Observation: per-sub-stream payload bytes in an interleaved entropy
-/// buffer — the balance across lanes bounds the pooled-decode speedup.
+/// buffer.
 pub const O_ENTROPY_LANE_BYTES: &str = "entropy_lane_bytes";
 
 /// Observation: SZ outlier rate (outliers / values) per compress.
@@ -92,8 +89,6 @@ pub const O_SIGN_DENSITY: &str = "sign_density";
 /// Observation: Lemma 2 + kernel round-off correction as a fraction of
 /// the uncorrected log-domain bound (`1 - corrected/uncorrected`).
 pub const O_LEMMA2_CORRECTION: &str = "lemma2_correction";
-/// Observation: per-task queue wait in the worker pool, microseconds.
-pub const O_QUEUE_WAIT_US: &str = "queue_wait_us";
 
 // ---------------------------------------------------------------------------
 // pwrel-serve (the PWRP/1 service). Serve spans are recorded as

@@ -4,6 +4,7 @@
 use pwrel::core::{LogBase, PwRelCompressor};
 use pwrel::data::{nyx, Dims, Scale};
 use pwrel::parallel::{ChunkedCodec, WorkerPool};
+use pwrel::pipeline::{global, CompressOpts, SliceSource, VecSink};
 use pwrel::sz::SzCompressor;
 
 fn hybrid_sz() -> SzCompressor {
@@ -60,17 +61,27 @@ fn chunked_wrapper_composition_preserves_bound_and_zeros() {
     for v in data.iter_mut().step_by(97) {
         *v = 0.0;
     }
-    let codec = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
-    // About five slab chunks, pipelined over three workers.
+    // About five slab chunks of sz_t, pipelined over three workers.
     let chunked = ChunkedCodec::new(WorkerPool::new(3), field.dims.len().div_ceil(5));
     let br = 1e-2;
-    let stream = chunked
-        .compress(&data, field.dims, |s, d| codec.compress(s, d, br))
+    let mut stream = Vec::new();
+    chunked
+        .compress_stream(
+            global(),
+            "sz_t",
+            &mut SliceSource::new(&data),
+            &mut stream,
+            field.dims,
+            &CompressOpts::rel(br),
+        )
         .unwrap();
-    let (dec, dims) = chunked
-        .decompress::<f32, _>(&stream, |s| codec.decompress_full(s))
+    let mut sink = VecSink::new();
+    let (header, _) = chunked
+        .decompress_stream::<f32>(global(), &mut &stream[..], &mut sink)
         .unwrap();
-    assert_eq!(dims, field.dims);
+    assert_eq!(header.dims, field.dims);
+    let dec = sink.into_inner();
+    assert_eq!(dec.len(), data.len());
     for (&a, &b) in data.iter().zip(&dec) {
         if a == 0.0 {
             assert_eq!(b, 0.0, "zeros must survive chunked composition");

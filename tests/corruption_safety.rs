@@ -469,8 +469,8 @@ mod framed {
         (header_end, frames)
     }
 
-    /// Runs a forged stream through both decode engines; each must
-    /// return `Corrupt` without panicking.
+    /// Runs a forged stream through the stream engine on both executors
+    /// (inline and pooled); each must return `Corrupt` without panicking.
     fn assert_corrupt(bytes: &[u8], what: &str) {
         let mut sink = VecSink::<f32>::new();
         match global().decompress_stream::<f32>(&mut &bytes[..], &mut sink) {
@@ -631,8 +631,8 @@ mod framed {
 }
 
 /// One-shot (`PWU1` unified container) forgeries of the interleaved
-/// Huffman descriptor, plus the worker-count determinism contract of the
-/// pooled sub-stream decode.
+/// Huffman descriptor, plus the worker-count determinism contract of
+/// pooled stream runs.
 mod interleaved {
     use super::*;
     use pwrel::data::CodecError;
@@ -665,12 +665,10 @@ mod interleaved {
         }
     }
 
-    /// The pooled sub-stream decode fan-out is an execution detail:
-    /// compressing and decompressing through 1, 2, and 4 workers must
-    /// produce byte-identical streams and reconstructions identical to
-    /// the sequential engine. Chunks of 4096 elements put every frame
-    /// over the pooled-decode threshold, so the parallel lane path is
-    /// actually exercised.
+    /// Where chunks are coded is an execution detail: compressing and
+    /// decompressing interleaved-entropy `sz_t` streams through 1, 2, and
+    /// 4 workers must produce byte-identical streams and reconstructions
+    /// identical to the inline executor's.
     #[test]
     fn worker_count_never_changes_bytes() {
         let dims = Dims::d2(64, 256);

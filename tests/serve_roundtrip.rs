@@ -6,8 +6,9 @@
 //! 1. **Transport adds nothing.** A stream compressed through the
 //!    server is byte-identical to `CodecRegistry::compress_stream` run
 //!    locally with the same codec, bound, dims and chunking — for every
-//!    registered codec at both precisions — and concurrent clients all
-//!    get those same bytes.
+//!    registered codec at both precisions, with the server's pipelines
+//!    inline (`workers` 1) or pooled (`workers` 2) — and concurrent
+//!    clients all get those same bytes.
 //! 2. **Hostile input maps to a status, never a panic.** Each protocol
 //!    error code is reachable from the wire (bad magic, version 0,
 //!    unknown request type, unknown codec, corrupt body, quota, element
@@ -106,45 +107,75 @@ fn server_stream<F: pwrel::data::Float>(
 // 1. Transport adds nothing.
 // ---------------------------------------------------------------------
 
+/// A server on an ephemeral port running request pipelines on
+/// `workers` threads: 1 runs them inline on the connection thread, more
+/// runs them on a per-connection `ChunkedCodec` pool.
+fn spawn_with_workers(workers: usize) -> ServerHandle {
+    spawn(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers,
+        ..Default::default()
+    })
+}
+
 #[test]
 fn every_codec_matches_local_compress_and_round_trips_f32() {
-    let handle = spawn_default();
     let dims = pwrel::data::Dims::d2(32, 64);
     let data: Vec<f32> = sample(dims.len());
     let bound = 1e-3;
-    for codec in global().iter() {
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        let via_server = server_stream(&mut client, codec.id(), &data, dims, bound, 512);
-        let local = local_stream(codec.name(), &data, dims, bound, 512);
-        assert_eq!(via_server, local, "{}: server stream differs", codec.name());
+    for workers in [1, 2] {
+        let handle = spawn_with_workers(workers);
+        for codec in global().iter() {
+            let mut client = Client::connect(handle.addr()).expect("connect");
+            let via_server = server_stream(&mut client, codec.id(), &data, dims, bound, 512);
+            let local = local_stream(codec.name(), &data, dims, bound, 512);
+            assert_eq!(
+                via_server,
+                local,
+                "{} at {workers} workers: server stream differs",
+                codec.name()
+            );
 
-        // Round trip back through the server; must equal the local
-        // decode bit for bit.
-        let back: Vec<f32> = client.decompress_elems(&via_server).expect("decompress");
-        let mut sink = pwrel::pipeline::VecSink::new();
-        global()
-            .decompress_stream::<f32>(&mut &local[..], &mut sink)
-            .unwrap();
-        let local_back = sink.into_inner();
-        assert_eq!(back.len(), data.len(), "{}", codec.name());
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&back), bits(&local_back), "{}", codec.name());
+            // Round trip back through the server; must equal the local
+            // decode bit for bit.
+            let back: Vec<f32> = client.decompress_elems(&via_server).expect("decompress");
+            let mut sink = pwrel::pipeline::VecSink::new();
+            global()
+                .decompress_stream::<f32>(&mut &local[..], &mut sink)
+                .unwrap();
+            let local_back = sink.into_inner();
+            assert_eq!(back.len(), data.len(), "{}", codec.name());
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&back),
+                bits(&local_back),
+                "{} at {workers} workers",
+                codec.name()
+            );
+        }
     }
 }
 
 #[test]
 fn every_codec_matches_local_compress_f64() {
-    let handle = spawn_default();
     let dims = pwrel::data::Dims::d1(1500);
     let data: Vec<f64> = sample(dims.len());
     let bound = 1e-4;
-    for codec in global().iter() {
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        let via_server = server_stream(&mut client, codec.id(), &data, dims, bound, 400);
-        let local = local_stream(codec.name(), &data, dims, bound, 400);
-        assert_eq!(via_server, local, "{}: server stream differs", codec.name());
-        let back: Vec<f64> = client.decompress_elems(&via_server).expect("decompress");
-        assert_eq!(back.len(), data.len(), "{}", codec.name());
+    for workers in [1, 2] {
+        let handle = spawn_with_workers(workers);
+        for codec in global().iter() {
+            let mut client = Client::connect(handle.addr()).expect("connect");
+            let via_server = server_stream(&mut client, codec.id(), &data, dims, bound, 400);
+            let local = local_stream(codec.name(), &data, dims, bound, 400);
+            assert_eq!(
+                via_server,
+                local,
+                "{} at {workers} workers: server stream differs",
+                codec.name()
+            );
+            let back: Vec<f64> = client.decompress_elems(&via_server).expect("decompress");
+            assert_eq!(back.len(), data.len(), "{}", codec.name());
+        }
     }
 }
 
