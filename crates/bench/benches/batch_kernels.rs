@@ -2,11 +2,11 @@
 //!
 //! The acceptance targets for the batched kernel work: the Lorenzo
 //! predict + quantize sweep and the fused block lift must beat the
-//! per-point reference paths they dispatch over (`PWREL_SWEEP` /
-//! `PWREL_LIFT` select the reference at runtime; here both variants are
-//! called directly so one process measures both). The `bench_stages`
-//! binary attributes the same kernels inside the full codecs; this bench
-//! is the isolated view.
+//! per-point reference paths they replace. The codecs run only the batched
+//! kernels; the references stay as parity oracles, and this bench calls
+//! both directly so one process measures both. The `bench_stages` binary
+//! attributes the same kernels inside the full codecs; this bench is the
+//! isolated view.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pwrel_data::{nyx, Scale};

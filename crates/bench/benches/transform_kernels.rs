@@ -24,7 +24,7 @@ fn bench_kernels(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{kernel:?}")),
             &kernel,
             |b, &kernel| {
-                b.iter(|| transform::forward_with_kernel(&data, base, br, 2.0, kernel).unwrap());
+                b.iter(|| transform::forward(&data, base, br, 2.0, kernel).unwrap());
             },
         );
     }
@@ -34,13 +34,13 @@ fn bench_kernels(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(nbytes));
     group.sample_size(20);
     for kernel in [Kernel::Fast, Kernel::Libm] {
-        let t = transform::forward_with_kernel(&data, base, br, 2.0, kernel).unwrap();
+        let t = transform::forward(&data, base, br, 2.0, kernel).unwrap();
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{kernel:?}")),
             &kernel,
             |b, &kernel| {
                 b.iter(|| {
-                    transform::inverse_with_kernel(
+                    transform::inverse(
                         &t.mapped,
                         base,
                         t.zero_threshold,

@@ -8,7 +8,7 @@
 //! plain bit-packing on realistic banded sign patterns.
 
 use pwrel_bench::Table;
-use pwrel_core::transform::{self, LogBase};
+use pwrel_core::transform::{self, Kernel, LogBase};
 use pwrel_data::{grf, Dims};
 
 fn main() {
@@ -53,7 +53,7 @@ fn main() {
             .enumerate()
             .map(|(i, &m)| if neg(i) { -m } else { m })
             .collect();
-        let t = transform::forward(&data, LogBase::Two, 1e-3, 2.0).unwrap();
+        let t = transform::forward(&data, LogBase::Two, 1e-3, 2.0, Kernel::Fast).unwrap();
         let bytes = t.sign_section.as_ref().map_or(0, |s| s.len());
         table.row(vec![
             name.to_string(),

@@ -21,9 +21,9 @@ struct Phase {
 fn one_pass(data: &[f64], kernel: Kernel) -> Phase {
     let base = LogBase::Two;
     let br = 1e-3;
-    let (t, fwd_s) = timed(|| transform::forward_with_kernel(data, base, br, 2.0, kernel).unwrap());
+    let (t, fwd_s) = timed(|| transform::forward(data, base, br, 2.0, kernel).unwrap());
     let (back, inv_s) = timed(|| {
-        transform::inverse_with_kernel(
+        transform::inverse(
             &t.mapped,
             base,
             t.zero_threshold,

@@ -881,7 +881,7 @@ mod tests {
         let stream = tmp("legacy_info.pwt");
         let data = sample_data();
         let bytes = PwRelCompressor::new(SzCompressor::default(), LogBase::Two)
-            .compress_fused(&data, Dims::d1(data.len()), 1e-2)
+            .compress_fused(&data, Dims::d1(data.len()), 1e-2, pwrel_trace::noop())
             .unwrap();
         std::fs::write(&stream, &bytes).unwrap();
         let msg = run_str(&format!("info -i {stream}")).unwrap();
@@ -899,7 +899,7 @@ mod tests {
         let restored = tmp("legacy_out.f32");
         let data = sample_data();
         let bytes = PwRelCompressor::new(SzCompressor::default(), LogBase::Two)
-            .compress_fused(&data, Dims::d1(data.len()), 1e-3)
+            .compress_fused(&data, Dims::d1(data.len()), 1e-3, pwrel_trace::noop())
             .unwrap();
         std::fs::write(&stream, &bytes).unwrap();
         run_str(&format!("decompress -i {stream} -o {restored}")).unwrap();

@@ -18,6 +18,11 @@ use pwrel_trace::{stage, Recorder, Span};
 
 const MAGIC: &[u8; 4] = b"PWT1";
 
+/// The kernel every codec path encodes and decodes with. Streams do not
+/// record it; the bound budgets the least exact decode kernel's inverse
+/// error whatever kernel encoded (`theory::kernel_corrected_abs_bound`).
+const KERNEL: Kernel = Kernel::Fast;
+
 /// Assembles the `PWT1` container around an inner stream. Shared by the
 /// buffered and fused compression paths so their outputs stay identical.
 fn container(
@@ -95,7 +100,7 @@ impl<C> PwRelCompressor<C> {
         if data.len() != dims.len() {
             return Err(CodecError::InvalidArgument("data length != dims"));
         }
-        let t = transform::forward(data, self.base, rel_bound, self.roundoff_guard)?;
+        let t = transform::forward(data, self.base, rel_bound, self.roundoff_guard, KERNEL)?;
         let inner_stream = self.inner.compress_abs(&t.mapped, dims, t.abs_bound)?;
         Ok(container(
             F::BITS,
@@ -111,60 +116,16 @@ impl<C> PwRelCompressor<C> {
     /// codecs that implement [`LogFusedCodec`]: the log transform runs
     /// inside the codec's own sweep (chunked through a stack scratch)
     /// instead of materializing the mapped field first. Produces the same
-    /// container bytes as the buffered route; kernel chosen by
-    /// `PWREL_KERNEL`.
+    /// container bytes as the buffered route. The transform planning pass,
+    /// the inner codec sweep, and the sign-section coding are each
+    /// attributed to their own stage on `rec`; the [`stage::SIGNS`] span is
+    /// emitted even for all-positive fields so per-codec stage coverage
+    /// stays deterministic.
     pub fn compress_fused<F: Float>(
         &self,
         data: &[F],
         dims: Dims,
         rel_bound: f64,
-    ) -> Result<Vec<u8>, CodecError>
-    where
-        C: LogFusedCodec<F>,
-    {
-        self.compress_fused_with_kernel(data, dims, rel_bound, Kernel::from_env())
-    }
-
-    /// [`PwRelCompressor::compress_fused`] with per-stage recording on
-    /// `rec` (kernel chosen by `PWREL_KERNEL`). Identical output bytes.
-    pub fn compress_fused_traced<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        rel_bound: f64,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError>
-    where
-        C: LogFusedCodec<F>,
-    {
-        self.compress_fused_with_kernel_traced(data, dims, rel_bound, Kernel::from_env(), rec)
-    }
-
-    /// [`PwRelCompressor::compress_fused`] with an explicit kernel choice.
-    pub fn compress_fused_with_kernel<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        rel_bound: f64,
-        kernel: Kernel,
-    ) -> Result<Vec<u8>, CodecError>
-    where
-        C: LogFusedCodec<F>,
-    {
-        self.compress_fused_with_kernel_traced(data, dims, rel_bound, kernel, pwrel_trace::noop())
-    }
-
-    /// The fully-general fused entry point: explicit kernel plus a
-    /// recorder. The transform planning pass, the inner codec sweep, and
-    /// the sign-section coding are each attributed to their own stage;
-    /// the [`stage::SIGNS`] span is emitted even for all-positive fields
-    /// so per-codec stage coverage stays deterministic.
-    pub fn compress_fused_with_kernel_traced<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        rel_bound: f64,
-        kernel: Kernel,
         rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError>
     where
@@ -175,7 +136,7 @@ impl<C> PwRelCompressor<C> {
         }
         let plan = {
             let _transform = Span::enter(rec, stage::TRANSFORM);
-            transform::plan(data, self.base, rel_bound, self.roundoff_guard, kernel)?
+            transform::plan(data, self.base, rel_bound, self.roundoff_guard, KERNEL)?
         };
         if rec.is_enabled() {
             // How much of the uncorrected log-domain budget Lemma 2 (plus
@@ -188,7 +149,7 @@ impl<C> PwRelCompressor<C> {
                 );
             }
         }
-        let fused = self.inner.compress_fused_traced(data, dims, &plan, rec)?;
+        let fused = self.inner.compress_fused(data, dims, &plan, rec)?;
         let sign_section = {
             let _signs = Span::enter(rec, stage::SIGNS);
             if rec.is_enabled() {
@@ -216,17 +177,9 @@ impl<C> PwRelCompressor<C> {
         ))
     }
 
-    /// Decompresses, returning the data and its grid shape.
-    pub fn decompress_full<F: Float>(&self, bytes: &[u8]) -> Result<(Vec<F>, Dims), CodecError>
-    where
-        C: AbsErrorCodec<F>,
-    {
-        self.decompress_full_traced(bytes, pwrel_trace::noop())
-    }
-
-    /// [`PwRelCompressor::decompress_full`] with per-stage recording:
-    /// the inner codec decode and the inverse transform each get a span.
-    pub fn decompress_full_traced<F: Float>(
+    /// Decompresses, returning the data and its grid shape. The inner
+    /// codec decode and the inverse transform each get a span on `rec`.
+    pub fn decompress_full<F: Float>(
         &self,
         bytes: &[u8],
         rec: &dyn Recorder,
@@ -270,7 +223,7 @@ impl<C> PwRelCompressor<C> {
         let (mapped, dims) = self.inner.decompress_abs_traced(inner_stream, rec)?;
         let data = {
             let _inv = Span::enter(rec, stage::TRANSFORM_INV);
-            transform::inverse(&mapped, base, zero_threshold, sign_section)?
+            transform::inverse(&mapped, base, zero_threshold, sign_section, KERNEL)?
         };
         Ok((data, dims))
     }
@@ -280,7 +233,7 @@ impl<C> PwRelCompressor<C> {
     where
         C: AbsErrorCodec<F>,
     {
-        Ok(self.decompress_full(bytes)?.0)
+        Ok(self.decompress_full(bytes, pwrel_trace::noop())?.0)
     }
 }
 
@@ -317,7 +270,9 @@ mod tests {
         let codec = sz_t(LogBase::Two);
         for br in [1e-1, 1e-2, 1e-3, 1e-4] {
             let bytes = codec.compress(&field.data, field.dims, br).unwrap();
-            let (dec, dims) = codec.decompress_full::<f32>(&bytes).unwrap();
+            let (dec, dims) = codec
+                .decompress_full::<f32>(&bytes, pwrel_trace::noop())
+                .unwrap();
             assert_eq!(dims, field.dims);
             assert_rel_bounded(&field.data, &dec, br, "density");
         }
@@ -441,12 +396,36 @@ mod tests {
         (data, dims)
     }
 
+    /// The fused route driven with an explicit kernel's plan, in the
+    /// container the codec path writes around it.
+    fn fused_with_plan<C: LogFusedCodec<f32>>(
+        inner: &C,
+        data: &[f32],
+        dims: Dims,
+        br: f64,
+        kernel: Kernel,
+    ) -> Vec<u8> {
+        let plan = transform::plan(data, LogBase::Two, br, 2.0, kernel).unwrap();
+        let out = inner
+            .compress_fused(data, dims, &plan, pwrel_trace::noop())
+            .unwrap();
+        let signs = out.signs.as_deref().map(transform::compress_signs);
+        container(
+            32,
+            LogBase::Two,
+            br,
+            plan.zero_threshold,
+            signs.as_deref(),
+            &out.stream,
+        )
+    }
+
     #[test]
     fn fused_sz_stream_is_byte_identical_to_buffered() {
         let (data, dims) = fused_test_field();
-        for kernel in [pwrel_kernels::Kernel::Fast, pwrel_kernels::Kernel::Libm] {
-            let codec = sz_t(LogBase::Two);
-            let t = transform::forward_with_kernel(&data, LogBase::Two, 1e-3, 2.0, kernel).unwrap();
+        let codec = sz_t(LogBase::Two);
+        for kernel in [Kernel::Fast, Kernel::Libm] {
+            let t = transform::forward(&data, LogBase::Two, 1e-3, 2.0, kernel).unwrap();
             let buffered = container(
                 32,
                 LogBase::Two,
@@ -458,21 +437,28 @@ mod tests {
                     .compress_abs(&t.mapped, dims, t.abs_bound)
                     .unwrap(),
             );
-            let fused = codec
-                .compress_fused_with_kernel(&data, dims, 1e-3, kernel)
-                .unwrap();
+            let fused = fused_with_plan(&codec.inner, &data, dims, 1e-3, kernel);
             assert_eq!(buffered, fused, "{kernel:?}");
+            // Either encode kernel's stream holds the bound under the
+            // codec path's decoder.
             let dec: Vec<f32> = codec.decompress(&fused).unwrap();
             assert_rel_bounded(&data, &dec, 1e-3, "fused sz");
         }
+        let shipped = codec
+            .compress_fused(&data, dims, 1e-3, pwrel_trace::noop())
+            .unwrap();
+        assert_eq!(
+            shipped,
+            fused_with_plan(&codec.inner, &data, dims, 1e-3, Kernel::Fast)
+        );
     }
 
     #[test]
     fn fused_zfp_stream_is_byte_identical_to_buffered() {
         let (data, dims) = fused_test_field();
-        for kernel in [pwrel_kernels::Kernel::Fast, pwrel_kernels::Kernel::Libm] {
-            let codec = zfp_t(LogBase::Two);
-            let t = transform::forward_with_kernel(&data, LogBase::Two, 1e-2, 2.0, kernel).unwrap();
+        let codec = zfp_t(LogBase::Two);
+        for kernel in [Kernel::Fast, Kernel::Libm] {
+            let t = transform::forward(&data, LogBase::Two, 1e-2, 2.0, kernel).unwrap();
             let buffered = container(
                 32,
                 LogBase::Two,
@@ -482,13 +468,18 @@ mod tests {
                 &AbsErrorCodec::<f32>::compress_abs(&codec.inner, &t.mapped, dims, t.abs_bound)
                     .unwrap(),
             );
-            let fused = codec
-                .compress_fused_with_kernel(&data, dims, 1e-2, kernel)
-                .unwrap();
+            let fused = fused_with_plan(&codec.inner, &data, dims, 1e-2, kernel);
             assert_eq!(buffered, fused, "{kernel:?}");
             let dec: Vec<f32> = codec.decompress(&fused).unwrap();
             assert_rel_bounded(&data, &dec, 1e-2, "fused zfp");
         }
+        let shipped = codec
+            .compress_fused(&data, dims, 1e-2, pwrel_trace::noop())
+            .unwrap();
+        assert_eq!(
+            shipped,
+            fused_with_plan(&codec.inner, &data, dims, 1e-2, Kernel::Fast)
+        );
     }
 
     #[test]
@@ -502,7 +493,9 @@ mod tests {
             LogBase::Two,
         );
         let buffered = codec.compress(&data, dims, 1e-3).unwrap();
-        let fused = codec.compress_fused(&data, dims, 1e-3).unwrap();
+        let fused = codec
+            .compress_fused(&data, dims, 1e-3, pwrel_trace::noop())
+            .unwrap();
         assert_eq!(buffered, fused);
     }
 

@@ -19,6 +19,11 @@
 //! stack scratch buffer — no intermediate `Vec<f64>`, no second sweep for
 //! the sign bitmap, and the fast-kernel approximation error is folded into
 //! the Lemma 2 correction so the point-wise guarantee still holds.
+//!
+//! Every function here takes the [`Kernel`] as an argument. The codec path
+//! (`PwRelCompressor`) always passes [`Kernel::Fast`]; [`Kernel::Libm`] is
+//! for the paper's Table III and for measuring the fast kernels against
+//! the exact ones.
 
 use crate::theory;
 use pwrel_data::{CodecError, Float, Transform};
@@ -102,21 +107,10 @@ pub fn decompress_signs(buf: &[u8], expect: usize) -> Result<Vec<bool>, CodecErr
     Ok(bits)
 }
 
-/// Forward transform (Algorithm 1, lines 1–17) with the kernel chosen by
-/// `PWREL_KERNEL` (default: the fast batched kernels).
+/// Forward transform (Algorithm 1, lines 1–17) under `kernel`.
 ///
 /// Rejects non-finite inputs and `rel_bound` outside `(0, 1)`.
 pub fn forward<F: Float>(
-    data: &[F],
-    base: LogBase,
-    rel_bound: f64,
-    roundoff_guard: f64,
-) -> Result<TransformedField<F>, CodecError> {
-    forward_with_kernel(data, base, rel_bound, roundoff_guard, Kernel::from_env())
-}
-
-/// [`forward`] with an explicit kernel choice.
-pub fn forward_with_kernel<F: Float>(
     data: &[F],
     base: LogBase,
     rel_bound: f64,
@@ -138,25 +132,9 @@ pub fn forward_with_kernel<F: Float>(
     })
 }
 
-/// Inverse transform: log-domain reconstructions back to the value domain,
-/// kernel chosen by `PWREL_KERNEL`.
+/// Inverse transform under `kernel`: log-domain reconstructions back to
+/// the value domain.
 pub fn inverse<F: Float>(
-    mapped: &[F],
-    base: LogBase,
-    zero_threshold: f64,
-    sign_section: Option<&[u8]>,
-) -> Result<Vec<F>, CodecError> {
-    inverse_with_kernel(
-        mapped,
-        base,
-        zero_threshold,
-        sign_section,
-        Kernel::from_env(),
-    )
-}
-
-/// [`inverse`] with an explicit kernel choice.
-pub fn inverse_with_kernel<F: Float>(
     mapped: &[F],
     base: LogBase,
     zero_threshold: f64,
@@ -186,6 +164,8 @@ pub fn inverse_with_kernel<F: Float>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     const BASES: [LogBase; 3] = [LogBase::Two, LogBase::E, LogBase::Ten];
     const KERNELS: [Kernel; 2] = [Kernel::Fast, Kernel::Libm];
@@ -197,8 +177,8 @@ mod tests {
         for kernel in KERNELS {
             for base in BASES {
                 let data: Vec<f32> = vec![1.0, -2.5, 0.0, 3.75e-6, -1.2e8, 42.0, 0.0];
-                let t = forward_with_kernel(&data, base, 1e-3, 2.0, kernel).unwrap();
-                let back = inverse_with_kernel(
+                let t = forward(&data, base, 1e-3, 2.0, kernel).unwrap();
+                let back = inverse(
                     &t.mapped,
                     base,
                     t.zero_threshold,
@@ -218,59 +198,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bound_survives_worst_case_perturbation() {
-        // Perturb every mapped value by ±b'_a (what an inner compressor is
-        // allowed to do) and check the relative bound still holds — with
-        // the fast kernel too, whose error the widened correction absorbs.
-        for kernel in KERNELS {
-            for base in BASES {
-                let data: Vec<f32> = (1..2000)
-                    .map(|i| (i as f32 * 0.731).sin() * 10f32.powi((i % 60) - 30))
-                    .filter(|v| *v != 0.0)
-                    .collect();
-                let br = 1e-2;
-                let t = forward_with_kernel(&data, base, br, 2.0, kernel).unwrap();
-                for sign in [1.0, -1.0] {
-                    let perturbed: Vec<f32> = t
-                        .mapped
-                        .iter()
-                        .map(|&d| F32Ext::add_f64(d, sign * t.abs_bound))
-                        .collect();
-                    let back = inverse_with_kernel(
-                        &perturbed,
-                        base,
-                        t.zero_threshold,
-                        t.sign_section.as_deref(),
-                        kernel,
-                    )
-                    .unwrap();
-                    for (idx, (&a, &b)) in data.iter().zip(&back).enumerate() {
-                        let rel = ((a as f64 - b as f64) / a as f64).abs();
-                        assert!(
-                            rel <= br,
-                            "{kernel:?} {base:?} sign {sign} idx {idx}: {a} vs {b} rel {rel}"
-                        );
+    /// Moves every mapped value by exactly ±b'_a (what an inner compressor
+    /// is allowed to do) and decodes under every (encode, decode) kernel
+    /// pair: a stream does not record its kernel, so the relative bound
+    /// must hold whichever kernel decodes it.
+    fn assert_worst_case_bounded<F: Float>(fields: &[Vec<F>], br: f64) {
+        let mut failures = Vec::new();
+        for enc in KERNELS {
+            for dec in KERNELS {
+                let (mut over, mut total) = (0usize, 0usize);
+                for (data, base) in fields.iter().flat_map(|f| BASES.map(|b| (f, b))) {
+                    let t = forward(data, base, br, 2.0, enc).unwrap();
+                    for sign in [1.0, -1.0] {
+                        let perturbed: Vec<F> = t
+                            .mapped
+                            .iter()
+                            .map(|&d| F::from_f64(d.to_f64() + sign * t.abs_bound))
+                            .collect();
+                        let back = inverse(
+                            &perturbed,
+                            base,
+                            t.zero_threshold,
+                            t.sign_section.as_deref(),
+                            dec,
+                        )
+                        .unwrap();
+                        for (&a, &b) in data.iter().zip(&back) {
+                            let (a, b) = (a.to_f64(), b.to_f64());
+                            over += usize::from(((a - b) / a).abs() > br);
+                            total += 1;
+                        }
                     }
+                }
+                if over > 0 {
+                    failures.push(format!("{enc:?}->{dec:?}: {over} of {total}"));
                 }
             }
         }
+        assert!(failures.is_empty(), "over b_r = {br:e}: {failures:?}");
     }
 
-    /// Helper: f32 + f64 in f64 then round to f32 (mimics inner codec).
-    trait F32Ext {
-        fn add_f64(self, d: f64) -> f32;
-    }
-    impl F32Ext for f32 {
-        fn add_f64(self, d: f64) -> f32 {
-            (self as f64 + d) as f32
-        }
+    #[test]
+    fn bound_survives_worst_case_perturbation() {
+        // f32 spanning 60 decades at a loose bound.
+        let wide: Vec<f32> = (1..2000)
+            .map(|i| (i as f32 * 0.731).sin() * 10f32.powi((i % 60) - 30))
+            .filter(|v| *v != 0.0)
+            .collect();
+        assert_worst_case_bounded(&[wide], 1e-2);
+        // f64 at a tight bound, where the kernels' own error margins are a
+        // visible share of b'_a: 20 fields of 4096 values in [1, 512).
+        let tight: Vec<Vec<f64>> = (0..20)
+            .map(|seed| {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                (0..4096).map(|_| rng.gen_range(1.0..512.0)).collect()
+            })
+            .collect();
+        assert_worst_case_bounded(&tight, 1e-9);
     }
 
     #[test]
     fn zeros_decode_exactly_even_when_perturbed() {
         let data = vec![0.0f32, 5.0, 0.0, -3.0, 0.0];
-        let t = forward(&data, LogBase::Two, 0.5, 2.0).unwrap();
+        let t = forward(&data, LogBase::Two, 0.5, 2.0, Kernel::Fast).unwrap();
         let perturbed: Vec<f32> = t
             .mapped
             .iter()
@@ -281,6 +271,7 @@ mod tests {
             LogBase::Two,
             t.zero_threshold,
             t.sign_section.as_deref(),
+            Kernel::Fast,
         )
         .unwrap();
         assert_eq!(back[0], 0.0);
@@ -292,10 +283,10 @@ mod tests {
     #[test]
     fn all_positive_data_skips_sign_section() {
         let data = vec![1.0f32, 2.0, 0.5];
-        let t = forward(&data, LogBase::Two, 1e-2, 2.0).unwrap();
+        let t = forward(&data, LogBase::Two, 1e-2, 2.0, Kernel::Fast).unwrap();
         assert!(t.sign_section.is_none());
         let data_neg = vec![1.0f32, -2.0, 0.5];
-        let t2 = forward(&data_neg, LogBase::Two, 1e-2, 2.0).unwrap();
+        let t2 = forward(&data_neg, LogBase::Two, 1e-2, 2.0, Kernel::Fast).unwrap();
         assert!(t2.sign_section.is_some());
     }
 
@@ -304,12 +295,13 @@ mod tests {
         let data: Vec<f32> = (0..3000)
             .map(|i| if (i / 100) % 2 == 0 { 1.5 } else { -1.5 })
             .collect();
-        let t = forward(&data, LogBase::E, 1e-2, 2.0).unwrap();
+        let t = forward(&data, LogBase::E, 1e-2, 2.0, Kernel::Fast).unwrap();
         let back = inverse(
             &t.mapped,
             LogBase::E,
             t.zero_threshold,
             t.sign_section.as_deref(),
+            Kernel::Fast,
         )
         .unwrap();
         for (&a, &b) in data.iter().zip(&back) {
@@ -323,8 +315,8 @@ mod tests {
     fn denormals_survive() {
         for kernel in KERNELS {
             let data = vec![1e-42f32, -1e-44, 2e-38, 0.0];
-            let t = forward_with_kernel(&data, LogBase::Two, 1e-2, 2.0, kernel).unwrap();
-            let back = inverse_with_kernel(
+            let t = forward(&data, LogBase::Two, 1e-2, 2.0, kernel).unwrap();
+            let back = inverse(
                 &t.mapped,
                 LogBase::Two,
                 t.zero_threshold,
@@ -350,24 +342,26 @@ mod tests {
         // Exponent-field scan on {2^100, 2^−100}: hi = 101, lo = 100 →
         // max_abs_log = 101, plus the constant +1 inverse-rounding margin.
         let data: Vec<f32> = vec![2.0f32.powi(100), 2.0f32.powi(-100)];
-        let t = forward_with_kernel(&data, LogBase::Two, 1e-3, 1.0, Kernel::Libm).unwrap();
-        let expected = (1.0f64 + 1e-3).log2() - (101.0 + 1.0) * f32::EPSILON as f64;
-        assert!((t.abs_bound - expected).abs() < 1e-15);
-        // The fast kernel widens the correction by its documented margins.
-        let tf = forward_with_kernel(&data, LogBase::Two, 1e-3, 1.0, Kernel::Fast).unwrap();
-        assert!(tf.abs_bound < t.abs_bound);
-        let widened = t.abs_bound
-            - Kernel::Fast.forward_abs_margin(LogBase::Two)
+        // Whatever kernel encodes, the bound also pays for the fast inverse
+        // a decoder may run.
+        let t = forward(&data, LogBase::Two, 1e-3, 1.0, Kernel::Libm).unwrap();
+        let expected = (1.0f64 + 1e-3).log2()
+            - (101.0 + 1.0) * f32::EPSILON as f64
             - Kernel::Fast.inverse_rel_margin() / LogBase::Two.ln_base();
+        assert!((t.abs_bound - expected).abs() < 1e-15);
+        // The fast kernel widens the correction by its forward margin too.
+        let tf = forward(&data, LogBase::Two, 1e-3, 1.0, Kernel::Fast).unwrap();
+        assert!(tf.abs_bound < t.abs_bound);
+        let widened = t.abs_bound - Kernel::Fast.forward_abs_margin(LogBase::Two);
         assert!((tf.abs_bound - widened).abs() < 1e-15);
     }
 
     #[test]
     fn invalid_inputs_rejected() {
-        assert!(forward(&[1.0f32], LogBase::Two, 0.0, 2.0).is_err());
-        assert!(forward(&[1.0f32], LogBase::Two, 1.0, 2.0).is_err());
-        assert!(forward(&[f32::NAN], LogBase::Two, 0.1, 2.0).is_err());
-        assert!(forward(&[f32::INFINITY], LogBase::Two, 0.1, 2.0).is_err());
+        assert!(forward(&[1.0f32], LogBase::Two, 0.0, 2.0, Kernel::Fast).is_err());
+        assert!(forward(&[1.0f32], LogBase::Two, 1.0, 2.0, Kernel::Fast).is_err());
+        assert!(forward(&[f32::NAN], LogBase::Two, 0.1, 2.0, Kernel::Fast).is_err());
+        assert!(forward(&[f32::INFINITY], LogBase::Two, 0.1, 2.0, Kernel::Fast).is_err());
     }
 
     #[test]
@@ -382,8 +376,8 @@ mod tests {
     fn f64_transform_round_trip() {
         for kernel in KERNELS {
             let data: Vec<f64> = vec![1e-300, -1e300, 0.0, 7.7];
-            let t = forward_with_kernel(&data, LogBase::Two, 1e-4, 2.0, kernel).unwrap();
-            let back = inverse_with_kernel(
+            let t = forward(&data, LogBase::Two, 1e-4, 2.0, kernel).unwrap();
+            let back = inverse(
                 &t.mapped,
                 LogBase::Two,
                 t.zero_threshold,
@@ -406,8 +400,8 @@ mod tests {
         // Fast and Libm must produce the same sign section and compatible
         // thresholds so streams decode under either kernel.
         let data: Vec<f32> = vec![3.0, -1.5, 0.0, 9.75];
-        let a = forward_with_kernel(&data, LogBase::Two, 1e-3, 2.0, Kernel::Fast).unwrap();
-        let b = forward_with_kernel(&data, LogBase::Two, 1e-3, 2.0, Kernel::Libm).unwrap();
+        let a = forward(&data, LogBase::Two, 1e-3, 2.0, Kernel::Fast).unwrap();
+        let b = forward(&data, LogBase::Two, 1e-3, 2.0, Kernel::Libm).unwrap();
         assert_eq!(a.sign_section, b.sign_section);
         assert!(a.abs_bound <= b.abs_bound);
     }

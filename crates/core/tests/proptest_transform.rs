@@ -4,7 +4,7 @@
 //! extreme magnitudes.
 
 use proptest::prelude::*;
-use pwrel_core::transform::{forward_with_kernel, inverse_with_kernel};
+use pwrel_core::transform::{forward, inverse};
 use pwrel_core::{Kernel, LogBase};
 
 const BASES: [LogBase; 3] = [LogBase::Two, LogBase::E, LogBase::Ten];
@@ -37,7 +37,7 @@ proptest! {
         let br = 10f64.powi(-(br_exp as i32));
         for kernel in KERNELS {
             for base in BASES {
-                let t = forward_with_kernel(&data, base, br, 2.0, kernel).unwrap();
+                let t = forward(&data, base, br, 2.0, kernel).unwrap();
                 // Perturb every mapped value by the full ±b'_a an inner
                 // codec is allowed to introduce.
                 for sign in [1.0f64, -1.0] {
@@ -46,7 +46,7 @@ proptest! {
                         .iter()
                         .map(|&d| (d as f64 + sign * t.abs_bound) as f32)
                         .collect();
-                    let back = inverse_with_kernel(
+                    let back = inverse(
                         &perturbed,
                         base,
                         t.zero_threshold,
@@ -83,12 +83,12 @@ proptest! {
         // from each other by at most 2·br relative.
         let br = 1e-3;
         for base in BASES {
-            let t = forward_with_kernel(&data, base, br, 2.0, Kernel::Fast).unwrap();
-            let fast = inverse_with_kernel(
+            let t = forward(&data, base, br, 2.0, Kernel::Fast).unwrap();
+            let fast = inverse(
                 &t.mapped, base, t.zero_threshold, t.sign_section.as_deref(), Kernel::Fast,
             )
             .unwrap();
-            let libm = inverse_with_kernel(
+            let libm = inverse(
                 &t.mapped, base, t.zero_threshold, t.sign_section.as_deref(), Kernel::Libm,
             )
             .unwrap();

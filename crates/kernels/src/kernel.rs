@@ -1,4 +1,4 @@
-//! The `Fast`/`Libm` kernel selector and its batched entry points.
+//! The `Fast`/`Libm` kernel choice and its batched entry points.
 
 use crate::base::LogBase;
 use crate::fast;
@@ -6,30 +6,20 @@ use pwrel_data::Float;
 
 /// Which implementation computes the log mapping.
 ///
-/// `Fast` is the default: the branchless batch kernels from [`crate::fast`]
-/// with their documented error constants folded into the bound correction.
-/// `Libm` is the exact-reference scalar path (what the seed implementation
-/// always used); it remains available for verification and as a fallback
-/// where the fast kernels' preconditions cannot be established.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// `Fast` is the only kernel the codecs run: the branchless batch kernels
+/// from [`crate::fast`] with their documented error constants folded into
+/// the bound correction. `Libm` is the exact scalar reference path (what
+/// the paper's implementation uses); callers name it explicitly to
+/// reproduce the paper's Table III and to measure `Fast` against it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// Branchless polynomial kernels, batched over fixed-width chunks.
-    #[default]
     Fast,
     /// Scalar libm `log2`/`ln`/`log10` and `exp2`/`exp`/`powf`.
     Libm,
 }
 
 impl Kernel {
-    /// Reads `PWREL_KERNEL` (`fast` | `libm`) for A/B runs; defaults to
-    /// `Fast` when unset or unrecognized.
-    pub fn from_env() -> Self {
-        match std::env::var("PWREL_KERNEL").as_deref() {
-            Ok("libm") | Ok("LIBM") => Kernel::Libm,
-            _ => Kernel::Fast,
-        }
-    }
-
     /// Additional *absolute* log-domain (base `base`) error this kernel's
     /// forward map can introduce versus the exact logarithm. Subtracted
     /// from the corrected bound (Lemma 2 widening).

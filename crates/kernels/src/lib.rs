@@ -21,11 +21,12 @@
 //!   (and serializing) max-reduction over mapped values. Over-estimating
 //!   the max only *shrinks* the corrected bound, so the substitution is
 //!   always sound.
-//! * [`kernel::Kernel`] — the `Fast`/`Libm` selector. `Libm` reproduces
-//!   the scalar `log2()`/`exp2()` reference path bit-for-bit; `Fast` is
-//!   the default. All bases route through `log2`/`exp2` with a constant
-//!   scale, which also removes the base-10 `powf` penalty the paper
-//!   measures.
+//! * [`kernel::Kernel`] — the `Fast`/`Libm` choice, always passed
+//!   explicitly. `Fast` is what every codec path runs; `Libm` reproduces
+//!   the scalar `log2()`/`exp2()` reference path bit-for-bit for the
+//!   paper's Table III and the fast-vs-libm bench. `Fast` routes all
+//!   bases through `log2`/`exp2` with a constant scale, which also removes
+//!   the base-10 `powf` penalty the paper measures.
 //! * [`base::LogBase`] — the base enum (moved here from `pwrel-core` so
 //!   the codec crates can use it without a dependency cycle; `pwrel-core`
 //!   re-exports it from the old path).
@@ -41,17 +42,17 @@
 //!   frequency tables indexed by symbol position, merged exactly at the
 //!   end, so runs of equal quantization codes stop serializing on
 //!   store-forwarding.
-//! * [`dispatch::BatchKernel`] — the `Batched`/`Reference` selector for
-//!   the above, mirroring the `Fast`/`Libm` pattern
-//!   (`PWREL_SWEEP`/`PWREL_LIFT`/`PWREL_HIST` environment overrides for
-//!   A/B runs).
 //! * [`mod@cast`] — the kernels-local allowlisted home for the documented
 //!   numeric casts the lane code needs (audit lint L2 applies here).
+//!
+//! The codecs call the batched sweep, lift and histogram kernels directly.
+//! Each keeps a scalar reference (`predict::sweep_reference`, the ZFP
+//! per-line lift, a dense counter in the histogram tests) that the parity
+//! tests and the `batch_kernels` bench compare against.
 
 pub mod base;
 pub mod blocklift;
 pub mod cast;
-pub mod dispatch;
 pub mod fast;
 pub mod hist;
 pub mod kernel;
@@ -60,7 +61,6 @@ pub mod predict;
 pub mod scan;
 
 pub use base::LogBase;
-pub use dispatch::BatchKernel;
 pub use kernel::Kernel;
 pub use plan::{FusedOutput, LogFusedCodec, LogPlan, CHUNK};
 pub use scan::{scan, FieldScan};

@@ -3,14 +3,15 @@
 //! [`LogPlan`] carries everything the log mapping needs that is independent
 //! of individual data values: base, kernel, corrected bound, zero sentinel
 //! and threshold, and whether the field mixes signs. `pwrel-core` computes
-//! it (the bound needs the theory module); the codec crates consume it.
+//! it (the bound needs the theory module) for the kernel its caller names;
+//! the codec crates consume it.
 //!
 //! [`LogFusedCodec`] is how a compressor advertises a *single-pass* hot
 //! path: transform, prediction, and quantization in one streaming sweep,
 //! with no intermediate mapped vector and the sign bitmap collected in the
 //! same pass. The buffered route (`transform::forward` + `compress_abs`)
 //! remains the reference; fused implementations must produce byte-identical
-//! streams, which the integration tests assert.
+//! streams under either kernel, which the integration tests assert.
 
 use crate::base::LogBase;
 use crate::kernel::Kernel;
@@ -63,9 +64,11 @@ impl LogPlan {
         }
     }
 
-    /// Inverse of [`LogPlan::map_chunk`] for one run. `signs` is the
-    /// bitmap slice aligned with `src` (empty when the field had no
-    /// negatives).
+    /// Inverse of [`LogPlan::map_chunk`] for one run: log-domain values
+    /// back to the value domain, zero threshold and signs applied. `signs`
+    /// is the bitmap slice aligned with `src` (empty when the field had no
+    /// negatives). Decoders build a plan from stream metadata, so only
+    /// `base`, `kernel` and `zero_threshold` are read here.
     pub fn unmap_chunk<F: Float>(
         &self,
         src: &[F],
@@ -73,15 +76,32 @@ impl LogPlan {
         scratch: &mut [f64],
         signs: &[bool],
     ) {
-        unmap_chunk(
-            self.kernel,
-            self.base,
-            self.zero_threshold,
-            src,
-            out,
-            scratch,
-            signs,
-        )
+        let scratch = &mut scratch[..src.len()];
+        self.kernel.exp_batch(self.base, src, scratch);
+        // Inputs at the top of F's range can reconstruct to a magnitude that
+        // rounds up past F::MAX (the true value is ≤ F::MAX, so clamping only
+        // moves the reconstruction closer — the relative bound is preserved
+        // and infinities never escape).
+        if signs.is_empty() {
+            // All-positive fields take a branchless select that vectorizes.
+            for ((&d, &v), o) in src.iter().zip(scratch.iter()).zip(out.iter_mut()) {
+                let dv = d.to_f64();
+                let v = v.min(F::MAX_F64);
+                *o = F::from_f64(if dv <= self.zero_threshold { 0.0 } else { v });
+            }
+        } else {
+            let signs = &signs[..src.len()];
+            for ((&d, (&v, &neg)), o) in src
+                .iter()
+                .zip(scratch.iter().zip(signs.iter()))
+                .zip(out.iter_mut())
+            {
+                let dv = d.to_f64();
+                let v = v.min(F::MAX_F64);
+                let v = if neg { -v } else { v };
+                *o = F::from_f64(if dv <= self.zero_threshold { 0.0 } else { v });
+            }
+        }
     }
 }
 
@@ -116,47 +136,6 @@ impl<F: Float> Transform<F> for LogPlan {
     }
 }
 
-/// Stateless single-chunk inverse: log-domain values in `src` back to the
-/// value domain, zero threshold and signs applied. Used by
-/// [`LogPlan::unmap_chunk`] and by decoders, which reconstruct from stream
-/// metadata without a plan.
-pub fn unmap_chunk<F: Float>(
-    kernel: Kernel,
-    base: LogBase,
-    zero_threshold: f64,
-    src: &[F],
-    out: &mut [F],
-    scratch: &mut [f64],
-    signs: &[bool],
-) {
-    let scratch = &mut scratch[..src.len()];
-    kernel.exp_batch(base, src, scratch);
-    // Inputs at the top of F's range can reconstruct to a magnitude that
-    // rounds up past F::MAX (the true value is ≤ F::MAX, so clamping only
-    // moves the reconstruction closer — the relative bound is preserved
-    // and infinities never escape).
-    if signs.is_empty() {
-        // All-positive fields take a branchless select that vectorizes.
-        for ((&d, &v), o) in src.iter().zip(scratch.iter()).zip(out.iter_mut()) {
-            let dv = d.to_f64();
-            let v = v.min(F::MAX_F64);
-            *o = F::from_f64(if dv <= zero_threshold { 0.0 } else { v });
-        }
-    } else {
-        let signs = &signs[..src.len()];
-        for ((&d, (&v, &neg)), o) in src
-            .iter()
-            .zip(scratch.iter().zip(signs.iter()))
-            .zip(out.iter_mut())
-        {
-            let dv = d.to_f64();
-            let v = v.min(F::MAX_F64);
-            let v = if neg { -v } else { v };
-            *o = F::from_f64(if dv <= zero_threshold { 0.0 } else { v });
-        }
-    }
-}
-
 /// What a fused compression pass hands back: the inner codec's stream plus
 /// the raw sign bitmap it collected along the way (`None` when the field
 /// had no negatives). The container layer owns bitmap compression.
@@ -173,30 +152,18 @@ pub struct FusedOutput {
 /// sweep: one streaming pass over the original data instead of
 /// transform-into-a-buffer followed by compress-the-buffer.
 pub trait LogFusedCodec<F: Float> {
-    /// Compresses `data` with the transform applied on the fly. Must
-    /// produce the same stream bytes as `compress_abs` over the buffered
-    /// transform of `data`, plus the sign bitmap from the same sweep.
+    /// Compresses `data` with the transform applied on the fly, recording
+    /// its internal stages on `rec` (pass `pwrel_trace::noop()` to skip
+    /// recording; the bytes are the same). Must produce the same stream
+    /// bytes as `compress_abs` over the buffered transform of `data`, plus
+    /// the sign bitmap from the same sweep.
     fn compress_fused(
         &self,
         data: &[F],
         dims: Dims,
         plan: &LogPlan,
-    ) -> Result<FusedOutput, CodecError>;
-
-    /// [`LogFusedCodec::compress_fused`] with per-stage recording on
-    /// `rec`. The default ignores the recorder, so implementations only
-    /// override it when they have internal stages worth attributing;
-    /// the stream bytes must be identical either way.
-    fn compress_fused_traced(
-        &self,
-        data: &[F],
-        dims: Dims,
-        plan: &LogPlan,
         rec: &dyn pwrel_trace::Recorder,
-    ) -> Result<FusedOutput, CodecError> {
-        let _ = rec;
-        self.compress_fused(data, dims, plan)
-    }
+    ) -> Result<FusedOutput, CodecError>;
 }
 
 #[cfg(test)]

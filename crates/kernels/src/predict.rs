@@ -174,8 +174,8 @@ where
 
 /// The per-point reference sweep: identical per-point results and sink
 /// contract to [`sweep`] (strict raster visit order), with predictions
-/// from [`predict_point`]. Kept as the parity oracle and selectable at
-/// runtime via `PWREL_SWEEP=reference`.
+/// from [`predict_point`]. Kept as the parity oracle for tests and the
+/// `batch_kernels` bench; the SZ engine calls [`sweep`].
 // audit:allow-fn(L1): `dec` is asserted to hold `dims.len()` elements and
 // `idx` counts the raster loop over exactly that many points.
 pub fn sweep_reference<F, E, S>(dims: Dims, dec: &mut [F], mut sink: S) -> Result<(), E>

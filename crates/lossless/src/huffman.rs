@@ -20,7 +20,6 @@
 //!   core.
 
 use pwrel_bitstream::{varint, BitReader, BitWriter, Error, Result};
-use pwrel_kernels::dispatch::{hist_kernel, BatchKernel};
 use pwrel_kernels::hist::LaneHistogram;
 
 /// Maximum admissible code length. Frequencies are rescaled (halved,
@@ -649,51 +648,22 @@ impl CanonicalCode {
 }
 
 std::thread_local! {
-    /// Frequency table reused across [`encode_symbols`] calls. The nominal
-    /// alphabet is 2^16 codes (512 KiB as `u64`) while a chunk typically
-    /// touches a few hundred distinct symbols, so allocating and zeroing a
-    /// dense histogram per chunk dominated the entropy stage; instead the
-    /// table persists per thread and only the touched slots are cleared.
-    static FREQS: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
-    /// Lane-batched histogram reused the same way (the default kernel;
-    /// see `pwrel_kernels::hist` for why the partial tables are faster).
+    /// Lane-batched frequency tables reused across [`encode_symbols`]
+    /// calls. The nominal alphabet is 2^16 codes while a chunk typically
+    /// touches a few hundred distinct symbols, so allocating and zeroing
+    /// dense tables per chunk would dominate the entropy stage; instead
+    /// they persist per thread and only the touched slots are cleared (see
+    /// `pwrel_kernels::hist` for why the partial tables are faster).
     static LANE_FREQS: std::cell::RefCell<LaneHistogram> =
         std::cell::RefCell::new(LaneHistogram::new());
 }
 
-/// Sparse ascending `(symbol, frequency)` pairs for `symbols`, through the
-/// dispatched histogram kernel (`PWREL_HIST=reference` selects the dense
-/// single-table counter). Both kernels produce identical pairs, so the
-/// tree — and every encoded byte downstream — is kernel-independent.
+/// Sparse ascending `(symbol, frequency)` pairs for `symbols`, from the
+/// lane-batched histogram. The pairs equal a dense single-table count
+/// (pinned by `histogram_kernels_agree_byte_for_byte`), so the tree and
+/// every encoded byte do not depend on how the symbols were counted.
 fn count_pairs(symbols: &[u32], alphabet: usize) -> Vec<(u32, u64)> {
-    if hist_kernel() == BatchKernel::Batched {
-        return LANE_FREQS.with(|cell| cell.borrow_mut().count(symbols, alphabet));
-    }
-    FREQS.with(|cell| {
-        let mut freqs = cell.borrow_mut();
-        if freqs.len() < alphabet {
-            freqs.resize(alphabet, 0);
-        }
-        let mut touched: Vec<u32> = Vec::new();
-        for &s in symbols {
-            let f = &mut freqs[s as usize];
-            if *f == 0 {
-                touched.push(s);
-            }
-            *f = f.saturating_add(1);
-        }
-        // Sorting restores the ascending-symbol order the dense scan had,
-        // keeping the tree (and the stream) byte-identical to it.
-        touched.sort_unstable();
-        let pairs: Vec<(u32, u64)> = touched
-            .iter()
-            .map(|&s| (s, freqs[s as usize] as u64))
-            .collect();
-        for &s in &touched {
-            freqs[s as usize] = 0;
-        }
-        pairs
-    })
+    LANE_FREQS.with(|cell| cell.borrow_mut().count(symbols, alphabet))
 }
 
 /// Convenience: Huffman-encode a symbol slice into a self-contained buffer

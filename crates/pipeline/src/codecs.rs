@@ -81,8 +81,7 @@ impl SzT {
         opts: &CompressOpts,
         rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
-        PwRelCompressor::new(self.config(), opts.base)
-            .compress_fused_traced(data, dims, opts.bound, rec)
+        PwRelCompressor::new(self.config(), opts.base).compress_fused(data, dims, opts.bound, rec)
     }
 
     fn decompress_impl<F: Float>(
@@ -92,7 +91,7 @@ impl SzT {
     ) -> Result<(Vec<F>, Dims), CodecError> {
         // The base is read from the payload; the constructor's base is a
         // compile-side default.
-        PwRelCompressor::new(self.config(), LogBase::Two).decompress_full_traced(payload, rec)
+        PwRelCompressor::new(self.config(), LogBase::Two).decompress_full(payload, rec)
     }
 }
 
@@ -156,8 +155,7 @@ impl ZfpT {
         opts: &CompressOpts,
         rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
-        PwRelCompressor::new(ZfpCompressor, opts.base)
-            .compress_fused_traced(data, dims, opts.bound, rec)
+        PwRelCompressor::new(ZfpCompressor, opts.base).compress_fused(data, dims, opts.bound, rec)
     }
 
     fn decompress_impl<F: Float>(
@@ -165,7 +163,7 @@ impl ZfpT {
         payload: &[u8],
         rec: &dyn Recorder,
     ) -> Result<(Vec<F>, Dims), CodecError> {
-        PwRelCompressor::new(ZfpCompressor, LogBase::Two).decompress_full_traced(payload, rec)
+        PwRelCompressor::new(ZfpCompressor, LogBase::Two).decompress_full(payload, rec)
     }
 }
 

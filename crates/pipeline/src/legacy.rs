@@ -105,11 +105,10 @@ pub fn decompress_legacy<F: PipelineElem>(bytes: &[u8]) -> Result<(Vec<F>, Dims)
             // The wrapper needs an inner codec; the inner stream is
             // self-identifying, so try SZ first and fall back to ZFP.
             let sz = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
-            match sz.decompress_full::<F>(bytes) {
+            match sz.decompress_full::<F>(bytes, pwrel_trace::noop()) {
                 Ok(r) => Ok(r),
-                Err(_) => {
-                    PwRelCompressor::new(ZfpCompressor, LogBase::Two).decompress_full::<F>(bytes)
-                }
+                Err(_) => PwRelCompressor::new(ZfpCompressor, LogBase::Two)
+                    .decompress_full::<F>(bytes, pwrel_trace::noop()),
             }
         }
         Some(StreamKind::Sz) => SzCompressor::default().decompress::<F>(bytes),
@@ -152,7 +151,7 @@ mod tests {
         let data: Vec<f32> = (1..2000).map(|i| (i as f32).sin() * 100.0).collect();
         let dims = Dims::d1(data.len());
         let stream = PwRelCompressor::new(SzCompressor::default(), LogBase::Two)
-            .compress_fused(&data, dims, 1e-3)
+            .compress_fused(&data, dims, 1e-3, pwrel_trace::noop())
             .unwrap();
         let (back, d) = decompress_legacy::<f32>(&stream).unwrap();
         assert_eq!(d, dims);

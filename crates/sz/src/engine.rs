@@ -6,26 +6,9 @@ use crate::unpred;
 use crate::SzCompressor;
 use pwrel_bitstream::{BitReader, BitWriter};
 use pwrel_data::{CodecError, Dims, Encoder, Float, Quantizer};
-use pwrel_kernels::{dispatch, predict, BatchKernel, LogPlan, CHUNK};
+use pwrel_kernels::{predict, LogPlan, CHUNK};
 use pwrel_trace::{stage, Recorder, Span, StageTimer};
 use std::convert::Infallible;
-
-/// Runs the Lorenzo sweep through the runtime-dispatched kernel: the
-/// batched row kernels by default, the per-point reference under
-/// `PWREL_SWEEP=reference`. This is the single integration point for all
-/// four engine loops (code extraction, compress, fused compress,
-/// decompress) — each supplies only its per-point sink.
-#[inline]
-fn run_sweep<F, E, S>(dims: Dims, dec: &mut [F], sink: S) -> Result<(), E>
-where
-    F: Float,
-    S: FnMut(usize, f64) -> Result<F, E>,
-{
-    match dispatch::sweep_kernel() {
-        BatchKernel::Batched => predict::sweep(dims, dec, sink),
-        BatchKernel::Reference => predict::sweep_reference(dims, dec, sink),
-    }
-}
 
 /// Unwraps the compress-side sweeps' `Infallible` error without a panic
 /// path (the match on `E` is empty, so this compiles to nothing).
@@ -139,7 +122,7 @@ pub fn quantization_codes<F: Float>(
     // order lands every code in its raster slot.
     let mut codes = vec![0u32; data.len()];
     let mut dec: Vec<F> = vec![F::zero(); data.len()];
-    infallible(run_sweep(dims, &mut dec, |idx, pred| {
+    infallible(predict::sweep(dims, &mut dec, |idx, pred| {
         let x = data[idx];
         Ok(match quant.quantize(x, pred, bound) {
             Some((code, val)) => {
@@ -272,7 +255,7 @@ pub(crate) fn compress<F: Float>(
 
     {
         let _pq = Span::enter(rec, stage::PREDICT_QUANTIZE);
-        infallible(run_sweep(dims, &mut dec, |idx, pred| {
+        infallible(predict::sweep(dims, &mut dec, |idx, pred| {
             Ok(quantize_one(
                 data[idx],
                 ebs.at(idx),
@@ -353,7 +336,7 @@ pub(crate) fn compress_fused<F: Float>(
     {
         let _pq = Span::enter(rec, stage::PREDICT_QUANTIZE);
         let mut map_timer = StageTimer::new(rec, stage::TRANSFORM);
-        infallible(run_sweep(dims, &mut dec, |idx, pred| {
+        infallible(predict::sweep(dims, &mut dec, |idx, pred| {
             while idx >= mapped_end {
                 let end = (mapped_end + CHUNK).min(n);
                 let slot = mapped_end & (cap - 1);
@@ -493,7 +476,7 @@ pub(crate) fn decompress<F: Float>(
     // audit:allow-fn(L1): `codes.len() == n` is checked above and `dec` is
     // allocated with n elements; the sweep hands the sink idx < n only,
     // so the hot-loop indexing cannot go out of bounds.
-    run_sweep(dims, &mut dec, |idx, pred| {
+    predict::sweep(dims, &mut dec, |idx, pred| {
         let code = codes[idx];
         if code == 0 {
             // `esc_pos` holds every zero-code index in ascending order, so

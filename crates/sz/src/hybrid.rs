@@ -198,7 +198,7 @@ pub(crate) fn decompress<F: Float>(stream: &SzStream) -> Result<(Vec<F>, Dims), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwrel_data::grf;
+    use pwrel_data::{grf, AbsErrorCodec};
 
     fn cfg() -> SzCompressor {
         SzCompressor::default()
@@ -300,5 +300,21 @@ mod tests {
             .map(|i| i as f64 * 0.5 - 100.0 + ((i % 13) as f64).sin())
             .collect();
         check(&data, dims, 1e-2);
+    }
+
+    #[test]
+    fn inherent_compress_abs_honours_the_hybrid_predictor() {
+        // The inherent method and the AbsErrorCodec impl share one body, so
+        // a hybrid config gets the hybrid stream through either.
+        let dims = Dims::d2(48, 40);
+        let data = grf::gaussian_field(dims, 12, 3, 2);
+        let sz = SzCompressor {
+            hybrid_predictor: true,
+            ..cfg()
+        };
+        let inherent = sz.compress_abs(&data, dims, 1e-3).unwrap();
+        let via_trait = AbsErrorCodec::<f32>::compress_abs(&sz, &data, dims, 1e-3).unwrap();
+        assert_eq!(inherent.len(), via_trait.len());
+        assert_eq!(inherent, via_trait);
     }
 }

@@ -113,21 +113,16 @@ impl SzCompressor {
     }
 
     /// Compresses with an absolute error bound: every decompressed value
-    /// satisfies `|x - x'| <= bound`.
+    /// satisfies `|x - x'| <= bound`. Runs the hybrid predictor when
+    /// [`SzCompressor::hybrid_predictor`] is set, exactly as the
+    /// [`AbsErrorCodec`] impl does (it is the same body).
     pub fn compress_abs<F: Float>(
         &self,
         data: &[F],
         dims: Dims,
         bound: f64,
     ) -> Result<Vec<u8>, CodecError> {
-        self.check_config()?;
-        if !(bound > 0.0) || !bound.is_finite() {
-            return Err(CodecError::InvalidArgument("bound must be finite and > 0"));
-        }
-        if data.len() != dims.len() {
-            return Err(CodecError::InvalidArgument("data length != dims"));
-        }
-        engine::compress(data, dims, EbSpec::Abs(bound), self, noop())
+        AbsErrorCodec::compress_abs_traced(self, data, dims, bound, noop())
     }
 
     /// Compresses with SZ's blockwise point-wise relative error bound:
@@ -261,15 +256,6 @@ impl<F: Float> LogFusedCodec<F> for SzCompressor {
     /// window, so it maps into a buffer first (still batched) and reuses
     /// the hybrid coder — the stream contract holds either way.
     fn compress_fused(
-        &self,
-        data: &[F],
-        dims: Dims,
-        plan: &LogPlan,
-    ) -> Result<FusedOutput, CodecError> {
-        self.compress_fused_traced(data, dims, plan, noop())
-    }
-
-    fn compress_fused_traced(
         &self,
         data: &[F],
         dims: Dims,

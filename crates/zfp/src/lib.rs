@@ -177,15 +177,6 @@ impl<F: Float> LogFusedCodec<F> for ZfpCompressor {
         data: &[F],
         dims: Dims,
         plan: &LogPlan,
-    ) -> Result<FusedOutput, CodecError> {
-        self.compress_fused_traced(data, dims, plan, noop())
-    }
-
-    fn compress_fused_traced(
-        &self,
-        data: &[F],
-        dims: Dims,
-        plan: &LogPlan,
         rec: &dyn Recorder,
     ) -> Result<FusedOutput, CodecError> {
         if !(plan.abs_bound > 0.0) || !plan.abs_bound.is_finite() {

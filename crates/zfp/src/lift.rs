@@ -62,54 +62,50 @@ pub fn inv_lift(p: &mut [i64], base: usize, s: usize) {
 
 /// Forward transform over a 4^rank block (separable).
 ///
-/// Dispatches to the fused lane-batched kernels in `pwrel-kernels`
-/// (bit-identical: every lifted op is an integer wrapping add/sub or
-/// shift); `PWREL_LIFT=reference` selects the per-line loops below.
+/// Runs the fused lane-batched kernels in `pwrel-kernels` (bit-identical:
+/// every lifted op is an integer wrapping add/sub or shift); slices that
+/// are not exactly 4^rank long take the per-line loops below.
 pub fn fwd_xform(block: &mut [i64], rank: u8) {
-    if pwrel_kernels::dispatch::lift_kernel() == pwrel_kernels::BatchKernel::Batched {
-        match (rank, block.len()) {
-            (1, 4) => {
-                if let Ok(b) = <&mut [i64; 4]>::try_from(&mut *block) {
-                    return pwrel_kernels::blocklift::fwd_xform_1d(b);
-                }
+    match (rank, block.len()) {
+        (1, 4) => {
+            if let Ok(b) = <&mut [i64; 4]>::try_from(&mut *block) {
+                return pwrel_kernels::blocklift::fwd_xform_1d(b);
             }
-            (2, 16) => {
-                if let Ok(b) = <&mut [i64; 16]>::try_from(&mut *block) {
-                    return pwrel_kernels::blocklift::fwd_xform_2d(b);
-                }
-            }
-            (_, 64) if rank >= 3 => {
-                if let Ok(b) = <&mut [i64; 64]>::try_from(&mut *block) {
-                    return pwrel_kernels::blocklift::fwd_xform_3d(b);
-                }
-            }
-            _ => {}
         }
+        (2, 16) => {
+            if let Ok(b) = <&mut [i64; 16]>::try_from(&mut *block) {
+                return pwrel_kernels::blocklift::fwd_xform_2d(b);
+            }
+        }
+        (_, 64) if rank >= 3 => {
+            if let Ok(b) = <&mut [i64; 64]>::try_from(&mut *block) {
+                return pwrel_kernels::blocklift::fwd_xform_3d(b);
+            }
+        }
+        _ => {}
     }
     fwd_xform_reference(block, rank)
 }
 
 /// Inverse transform over a 4^rank block (reverses [`fwd_xform`] exactly).
 pub fn inv_xform(block: &mut [i64], rank: u8) {
-    if pwrel_kernels::dispatch::lift_kernel() == pwrel_kernels::BatchKernel::Batched {
-        match (rank, block.len()) {
-            (1, 4) => {
-                if let Ok(b) = <&mut [i64; 4]>::try_from(&mut *block) {
-                    return pwrel_kernels::blocklift::inv_xform_1d(b);
-                }
+    match (rank, block.len()) {
+        (1, 4) => {
+            if let Ok(b) = <&mut [i64; 4]>::try_from(&mut *block) {
+                return pwrel_kernels::blocklift::inv_xform_1d(b);
             }
-            (2, 16) => {
-                if let Ok(b) = <&mut [i64; 16]>::try_from(&mut *block) {
-                    return pwrel_kernels::blocklift::inv_xform_2d(b);
-                }
-            }
-            (_, 64) if rank >= 3 => {
-                if let Ok(b) = <&mut [i64; 64]>::try_from(&mut *block) {
-                    return pwrel_kernels::blocklift::inv_xform_3d(b);
-                }
-            }
-            _ => {}
         }
+        (2, 16) => {
+            if let Ok(b) = <&mut [i64; 16]>::try_from(&mut *block) {
+                return pwrel_kernels::blocklift::inv_xform_2d(b);
+            }
+        }
+        (_, 64) if rank >= 3 => {
+            if let Ok(b) = <&mut [i64; 64]>::try_from(&mut *block) {
+                return pwrel_kernels::blocklift::inv_xform_3d(b);
+            }
+        }
+        _ => {}
     }
     inv_xform_reference(block, rank)
 }

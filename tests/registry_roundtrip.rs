@@ -200,10 +200,10 @@ fn legacy_streams_still_decode_through_the_registry() {
 
     // Pre-container streams: raw per-codec magics.
     let legacy_szt = PwRelCompressor::new(SzCompressor::default(), LogBase::Two)
-        .compress_fused(&data, dims, 1e-3)
+        .compress_fused(&data, dims, 1e-3, pwrel_trace::noop())
         .unwrap();
     let legacy_zfpt = PwRelCompressor::new(ZfpCompressor, LogBase::Ten)
-        .compress_fused(&data, dims, 1e-3)
+        .compress_fused(&data, dims, 1e-3, pwrel_trace::noop())
         .unwrap();
     let legacy_sz = SzCompressor::default()
         .compress_abs(&data, dims, 1e-3)

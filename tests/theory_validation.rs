@@ -6,7 +6,7 @@
 //! plausible *alternative* mapping breaks the bound, and Lemma 4 through
 //! compressed sizes.
 
-use pwrel::core::{theory, transform, LogBase, PwRelCompressor};
+use pwrel::core::{theory, transform, Kernel, LogBase, PwRelCompressor};
 use pwrel::data::{nyx, Dims, Scale};
 use pwrel::sz::{self, SzCompressor};
 
@@ -21,7 +21,7 @@ fn theorem3_quant_index_deviation_on_real_coder() {
         let codes: Vec<Vec<u32>> = [LogBase::Two, LogBase::E, LogBase::Ten]
             .iter()
             .map(|&base| {
-                let t = transform::forward(&field.data, base, br, 2.0).unwrap();
+                let t = transform::forward(&field.data, base, br, 2.0, Kernel::Fast).unwrap();
                 sz::quantization_codes(&t.mapped, field.dims, t.abs_bound, &cfg)
             })
             .collect();
