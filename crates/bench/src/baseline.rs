@@ -1,15 +1,19 @@
-//! Frozen copy of the seed byte-at-a-time bitstream engine.
+//! Frozen copies of engines the live crates have replaced.
 //!
 //! `pwrel-bitstream` was rewritten around a 64-bit accumulator with
 //! unaligned word refills; this module preserves the engine it replaced —
 //! byte-at-a-time `read_bits`/`write_bits`, bit-by-bit LSB paths, the
 //! multi-byte `peek_bits` loop — together with the seed Huffman decoder and
-//! ZFP plane coder built on it. `bench_entropy` measures the production
-//! engine *against* this one, so the recorded speedups keep meaning "over
-//! the seed engine" no matter how the live crate evolves. Do not optimise
-//! anything here.
+//! ZFP plane coder built on it. It also keeps the seed LZ encoder
+//! ([`seed_lz_compress`]): a plain hash-chain walk at every position and a
+//! Huffman trial on every token stream. The live `pwrel_lossless::lz`
+//! encoder must emit exactly its bytes, and `tests/lz_identity.rs` holds
+//! it to that. `bench_entropy` measures the production engines *against*
+//! these, so the recorded speedups keep meaning "over the seed engine" no
+//! matter how the live crates evolve. Do not optimise anything here.
 
 use pwrel_bitstream::{varint, Error, Result};
+use pwrel_lossless::huffman;
 
 /// Seed MSB-first writer: one accumulator byte, flushed every 8 bits.
 #[derive(Debug, Default, Clone)]
@@ -426,4 +430,110 @@ pub fn seed_decode_planes(
         n = n_cur;
     }
     Ok(())
+}
+
+const LZ_WINDOW: usize = 32 * 1024;
+const LZ_MIN_MATCH: usize = 4;
+const LZ_MAX_MATCH: usize = 1 << 16;
+const LZ_MAX_CHAIN: usize = 64;
+const LZ_HASH_BITS: u32 = 15;
+const LZ_MODE_STORED: u8 = 0;
+const LZ_MODE_TOKENS: u8 = 1;
+const LZ_MODE_TOKENS_HUFF: u8 = 2;
+
+#[inline]
+fn seed_hash4(data: &[u8], i: usize) -> usize {
+    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+    (v.wrapping_mul(0x9E37_79B1) >> (32 - LZ_HASH_BITS)) as usize
+}
+
+/// Seed LZ77 tokenizer, verbatim: every position walks its hash chain and
+/// extends every candidate byte by byte; `prev` has one slot per input
+/// byte.
+fn seed_tokenize(input: &[u8]) -> Vec<u8> {
+    let n = input.len();
+    let mut out = Vec::with_capacity(n / 2 + 16);
+    if n < LZ_MIN_MATCH {
+        varint::write_uvarint(&mut out, n as u64);
+        out.extend_from_slice(input);
+        return out;
+    }
+
+    let mut head = vec![usize::MAX; 1 << LZ_HASH_BITS];
+    let mut prev = vec![usize::MAX; n];
+    let mut i = 0usize;
+    let mut lit_start = 0usize;
+
+    while i + LZ_MIN_MATCH <= n {
+        let h = seed_hash4(input, i);
+        let mut candidate = head[h];
+        let mut best_len = 0usize;
+        let mut best_dist = 0usize;
+        let mut chain = 0usize;
+        while candidate != usize::MAX && i - candidate <= LZ_WINDOW && chain < LZ_MAX_CHAIN {
+            let max_len = (n - i).min(LZ_MAX_MATCH);
+            let mut l = 0usize;
+            while l < max_len && input[candidate + l] == input[i + l] {
+                l += 1;
+            }
+            if l > best_len {
+                best_len = l;
+                best_dist = i - candidate;
+                if l >= max_len {
+                    break;
+                }
+            }
+            candidate = prev[candidate];
+            chain += 1;
+        }
+
+        if best_len >= LZ_MIN_MATCH {
+            varint::write_uvarint(&mut out, (i - lit_start) as u64);
+            out.extend_from_slice(&input[lit_start..i]);
+            varint::write_uvarint(&mut out, (best_len - LZ_MIN_MATCH) as u64);
+            varint::write_uvarint(&mut out, (best_dist - 1) as u64);
+            let match_end = i + best_len;
+            let insert_end = match_end.min(n.saturating_sub(LZ_MIN_MATCH - 1));
+            while i < insert_end {
+                let h = seed_hash4(input, i);
+                prev[i] = head[h];
+                head[h] = i;
+                i += 1;
+            }
+            i = match_end;
+            lit_start = i;
+            continue;
+        }
+
+        prev[i] = head[h];
+        head[h] = i;
+        i += 1;
+    }
+
+    varint::write_uvarint(&mut out, (n - lit_start) as u64);
+    out.extend_from_slice(&input[lit_start..]);
+    out
+}
+
+/// Seed `lz::compress`, verbatim: tokenize, Huffman-encode the tokens
+/// every time, and keep the smallest of the three container modes. The
+/// oracle the live encoder is held byte-identical to.
+pub fn seed_lz_compress(input: &[u8]) -> Vec<u8> {
+    let tokens = seed_tokenize(input);
+    let huffed =
+        huffman::encode_symbols(&tokens.iter().map(|&b| b as u32).collect::<Vec<_>>(), 256);
+
+    let (mode, payload) = if huffed.len() < tokens.len() && huffed.len() < input.len() {
+        (LZ_MODE_TOKENS_HUFF, huffed)
+    } else if tokens.len() < input.len() {
+        (LZ_MODE_TOKENS, tokens)
+    } else {
+        (LZ_MODE_STORED, input.to_vec())
+    };
+
+    let mut out = Vec::with_capacity(payload.len() + 10);
+    out.push(mode);
+    varint::write_uvarint(&mut out, input.len() as u64);
+    out.extend_from_slice(&payload);
+    out
 }

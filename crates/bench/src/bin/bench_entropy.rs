@@ -1,9 +1,8 @@
 #![forbid(unsafe_code)]
 //! Emits `BENCH_entropy.json`: entropy-stage hot-path throughput for the
-//! word-based bitstream engine vs the frozen seed byte-at-a-time engine
-//! (`pwrel_bench::baseline`).
+//! live engines vs the frozen seed engines (`pwrel_bench::baseline`).
 //!
-//! Two measurements, both on SZ-shaped inputs derived from the Nyx
+//! Three measurements, all on SZ-shaped inputs derived from the Nyx
 //! dark-matter-density field:
 //!
 //! * **Huffman decode** — one serialized `encode_symbols` buffer of
@@ -14,24 +13,31 @@
 //!   negabinary 4×4×4 blocks, through the live `write_bits_lsb`/
 //!   `read_bits_lsb` bulk paths and the seed bit-by-bit loops. Both
 //!   engines must produce byte-identical streams. Target ≥ 2×.
+//! * **LZ encode** — `lz::compress` against the seed encoder
+//!   `seed_lz_compress` on the bytes SZ_T hands its LZ pass, with the
+//!   Medium field cut into 4 slabs as serve cuts a request. This row
+//!   always uses the Medium field, whatever the scale, so the gate times
+//!   serve-sized payloads. Both encoders must produce byte-identical
+//!   streams. Target ≥ 2×.
 //!
 //! Honours `PWREL_SCALE` (`small|medium|large`, default `medium`) and a
 //! `--reps N` flag (default 15; CI smoke passes `--reps 3`).
 //!
 //! `--gate` switches to regression-gate mode: nothing is written and the
 //! process exits non-zero unless the live engine at least matches the
-//! frozen seed engine on both hot paths (Huffman decode and ZFP plane
-//! encode+decode speedups ≥ 1). The committed-file targets (1.5× / 2×)
+//! frozen seed engine on every hot path (Huffman decode, ZFP plane
+//! encode+decode and LZ encode speedups ≥ 1). The committed-file targets
 //! are quiet-machine numbers; the gate floor of 1× holds on any host
 //! because both engines share each rep's scheduler and frequency noise.
 
 use pwrel_bench::baseline::{
-    seed_decode_planes, seed_decode_symbols, seed_encode_planes, SeedBitReader, SeedBitWriter,
+    seed_decode_planes, seed_decode_symbols, seed_encode_planes, seed_lz_compress, SeedBitReader,
+    SeedBitWriter,
 };
-use pwrel_bench::{scale_from_env, timed};
+use pwrel_bench::{scale_from_env, sz_t_lz_inputs, timed};
 use pwrel_bitstream::{BitReader, BitWriter};
-use pwrel_data::nyx;
-use pwrel_lossless::huffman;
+use pwrel_data::{nyx, Scale};
+use pwrel_lossless::{huffman, lz};
 use pwrel_zfp::nb;
 
 /// Plane-coder parameters matching the transform pipeline's f64 blocks.
@@ -167,6 +173,36 @@ fn bench_planes(blocks: &[[u64; 64]], reps: usize) -> PlaneTimes {
     t
 }
 
+struct LzTimes {
+    live_s: f64,
+    seed_s: f64,
+    output_bytes: usize,
+}
+
+/// Best-of-`reps` LZ encode timings over all `payloads`, live/seed
+/// interleaved; the two encoders' outputs must be byte-identical.
+fn bench_lz(payloads: &[Vec<u8>], reps: usize) -> LzTimes {
+    let mut t = LzTimes {
+        live_s: f64::INFINITY,
+        seed_s: f64::INFINITY,
+        output_bytes: 0,
+    };
+    for _ in 0..reps {
+        let (live, live_s) = timed(|| payloads.iter().map(|p| lz::compress(p)).collect::<Vec<_>>());
+        let (seed, seed_s) = timed(|| {
+            payloads
+                .iter()
+                .map(|p| seed_lz_compress(p))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(live, seed, "live LZ encoder diverged from the seed encoder");
+        t.live_s = t.live_s.min(live_s);
+        t.seed_s = t.seed_s.min(seed_s);
+        t.output_bytes = live.iter().map(Vec::len).sum();
+    }
+    t
+}
+
 fn main() {
     let mut reps = 15usize;
     let args: Vec<String> = std::env::args().collect();
@@ -193,15 +229,25 @@ fn main() {
     let _ = bench_planes(&blocks[..blocks.len().min(64)], 1);
     let p = bench_planes(&blocks, reps);
 
+    // LZ: serve's cut of the Medium field, at every scale.
+    const LZ_CHUNKS: usize = 4;
+    let lz_inputs = sz_t_lz_inputs(&nyx::dark_matter_density(Scale::Medium), LZ_CHUNKS);
+    let lz_bytes: usize = lz_inputs.iter().map(Vec::len).sum();
+    let _ = bench_lz(&lz_inputs, 1);
+    let z = bench_lz(&lz_inputs, reps);
+
     let msym = |s: f64| syms.len() as f64 / s / 1e6;
     let huff_speedup = h.seed_s / h.live_s;
     let plane_speedup = (p.seed_enc_s + p.seed_dec_s) / (p.live_enc_s + p.live_dec_s);
+    let lz_speedup = z.seed_s / z.live_s;
+    let mib_s = |s: f64| lz_bytes as f64 / s / (1024.0 * 1024.0);
 
     if gate {
         let mut failed = false;
         for (what, speedup) in [
             ("huffman decode", huff_speedup),
             ("zfp planes encode+decode", plane_speedup),
+            ("lz encode", lz_speedup),
         ] {
             eprintln!("gate {what}: {speedup:.2}x vs seed engine");
             if speedup < 1.0 {
@@ -236,8 +282,14 @@ fn main() {
             "\"live_encode_s\": {:.6}, \"live_decode_s\": {:.6}, ",
             "\"speedup_encode\": {:.3}, \"speedup_decode\": {:.3}, ",
             "\"speedup_encode_plus_decode\": {:.3}}},\n",
+            "  \"lz\": {{\"dataset_scale\": \"Medium\", \"chunks\": {}, ",
+            "\"input_bytes\": {}, \"output_bytes\": {}, ",
+            "\"seed_encode_s\": {:.6}, \"live_encode_s\": {:.6}, ",
+            "\"seed_mib_s\": {:.1}, \"live_mib_s\": {:.1}, ",
+            "\"speedup_encode\": {:.3}}},\n",
             "  \"target_huffman_decode\": 1.5,\n",
-            "  \"target_zfp_encode_plus_decode\": 2.0\n",
+            "  \"target_zfp_encode_plus_decode\": 2.0,\n",
+            "  \"target_lz_encode\": 2.0\n",
             "}}\n",
         ),
         field.name,
@@ -266,10 +318,18 @@ fn main() {
         p.seed_enc_s / p.live_enc_s,
         p.seed_dec_s / p.live_dec_s,
         plane_speedup,
+        LZ_CHUNKS,
+        lz_bytes,
+        z.output_bytes,
+        z.seed_s,
+        z.live_s,
+        mib_s(z.seed_s),
+        mib_s(z.live_s),
+        lz_speedup,
     );
     print!("{json}");
     std::fs::write("BENCH_entropy.json", &json).expect("write BENCH_entropy.json");
     eprintln!(
-        "wrote BENCH_entropy.json (huffman decode {huff_speedup:.2}x, zfp planes {plane_speedup:.2}x)"
+        "wrote BENCH_entropy.json (huffman decode {huff_speedup:.2}x, zfp planes {plane_speedup:.2}x, lz encode {lz_speedup:.2}x)"
     );
 }

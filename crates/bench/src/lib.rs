@@ -13,9 +13,10 @@
 
 pub mod baseline;
 
-use pwrel_core::LogBase;
+use pwrel_core::{transform, Kernel, LogBase};
 use pwrel_data::{Dims, Field, Scale};
-use pwrel_pipeline::{global, CompressOpts};
+use pwrel_pipeline::{global, ChunkPlan, CompressOpts};
+use pwrel_sz::SzCompressor;
 use std::time::Instant;
 
 /// The compressor roster of the paper's evaluation.
@@ -148,6 +149,37 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let t0 = Instant::now();
     let r = f();
     (r, t0.elapsed().as_secs_f64())
+}
+
+/// The bytes SZ_T hands its LZ pass when `field` is compressed in
+/// `chunks` slabs along the slowest axis at `b_r = 1e-3`, as the stream
+/// engine cuts it (serve sends a 64³ field as 4 such chunks): per slab,
+/// the SZ stream of the log-transformed data before the pass.
+pub fn sz_t_lz_inputs(field: &Field<f32>, chunks: usize) -> Vec<Vec<u8>> {
+    let plan =
+        ChunkPlan::new(field.dims, field.dims.len().div_ceil(chunks), 1).expect("chunk plan");
+    let sz = SzCompressor {
+        lossless_pass: false,
+        ..SzCompressor::default()
+    };
+    (0..plan.n_chunks())
+        .map(|i| {
+            let (start, len) = plan.chunk_range(i);
+            let t = transform::forward(
+                &field.data[start..start + len],
+                LogBase::Two,
+                1e-3,
+                2.0,
+                Kernel::Fast,
+            )
+            .expect("log transform");
+            let stream = sz
+                .compress_abs(&t.mapped, plan.chunk_dims(i), t.abs_bound)
+                .expect("sz compress");
+            // Wrapper byte 0 ("no LZ pass"), then the pass's input.
+            stream[1..].to_vec()
+        })
+        .collect()
 }
 
 /// Reads the dataset scale from `PWREL_SCALE` (default `medium`).

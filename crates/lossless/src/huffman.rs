@@ -707,6 +707,26 @@ pub fn encode_symbols(symbols: &[u32], alphabet: usize) -> Vec<u8> {
     out
 }
 
+/// A lower bound on `encode_symbols(symbols, freqs.len()).len()` for
+/// symbols whose dense histogram is `freqs`: the serialized table plus the
+/// payload bits rounded down. It builds the code [`encode_symbols`] would
+/// build, but codes no symbol; each sub-stream rounds up to whole bytes
+/// and the marker and descriptor come on top, so the real buffer is
+/// always longer. Callers that keep an encoding only if it beats a known
+/// length use it to skip encodes that cannot win.
+pub(crate) fn encoded_len_lower_bound(freqs: &[u64]) -> usize {
+    let pairs: Vec<(u32, u64)> = freqs
+        .iter()
+        .enumerate()
+        .filter(|(_, &f)| f > 0)
+        .map(|(s, &f)| (s as u32, f))
+        .collect();
+    let code = CanonicalCode::from_pairs(&code_length_pairs(&pairs, freqs.len()), freqs.len());
+    let mut table = Vec::new();
+    code.serialize(&mut table);
+    table.len() + (code.encoded_bits(freqs) / 8) as usize
+}
+
 /// [`encode_symbols`] in the legacy single-stream mode (table + count +
 /// one payload). Kept as a first-class encoder so equivalence tests and
 /// the seed-engine benchmarks can still produce the format every
@@ -1177,5 +1197,42 @@ mod tests {
             .map(|(s, &f)| (s as u32, f))
             .collect();
         assert_eq!(batched, expect);
+    }
+
+    #[test]
+    fn encoded_len_lower_bound_never_exceeds_the_buffer() {
+        let mut x = 0x9E37_79B9u32;
+        let mut noise = || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        };
+        let inputs: Vec<Vec<u32>> = vec![
+            vec![],
+            vec![7],
+            vec![3; 1000],
+            mixed_symbols(5),
+            mixed_symbols(20_000).iter().map(|s| s % 256).collect(),
+            (0..4096).map(|_| noise() % 256).collect(),
+            (0..4096)
+                .map(|_| (noise() % 256).min(noise() % 256))
+                .collect(),
+        ];
+        for syms in inputs {
+            let mut freqs = [0u64; 256];
+            for &s in &syms {
+                freqs[s as usize] += 1;
+            }
+            let bound = encoded_len_lower_bound(&freqs);
+            let len = encode_symbols(&syms, 256).len();
+            assert!(
+                bound <= len,
+                "bound {bound} > encoded {len} ({} symbols)",
+                syms.len()
+            );
+            // Tight up to the marker, descriptor and lane padding.
+            assert!(len - bound <= 64, "bound {bound} vs encoded {len}");
+        }
     }
 }

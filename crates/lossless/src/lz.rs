@@ -10,6 +10,45 @@
 //! `uvarint literal_run_len`, that many literal bytes, then — unless the
 //! input is exhausted — `uvarint (match_len - MIN_MATCH)` and
 //! `uvarint (distance - 1)`.
+//!
+//! # Match finder
+//!
+//! The tokens are defined by a plain greedy walk: at each position, follow
+//! the hash chain of its 4-byte word through at most `MAX_CHAIN`
+//! candidates within `WINDOW` bytes, and keep the first longest match.
+//! The encoder emits exactly those tokens, but skips work whose outcome is
+//! already known:
+//!
+//! * **Window filter.** Two bitsets, indexed by a second hash of the
+//!   4-byte word, mark the words at the positions of the current
+//!   `WINDOW`-aligned block and of the block before it. Every window
+//!   `[i − WINDOW, i)` lies in those two blocks, and equal words hash
+//!   equally, so a word that is not marked occurs nowhere in the window:
+//!   the walk could only meet hash collisions and would end in a literal,
+//!   so it is skipped. Each word sets two bits of one 64-bit bitset word,
+//!   which cuts false alarms about threefold at no extra memory traffic.
+//!   Every position still enters the chains, so the chains — and the
+//!   `MAX_CHAIN` cutoff, which counts colliding candidates too — are the
+//!   walk's own. On Huffman-coded input most positions take this exit.
+//! * **Candidate pre-check.** A candidate whose first 4 bytes differ
+//!   matches fewer than `MIN_MATCH` bytes: it can neither become the
+//!   match nor end the walk early, so it is not extended.
+//! * **Word-wise extension.** A true match is extended 8 bytes at a time;
+//!   the first differing byte is the lowest set byte of the XOR, which
+//!   gives the same length as a byte loop.
+//! * **Ring of chain links.** `prev` keeps one slot per window position
+//!   instead of one per input byte. The walk only reads the link of a
+//!   candidate `c ≥ i − WINDOW`, and the slot it shares is next written by
+//!   position `c + WINDOW ≥ i`, which is not inserted yet.
+//!
+//! The filter is used only where its 128 KiB of bitsets fit in the memory
+//! the ring saves (inputs of 48 KiB and more), so an encode never needs
+//! more scratch than one `prev` slot per input byte would.
+//!
+//! The Huffman pass over the tokens is skipped when it cannot win:
+//! `huffman::encoded_len_lower_bound` bounds its output from the token
+//! byte histogram, and when that bound already reaches the token or input
+//! length the trial could not have been chosen.
 
 use crate::huffman;
 use pwrel_bitstream::{varint, Error, Result};
@@ -20,16 +59,154 @@ const MAX_MATCH: usize = 1 << 16;
 /// Upper bound on hash-chain probes per position (gzip's "good" level).
 const MAX_CHAIN: usize = 64;
 const HASH_BITS: u32 = 15;
+/// Each window-filter bitset holds `2^FILTER_WORD_BITS` 64-bit words
+/// (64 KiB).
+const FILTER_WORD_BITS: u32 = 13;
 
 /// Container modes.
 const MODE_STORED: u8 = 0;
 const MODE_TOKENS: u8 = 1;
 const MODE_TOKENS_HUFF: u8 = 2;
 
+/// The little-endian 4-byte word at `i`.
 #[inline]
-fn hash4(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+fn word4(data: &[u8], i: usize) -> u32 {
+    let mut w = [0u8; 4];
+    w.copy_from_slice(&data[i..i + 4]);
+    u32::from_le_bytes(w)
+}
+
+/// Number of leading bytes on which `data[a..]` and `data[b..]` agree, up
+/// to `max`. Needs `a < b` and `b + max <= data.len()`.
+#[inline]
+fn common_prefix(data: &[u8], a: usize, b: usize, max: usize) -> usize {
+    let load = |p: usize| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&data[p..p + 8]);
+        u64::from_le_bytes(w)
+    };
+    let mut l = 0usize;
+    while l + 8 <= max {
+        let diff = load(a + l) ^ load(b + l);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < max && data[a + l] == data[b + l] {
+        l += 1;
+    }
+    l
+}
+
+/// Hash chains over every position inserted so far.
+struct Chains {
+    head: Vec<usize>,
+    /// Chain links, one slot per window position (`p % WINDOW`).
+    prev: Vec<usize>,
+}
+
+impl Chains {
+    /// Empty chains for an `n`-byte input.
+    fn for_input(n: usize) -> Self {
+        Self {
+            head: vec![usize::MAX; 1 << HASH_BITS],
+            prev: vec![usize::MAX; n.min(WINDOW)],
+        }
+    }
+
+    /// The chain bucket of a 4-byte word.
+    #[inline]
+    fn bucket(word: u32) -> usize {
+        (word.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+    }
+
+    /// Links position `p`, which holds `word`, into its chain.
+    #[inline]
+    fn insert(&mut self, p: usize, word: u32) {
+        let h = Self::bucket(word);
+        self.prev[p % WINDOW] = self.head[h];
+        self.head[h] = p;
+    }
+
+    /// The greedy walk's match at position `i`, which holds `word`, as
+    /// `(length, distance)`; a length below `MIN_MATCH` means a literal.
+    fn longest_match(&self, input: &[u8], i: usize, word: u32) -> (usize, usize) {
+        let max_len = (input.len() - i).min(MAX_MATCH);
+        let mut candidate = self.head[Self::bucket(word)];
+        let mut best_len = 0usize;
+        let mut best_dist = 0usize;
+        let mut chain = 0usize;
+        while candidate != usize::MAX && i - candidate <= WINDOW && chain < MAX_CHAIN {
+            if word4(input, candidate) == word {
+                let l = MIN_MATCH
+                    + common_prefix(
+                        input,
+                        candidate + MIN_MATCH,
+                        i + MIN_MATCH,
+                        max_len - MIN_MATCH,
+                    );
+                if l > best_len {
+                    best_len = l;
+                    best_dist = i - candidate;
+                    if l >= max_len {
+                        break;
+                    }
+                }
+            }
+            candidate = self.prev[candidate % WINDOW];
+            chain += 1;
+        }
+        (best_len, best_dist)
+    }
+}
+
+/// Which words the positions of the current `WINDOW`-aligned block and of
+/// the block before it hold, up to hash collisions (see the module doc).
+struct WindowFilter {
+    /// Bitset word pairs: slot `b % 2` of each pair belongs to block `b`.
+    bits: Vec<[u64; 2]>,
+    block: usize,
+    /// First position past the current block.
+    block_end: usize,
+}
+
+impl WindowFilter {
+    /// The filter for an `n`-byte input, if its bitsets fit in what the
+    /// chain ring saves over one link per input byte.
+    fn for_input(n: usize) -> Option<Self> {
+        let words = 1 << FILTER_WORD_BITS;
+        let saved = (n - n.min(WINDOW)) * std::mem::size_of::<usize>();
+        (saved >= words * std::mem::size_of::<[u64; 2]>()).then(|| Self {
+            bits: vec![[0; 2]; words],
+            block: 0,
+            block_end: WINDOW,
+        })
+    }
+
+    /// Marks that position `p` holds `word`, and returns whether a
+    /// position marked earlier in this block or the one before may hold it
+    /// too.
+    #[inline]
+    fn mark(&mut self, p: usize, word: u32) -> bool {
+        while p >= self.block_end {
+            self.block += 1;
+            self.block_end += WINDOW;
+            let slot = self.block % 2;
+            for pair in &mut self.bits {
+                pair[slot] = 0;
+            }
+        }
+        // A second hash, independent of the chain bucket: the top bits of
+        // a 64-bit product pick the bitset word, two 6-bit fields from its
+        // upper half the two bits.
+        let x = (word as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mask = 1u64 << (x >> 32 & 63) | 1u64 << (x >> 38 & 63);
+        let pair = &mut self.bits[(x >> (64 - FILTER_WORD_BITS)) as usize];
+        let seen = (pair[0] | pair[1]) & mask == mask;
+        pair[self.block % 2] |= mask;
+        seen
+    }
 }
 
 /// Produces the raw LZ77 token stream for `input`.
@@ -42,58 +219,43 @@ fn tokenize(input: &[u8]) -> Vec<u8> {
         return out;
     }
 
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; n];
+    let mut chains = Chains::for_input(n);
+    let mut filter = WindowFilter::for_input(n);
     let mut i = 0usize;
     let mut lit_start = 0usize;
 
     while i + MIN_MATCH <= n {
-        let h = hash4(input, i);
-        let mut candidate = head[h];
-        let mut best_len = 0usize;
-        let mut best_dist = 0usize;
-        let mut chain = 0usize;
-        while candidate != usize::MAX && i - candidate <= WINDOW && chain < MAX_CHAIN {
-            let max_len = (n - i).min(MAX_MATCH);
-            let mut l = 0usize;
-            while l < max_len && input[candidate + l] == input[i + l] {
-                l += 1;
-            }
-            if l > best_len {
-                best_len = l;
-                best_dist = i - candidate;
-                if l >= max_len {
-                    break;
-                }
-            }
-            candidate = prev[candidate];
-            chain += 1;
-        }
-
-        if best_len >= MIN_MATCH {
-            // Flush pending literals, then the match.
-            varint::write_uvarint(&mut out, (i - lit_start) as u64);
-            out.extend_from_slice(&input[lit_start..i]);
-            varint::write_uvarint(&mut out, (best_len - MIN_MATCH) as u64);
-            varint::write_uvarint(&mut out, (best_dist - 1) as u64);
-            // Insert the covered positions into the chains, stopping where a
-            // 4-byte hash no longer fits, then jump past the whole match.
-            let match_end = i + best_len;
-            let insert_end = match_end.min(n.saturating_sub(MIN_MATCH - 1));
-            while i < insert_end {
-                let h = hash4(input, i);
-                prev[i] = head[h];
-                head[h] = i;
-                i += 1;
-            }
-            i = match_end;
-            lit_start = i;
+        let word = word4(input, i);
+        let maybe = filter.as_mut().is_none_or(|f| f.mark(i, word));
+        let (best_len, best_dist) = if maybe {
+            chains.longest_match(input, i, word)
+        } else {
+            (0, 0)
+        };
+        chains.insert(i, word);
+        if best_len < MIN_MATCH {
+            i += 1;
             continue;
         }
 
-        prev[i] = head[h];
-        head[h] = i;
-        i += 1;
+        // Flush pending literals, then the match.
+        varint::write_uvarint(&mut out, (i - lit_start) as u64);
+        out.extend_from_slice(&input[lit_start..i]);
+        varint::write_uvarint(&mut out, (best_len - MIN_MATCH) as u64);
+        varint::write_uvarint(&mut out, (best_dist - 1) as u64);
+        // Insert the rest of the covered positions, stopping where a 4-byte
+        // word no longer fits, then jump past the whole match.
+        let match_end = i + best_len;
+        let insert_end = match_end.min(n - (MIN_MATCH - 1));
+        for p in i + 1..insert_end {
+            let word = word4(input, p);
+            chains.insert(p, word);
+            if let Some(f) = &mut filter {
+                f.mark(p, word);
+            }
+        }
+        i = match_end;
+        lit_start = i;
     }
 
     // Trailing literals.
@@ -150,10 +312,20 @@ fn detokenize(tokens: &[u8], expected_len: usize) -> Result<Vec<u8>> {
 /// `input.len() + O(varint)` bytes thanks to the stored-mode fallback.
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let tokens = tokenize(input);
-    let huffed =
-        huffman::encode_symbols(&tokens.iter().map(|&b| b as u32).collect::<Vec<_>>(), 256);
+    // The Huffman trial is kept only if shorter than both the tokens and
+    // the input; it is not encoded when its lower bound rules that out.
+    let limit = tokens.len().min(input.len());
+    let mut freqs = [0u64; 256];
+    for &b in &tokens {
+        freqs[b as usize] += 1;
+    }
+    let huffed = (huffman::encoded_len_lower_bound(&freqs) < limit)
+        .then(|| {
+            huffman::encode_symbols(&tokens.iter().map(|&b| b as u32).collect::<Vec<_>>(), 256)
+        })
+        .filter(|h| h.len() < limit);
 
-    let (mode, payload) = if huffed.len() < tokens.len() && huffed.len() < input.len() {
+    let (mode, payload) = if let Some(huffed) = huffed {
         (MODE_TOKENS_HUFF, huffed)
     } else if tokens.len() < input.len() {
         (MODE_TOKENS, tokens)

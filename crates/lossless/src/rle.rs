@@ -13,21 +13,23 @@ const MODE_PACKED: u8 = 1;
 
 /// Compresses a boolean slice.
 pub fn compress_bits(bits: &[bool]) -> Vec<u8> {
+    // Bit i of word k is bit 64k + i of the map.
+    let words: Vec<u64> = bits
+        .chunks(64)
+        .map(|chunk| {
+            chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (i, &b)| w | (b as u64) << i)
+        })
+        .collect();
+
     // RLE attempt: leading value, then run lengths.
     let mut rle = Vec::new();
     varint::write_uvarint(&mut rle, bits.len() as u64);
-    if !bits.is_empty() {
-        rle.push(bits[0] as u8);
-        let mut run = 1u64;
-        for w in bits.windows(2) {
-            if w[1] == w[0] {
-                run += 1;
-            } else {
-                varint::write_uvarint(&mut rle, run);
-                run = 1;
-            }
-        }
-        varint::write_uvarint(&mut rle, run);
+    if let Some(&first) = bits.first() {
+        rle.push(first as u8);
+        write_runs(&mut rle, &words, bits.len(), first);
     }
 
     let packed_len = bits.len().div_ceil(8);
@@ -40,18 +42,38 @@ pub fn compress_bits(bits: &[bool]) -> Vec<u8> {
     let mut out = vec![MODE_PACKED];
     varint::write_uvarint(&mut out, bits.len() as u64);
     let mut w = BitWriter::with_capacity(packed_len);
-    // Bulk-pack 64 bits per write: bit i of the word is the i-th bit of the
-    // chunk, and the LSB-first write emits bit 0 first — the same stream
-    // order as the per-bit loop this replaces.
-    for chunk in bits.chunks(64) {
-        let mut word = 0u64;
-        for (i, &b) in chunk.iter().enumerate() {
-            word |= (b as u64) << i;
-        }
-        w.write_bits_lsb(word, chunk.len() as u32);
+    // The LSB-first write emits bit 0 of each word first: map order.
+    for (k, &word) in words.iter().enumerate() {
+        w.write_bits_lsb(word, (bits.len() - 64 * k).min(64) as u32);
     }
     out.extend_from_slice(&w.into_bytes());
     out
+}
+
+/// Appends the run lengths of the `n`-bit map packed in `words`, whose
+/// first bit is `first`. A run ends wherever a bit differs from the bit
+/// before it, so the set bits of `word ^ (word << 1 | carry)` are the run
+/// starts inside a word, found by `trailing_zeros` instead of a compare
+/// per bit.
+fn write_runs(out: &mut Vec<u8>, words: &[u64], n: usize, first: bool) {
+    // The bit before bit 0 counts as equal to it: no run starts there.
+    let mut carry = first as u64;
+    let mut run_start = 0usize;
+    for (k, &word) in words.iter().enumerate() {
+        let len = (n - 64 * k).min(64);
+        let mut starts = word ^ (word << 1 | carry);
+        if len < 64 {
+            starts &= (1 << len) - 1;
+        }
+        carry = word >> 63;
+        while starts != 0 {
+            let pos = 64 * k + starts.trailing_zeros() as usize;
+            varint::write_uvarint(out, (pos - run_start) as u64);
+            run_start = pos;
+            starts &= starts - 1;
+        }
+    }
+    varint::write_uvarint(out, (n - run_start) as u64);
 }
 
 /// Inverse of [`compress_bits`]; advances `pos` past the buffer.
@@ -116,6 +138,80 @@ pub fn decompress_bits(data: &[u8], pos: &mut usize, max_bits: usize) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-bit encoder [`compress_bits`] replaced: the reference its
+    /// output must match byte for byte.
+    fn reference_compress_bits(bits: &[bool]) -> Vec<u8> {
+        let mut rle = Vec::new();
+        varint::write_uvarint(&mut rle, bits.len() as u64);
+        if !bits.is_empty() {
+            rle.push(bits[0] as u8);
+            let mut run = 1u64;
+            for w in bits.windows(2) {
+                if w[1] == w[0] {
+                    run += 1;
+                } else {
+                    varint::write_uvarint(&mut rle, run);
+                    run = 1;
+                }
+            }
+            varint::write_uvarint(&mut rle, run);
+        }
+
+        let packed_len = bits.len().div_ceil(8);
+        if rle.len() <= packed_len + 9 {
+            let mut out = vec![MODE_RLE];
+            out.extend_from_slice(&rle);
+            return out;
+        }
+
+        let mut out = vec![MODE_PACKED];
+        varint::write_uvarint(&mut out, bits.len() as u64);
+        let mut w = BitWriter::with_capacity(packed_len);
+        for chunk in bits.chunks(64) {
+            let mut word = 0u64;
+            for (i, &b) in chunk.iter().enumerate() {
+                word |= (b as u64) << i;
+            }
+            w.write_bits_lsb(word, chunk.len() as u32);
+        }
+        out.extend_from_slice(&w.into_bytes());
+        out
+    }
+
+    #[test]
+    fn word_encoder_matches_the_per_bit_reference() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut noise = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for n in [0usize, 1, 2, 63, 64, 65, 127, 128, 129, 1000] {
+            // Random bits (packed mode for larger n), then runs of random
+            // length (RLE mode), both ending mid-word and on word edges.
+            let random: Vec<bool> = (0..n).map(|_| noise() & 1 == 1).collect();
+            let mut runs = Vec::with_capacity(n);
+            let mut value = noise() & 1 == 1;
+            while runs.len() < n {
+                let len = (1 + noise() % 150) as usize;
+                runs.extend(std::iter::repeat_n(value, len.min(n - runs.len())));
+                value = !value;
+            }
+            for bits in [random, runs, vec![true; n], vec![false; n]] {
+                assert_eq!(
+                    compress_bits(&bits),
+                    reference_compress_bits(&bits),
+                    "n = {n}"
+                );
+            }
+        }
+        // A velocity sign plane: the input the sign sections carry.
+        let field = pwrel_data::nyx::velocity_x(pwrel_data::Scale::Small);
+        let signs: Vec<bool> = field.data.iter().map(|v| v.is_sign_negative()).collect();
+        assert_eq!(compress_bits(&signs), reference_compress_bits(&signs));
+    }
 
     fn round_trip(bits: &[bool]) {
         let c = compress_bits(bits);

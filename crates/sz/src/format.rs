@@ -204,7 +204,8 @@ impl SzStream {
 
         // The LZ pass mirrors SZ's optional gzip stage: worthwhile on
         // redundant streams, wasted time on already-dense Huffman output.
-        // Decide from a prefix sample before paying for the full pass.
+        // Payloads over 128 KiB are sampled at head, middle and tail (see
+        // `worth_lz_pass`) before paying for the full pass.
         let _lz = pwrel_trace::Span::enter(rec, pwrel_trace::stage::LZ);
         if lossless_pass && worth_lz_pass(&p) {
             let packed = LzStage.compress(&p);
