@@ -38,7 +38,6 @@ const L2_FILES: &[&str] = &[
     "crates/core/src/transform.rs",
     "crates/core/src/pwrel.rs",
     "crates/core/src/theory.rs",
-    "crates/sz/src/stages.rs",
     "crates/kernels/src/predict.rs",
     "crates/kernels/src/blocklift.rs",
 ];

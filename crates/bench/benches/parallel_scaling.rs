@@ -6,6 +6,7 @@ use pwrel_core::{LogBase, PwRelCompressor};
 use pwrel_data::{nyx, Scale};
 use pwrel_parallel::WorkerPool;
 use pwrel_sz::SzCompressor;
+use pwrel_trace::noop;
 
 fn bench_pool(c: &mut Criterion) {
     let ds = nyx::dataset(Scale::Medium);
@@ -31,7 +32,7 @@ fn bench_pool(c: &mut Criterion) {
                 let pool = WorkerPool::new(workers);
                 b.iter(|| {
                     pool.map(ds.fields.iter().collect(), |f| {
-                        codec.compress(&f.data, f.dims, 1e-2).unwrap().len()
+                        codec.compress(&f.data, f.dims, 1e-2, noop()).unwrap().len()
                     })
                 });
             },

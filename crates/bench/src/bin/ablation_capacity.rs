@@ -11,6 +11,7 @@ use pwrel_bench::{scale_from_env, timed, Table};
 use pwrel_core::{LogBase, PwRelCompressor};
 use pwrel_data::nyx;
 use pwrel_sz::SzCompressor;
+use pwrel_trace::noop;
 
 fn main() {
     let scale = scale_from_env();
@@ -29,10 +30,16 @@ fn main() {
             },
             LogBase::Two,
         );
-        let (loose, dt) = timed(|| codec.compress(&field.data, field.dims, 1e-2).unwrap());
-        let tight = codec.compress(&field.data, field.dims, 1e-4).unwrap();
+        let (loose, dt) = timed(|| {
+            codec
+                .compress(&field.data, field.dims, 1e-2, noop())
+                .unwrap()
+        });
+        let tight = codec
+            .compress(&field.data, field.dims, 1e-4, noop())
+            .unwrap();
         // Bound must hold at any capacity.
-        let dec: Vec<f32> = codec.decompress(&loose).unwrap();
+        let (dec, _) = codec.decompress::<f32>(&loose, noop()).unwrap();
         for (&a, &b) in field.data.iter().zip(&dec) {
             assert!(a == 0.0 || ((a as f64 - b as f64) / a as f64).abs() <= 1e-2);
         }

@@ -10,6 +10,7 @@ use pwrel_bench::{scale_from_env, timed, Table};
 use pwrel_core::{LogBase, PwRelCompressor};
 use pwrel_data::all_datasets;
 use pwrel_sz::SzCompressor;
+use pwrel_trace::noop;
 
 fn main() {
     let scale = scale_from_env();
@@ -37,14 +38,22 @@ fn main() {
             let (mut lt, mut ht) = (0.0f64, 0.0f64);
             for field in &ds.fields {
                 raw += field.nbytes();
-                let (s, dt) = timed(|| lorenzo.compress(&field.data, field.dims, br).unwrap());
+                let (s, dt) = timed(|| {
+                    lorenzo
+                        .compress(&field.data, field.dims, br, noop())
+                        .unwrap()
+                });
                 lb += s.len();
                 lt += dt;
-                let (s, dt) = timed(|| hybrid.compress(&field.data, field.dims, br).unwrap());
+                let (s, dt) = timed(|| {
+                    hybrid
+                        .compress(&field.data, field.dims, br, noop())
+                        .unwrap()
+                });
                 hb += s.len();
                 ht += dt;
                 // Bound must hold through the hybrid path too.
-                let dec: Vec<f32> = hybrid.decompress(&s).unwrap();
+                let (dec, _) = hybrid.decompress::<f32>(&s, noop()).unwrap();
                 for (&a, &b) in field.data.iter().zip(&dec) {
                     assert!(
                         a == 0.0 || ((a as f64 - b as f64) / a as f64).abs() <= br,

@@ -12,6 +12,7 @@ use pwrel_bench::{scale_from_env, Table};
 use pwrel_core::{LogBase, PwRelCompressor};
 use pwrel_data::hacc;
 use pwrel_sz::SzCompressor;
+use pwrel_trace::noop;
 
 fn main() {
     let scale = scale_from_env();
@@ -30,7 +31,7 @@ fn main() {
             ..SzCompressor::default()
         };
         let stream = sz.compress_pwr(&field.data, field.dims, br).unwrap();
-        let (dec, _) = sz.decompress::<f32>(&stream).unwrap();
+        let (dec, _) = sz.decompress::<f32>(&stream, noop()).unwrap();
         let worst = field
             .data
             .iter()
@@ -47,7 +48,7 @@ fn main() {
     table.print();
 
     let sz_t = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
-    let t_stream = sz_t.compress(&field.data, field.dims, br).unwrap();
+    let t_stream = sz_t.compress(&field.data, field.dims, br, noop()).unwrap();
     println!(
         "\nSZ_T at the same bound: CR {:.3} — above every PWR block size.",
         field.nbytes() as f64 / t_stream.len() as f64

@@ -11,6 +11,7 @@ use pwrel_bench::Table;
 use pwrel_core::{LogBase, PwRelCompressor};
 use pwrel_data::{grf, Dims};
 use pwrel_sz::SzCompressor;
+use pwrel_trace::noop;
 
 fn wide_range_data(n: usize) -> Vec<f32> {
     // Smooth field modulated across ~60 decades: |log2 x| reaches ~100.
@@ -36,8 +37,8 @@ fn main() {
     for guard in [0.0, 1.0, 2.0] {
         let mut codec = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
         codec.roundoff_guard = guard;
-        let stream = codec.compress(&data, dims, br).unwrap();
-        let dec: Vec<f32> = codec.decompress(&stream).unwrap();
+        let stream = codec.compress(&data, dims, br, noop()).unwrap();
+        let (dec, _) = codec.decompress::<f32>(&stream, noop()).unwrap();
         let mut violations = 0usize;
         let mut worst = 0f64;
         for (&a, &b) in data.iter().zip(&dec) {

@@ -9,6 +9,7 @@
 use pwrel_bench::{scale_from_env, Table};
 use pwrel_data::nyx;
 use pwrel_metrics::{bit_rate, ErrorStats};
+use pwrel_trace::noop;
 use pwrel_zfp::ZfpCompressor;
 
 fn main() {
@@ -20,8 +21,10 @@ fn main() {
     let mut table = Table::new(&["mode", "setting", "bits/value", "max abs err", "bounded?"]);
 
     for tol in [1e-1, 1e-3, 1e-5] {
-        let s = zfp.compress_accuracy(&field.data, field.dims, tol).unwrap();
-        let (dec, _) = zfp.decompress::<f32>(&s).unwrap();
+        let s = zfp
+            .compress_accuracy(&field.data, field.dims, tol, noop())
+            .unwrap();
+        let (dec, _) = zfp.decompress::<f32>(&s, noop()).unwrap();
         let e = ErrorStats::compute(&field.data, &dec);
         table.row(vec![
             "accuracy".into(),
@@ -32,8 +35,10 @@ fn main() {
         ]);
     }
     for p in [12u32, 20, 28] {
-        let s = zfp.compress_precision(&field.data, field.dims, p).unwrap();
-        let (dec, _) = zfp.decompress::<f32>(&s).unwrap();
+        let s = zfp
+            .compress_precision(&field.data, field.dims, p, noop())
+            .unwrap();
+        let (dec, _) = zfp.decompress::<f32>(&s, noop()).unwrap();
         let e = ErrorStats::compute(&field.data, &dec);
         table.row(vec![
             "precision".into(),
@@ -44,8 +49,10 @@ fn main() {
         ]);
     }
     for rate in [4u32, 8, 16] {
-        let s = zfp.compress_rate(&field.data, field.dims, rate).unwrap();
-        let (dec, _) = zfp.decompress::<f32>(&s).unwrap();
+        let s = zfp
+            .compress_rate(&field.data, field.dims, rate, noop())
+            .unwrap();
+        let (dec, _) = zfp.decompress::<f32>(&s, noop()).unwrap();
         let e = ErrorStats::compute(&field.data, &dec);
         table.row(vec![
             "fixed-rate".into(),

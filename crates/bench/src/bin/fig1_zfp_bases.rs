@@ -9,6 +9,7 @@ use pwrel_bench::scale_from_env;
 use pwrel_core::{LogBase, PwRelCompressor};
 use pwrel_data::nyx;
 use pwrel_metrics::{bit_rate, rel_psnr, RateDistortionCurve};
+use pwrel_trace::noop;
 use pwrel_zfp::ZfpCompressor;
 
 fn main() {
@@ -28,8 +29,8 @@ fn main() {
             let codec = PwRelCompressor::new(ZfpCompressor, base);
             let mut curve = RateDistortionCurve::new(format!("base_{base:?}"));
             for &br in &bounds {
-                let bytes = codec.compress(&field.data, field.dims, br).unwrap();
-                let dec: Vec<f32> = codec.decompress(&bytes).unwrap();
+                let bytes = codec.compress(&field.data, field.dims, br, noop()).unwrap();
+                let (dec, _) = codec.decompress::<f32>(&bytes, noop()).unwrap();
                 let rate = bit_rate(bytes.len(), field.data.len());
                 let psnr = rel_psnr(&field.data, &dec);
                 println!(

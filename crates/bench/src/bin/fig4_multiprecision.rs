@@ -11,10 +11,11 @@
 
 use pwrel_bench::{calibrate_to_ratio, scale_from_env, to_grayscale, write_pgm, Table};
 use pwrel_core::{LogBase, PwRelCompressor};
-use pwrel_data::nyx;
+use pwrel_data::{nyx, AbsErrorCodec};
 use pwrel_fpzip::FpzipCompressor;
 use pwrel_metrics::{ssim_2d, ErrorStats, RelErrorStats};
 use pwrel_sz::SzCompressor;
+use pwrel_trace::noop;
 
 fn main() {
     let scale = scale_from_env();
@@ -34,7 +35,8 @@ fn main() {
 
     // SZ_ABS: tune the absolute bound.
     let (abs_eb, abs_stream) = calibrate_to_ratio(raw, target_cr, 1e-6, 10.0, |eb| {
-        sz.compress_abs(&field.data, field.dims, eb).unwrap()
+        sz.compress_abs(&field.data, field.dims, eb, noop())
+            .unwrap()
     });
     // FPZIP: precision is integral; scan for the closest ratio.
     let (fpz_p, fpz_stream) = (10u32..=30)
@@ -53,14 +55,14 @@ fn main() {
         .unwrap();
     // SZ_T: tune the point-wise relative bound.
     let (szt_br, szt_stream) = calibrate_to_ratio(raw, target_cr, 1e-6, 0.999, |br| {
-        sz_t.compress(&field.data, field.dims, br).unwrap()
+        sz_t.compress(&field.data, field.dims, br, noop()).unwrap()
     });
 
     let runs: Vec<(&str, String, Vec<f32>)> = vec![
         (
             "SZ_ABS",
             format!("abs eb = {abs_eb:.3e}"),
-            sz.decompress::<f32>(&abs_stream).unwrap().0,
+            sz.decompress::<f32>(&abs_stream, noop()).unwrap().0,
         ),
         (
             "FPZIP",
@@ -73,7 +75,7 @@ fn main() {
         (
             "SZ_T",
             format!("pw rel = {szt_br:.3}"),
-            sz_t.decompress::<f32>(&szt_stream).unwrap(),
+            sz_t.decompress::<f32>(&szt_stream, noop()).unwrap().0,
         ),
     ];
     let streams = [abs_stream.len(), fpz_stream.len(), szt_stream.len()];

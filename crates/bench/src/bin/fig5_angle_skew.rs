@@ -10,10 +10,11 @@
 
 use pwrel_bench::{calibrate_to_ratio, scale_from_env, to_grayscale, write_pgm, Table};
 use pwrel_core::{LogBase, PwRelCompressor};
-use pwrel_data::{hacc, Field};
+use pwrel_data::{hacc, AbsErrorCodec, Field};
 use pwrel_fpzip::FpzipCompressor;
 use pwrel_metrics::skew;
 use pwrel_sz::SzCompressor;
+use pwrel_trace::noop;
 
 fn reconstruct_all(
     fields: &[Field<f32>; 3],
@@ -54,7 +55,7 @@ fn main() {
 
     // Calibrate each codec's parameter on the x component, reuse for y/z.
     let (abs_eb, _) = calibrate_to_ratio(raw_one, target_cr, 1e-3, 1e5, |eb| {
-        sz.compress_abs(&fields[0].data, fields[0].dims, eb)
+        sz.compress_abs(&fields[0].data, fields[0].dims, eb, noop())
             .unwrap()
     });
     let fpz_p = (10u32..=30)
@@ -66,15 +67,16 @@ fn main() {
         })
         .unwrap();
     let (szt_br, _) = calibrate_to_ratio(raw_one, target_cr, 1e-6, 0.999, |br| {
-        sz_t.compress(&fields[0].data, fields[0].dims, br).unwrap()
+        sz_t.compress(&fields[0].data, fields[0].dims, br, noop())
+            .unwrap()
     });
 
     let runs: Vec<(&str, String, [Vec<f32>; 3], usize)> = vec![
         {
             let (dec, bytes) = reconstruct_all(
                 &fields,
-                |f| sz.compress_abs(&f.data, f.dims, abs_eb).unwrap(),
-                |s| sz.decompress::<f32>(s).unwrap().0,
+                |f| sz.compress_abs(&f.data, f.dims, abs_eb, noop()).unwrap(),
+                |s| sz.decompress::<f32>(s, noop()).unwrap().0,
             );
             ("SZ_ABS", format!("abs eb = {abs_eb:.1}"), dec, bytes)
         },
@@ -98,8 +100,8 @@ fn main() {
         {
             let (dec, bytes) = reconstruct_all(
                 &fields,
-                |f| sz_t.compress(&f.data, f.dims, szt_br).unwrap(),
-                |s| sz_t.decompress::<f32>(s).unwrap(),
+                |f| sz_t.compress(&f.data, f.dims, szt_br, noop()).unwrap(),
+                |s| sz_t.decompress::<f32>(s, noop()).unwrap().0,
             );
             ("SZ_T", format!("pw rel = {szt_br:.3}"), dec, bytes)
         },

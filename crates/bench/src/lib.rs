@@ -14,9 +14,10 @@
 pub mod baseline;
 
 use pwrel_core::{transform, Kernel, LogBase};
-use pwrel_data::{Dims, Field, Scale};
+use pwrel_data::{AbsErrorCodec, Dims, Field, Scale};
 use pwrel_pipeline::{global, ChunkPlan, CompressOpts};
 use pwrel_sz::SzCompressor;
+use pwrel_trace::noop;
 use std::time::Instant;
 
 /// The compressor roster of the paper's evaluation.
@@ -174,7 +175,7 @@ pub fn sz_t_lz_inputs(field: &Field<f32>, chunks: usize) -> Vec<Vec<u8>> {
             )
             .expect("log transform");
             let stream = sz
-                .compress_abs(&t.mapped, plan.chunk_dims(i), t.abs_bound)
+                .compress_abs(&t.mapped, plan.chunk_dims(i), t.abs_bound, noop())
                 .expect("sz compress");
             // Wrapper byte 0 ("no LZ pass"), then the pass's input.
             stream[1..].to_vec()

@@ -12,7 +12,9 @@
 //! ```
 //!
 //! Entries are independently compressed, so fields can be extracted
-//! without touching the rest.
+//! without touching the rest. `pwrel unpack` writes each field to
+//! `<output dir>/<name>.f32|.f64`, so a name is one path component:
+//! names holding `/`, `\` or NUL are refused on both sides.
 
 use crate::CliError;
 use pwrel_bitstream::{bytesio, varint};
@@ -21,6 +23,12 @@ use pwrel_data::Dims;
 const MAGIC: &[u8; 4] = b"PWA1";
 /// Sanity cap on field names.
 const MAX_NAME: usize = 4096;
+
+/// Whether `name` could leave the output directory (or truncate a path)
+/// when joined onto it.
+fn escapes_dir(name: &str) -> bool {
+    name.contains(['/', '\\', '\0'])
+}
 
 /// One archived field.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,14 +45,20 @@ pub struct Entry {
 
 /// Serializes entries into an archive.
 ///
-/// Rejects field names longer than the cap `unpack` enforces — an
-/// over-long name would produce an archive this tool itself refuses to
-/// read.
+/// Rejects field names `unpack` would refuse — longer than the cap, or
+/// holding a path separator or NUL — since such a name would produce an
+/// archive this tool itself refuses to read.
 pub fn pack(entries: &[Entry]) -> Result<Vec<u8>, CliError> {
     if let Some(e) = entries.iter().find(|e| e.name.len() > MAX_NAME) {
         return Err(CliError::Usage(format!(
             "field name of {} bytes exceeds the {MAX_NAME}-byte cap",
             e.name.len()
+        )));
+    }
+    if let Some(e) = entries.iter().find(|e| escapes_dir(&e.name)) {
+        return Err(CliError::Usage(format!(
+            "field name {:?} contains a path separator or NUL",
+            e.name
         )));
     }
     let total: usize = entries
@@ -69,7 +83,8 @@ pub fn pack(entries: &[Entry]) -> Result<Vec<u8>, CliError> {
     Ok(out)
 }
 
-/// Parses an archive back into entries.
+/// Parses an archive back into entries. Every name is checked before any
+/// entry is returned, so a forged name fails the whole archive.
 pub fn unpack(bytes: &[u8]) -> Result<Vec<Entry>, CliError> {
     let corrupt = |w: &'static str| CliError::Codec(pwrel_data::CodecError::Corrupt(w));
     if bytes.len() < 5 || &bytes[..4] != MAGIC {
@@ -94,6 +109,9 @@ pub fn unpack(bytes: &[u8]) -> Result<Vec<Entry>, CliError> {
         let name = std::str::from_utf8(name_bytes)
             .map_err(|_| corrupt("field name not UTF-8"))?
             .to_string();
+        if escapes_dir(&name) {
+            return Err(corrupt("field name contains a path separator or NUL"));
+        }
         let rank = *bytes.get(pos).ok_or_else(|| corrupt("rank"))?;
         pos += 1;
         let nx = varint::read_uvarint(bytes, &mut pos).map_err(|_| corrupt("nx"))?;
@@ -124,6 +142,7 @@ mod tests {
     use super::*;
     use pwrel_core::{LogBase, PwRelCompressor};
     use pwrel_sz::SzCompressor;
+    use pwrel_trace::noop;
 
     fn sample_entries() -> Vec<Entry> {
         let codec = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
@@ -135,7 +154,7 @@ mod tests {
                 name: name.into(),
                 dims,
                 elem_bits: 32,
-                stream: codec.compress(&data, dims, 1e-2).unwrap(),
+                stream: codec.compress(&data, dims, 1e-2, noop()).unwrap(),
             });
         }
         entries
@@ -162,8 +181,50 @@ mod tests {
         let archive = pack(&sample_entries()).unwrap();
         let back = unpack(&archive).unwrap();
         for e in &back {
-            let dec: Vec<f32> = codec.decompress(&e.stream).unwrap();
+            let (dec, _) = codec.decompress::<f32>(&e.stream, noop()).unwrap();
             assert_eq!(dec.len(), e.dims.len(), "{}", e.name);
+        }
+    }
+
+    /// A one-entry archive whose name is `name`, bypassing `pack`'s
+    /// check: pack under a same-length placeholder, then patch the bytes.
+    fn forged(name: &str) -> Vec<u8> {
+        let placeholder = "#".repeat(name.len());
+        let mut entries = sample_entries();
+        entries.truncate(1);
+        entries[0].name = placeholder.clone();
+        let mut archive = pack(&entries).unwrap();
+        let at = archive
+            .windows(name.len())
+            .position(|w| w == placeholder.as_bytes())
+            .unwrap();
+        archive[at..at + name.len()].copy_from_slice(name.as_bytes());
+        archive
+    }
+
+    #[test]
+    fn unpack_rejects_names_that_leave_the_output_dir() {
+        assert_eq!(unpack(&forged("escaped")).unwrap()[0].name, "escaped");
+        for name in ["../x", "/tmp/x", "a/b", "..\\x", "a\0b"] {
+            assert!(
+                matches!(
+                    unpack(&forged(name)),
+                    Err(CliError::Codec(pwrel_data::CodecError::Corrupt(_)))
+                ),
+                "{name:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn pack_rejects_names_that_leave_the_output_dir() {
+        for name in ["../x", "/tmp/x", "a/b", "..\\x", "a\0b"] {
+            let mut entries = sample_entries();
+            entries[1].name = name.into();
+            assert!(
+                matches!(pack(&entries), Err(CliError::Usage(_))),
+                "{name:?}"
+            );
         }
     }
 

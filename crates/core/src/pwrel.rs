@@ -2,11 +2,18 @@
 //! absolute-error-bounded codec.
 //!
 //! This is the deliverable of the paper: `PwRelCompressor<SzCompressor>` is
-//! "SZ_T" and `PwRelCompressor<ZfpCompressor>` is "ZFP_T". Compression:
+//! "SZ_T" and `PwRelCompressor<ZfpCompressor>` is "ZFP_T". Compression is
+//! Algorithm 1's composition:
 //!
-//! 1. forward log transform (with Lemma 2's round-off-corrected bound),
-//! 2. inner `compress_abs` on the log-domain data,
+//! 1. the log transform (with Lemma 2's round-off-corrected bound),
+//! 2. the inner absolute-error codec on the log-domain data,
 //! 3. container = sign section + inner stream.
+//!
+//! Steps 1 and 2 run fused, inside the inner codec's own sweep
+//! ([`LogFusedCodec`]); that is the only compression route. Mapping the
+//! whole field with `transform::forward` and handing it to
+//! `AbsErrorCodec::compress_abs` writes the same bytes, and the tests
+//! keep that buffered composition as their oracle.
 
 use crate::cast;
 use crate::theory;
@@ -23,8 +30,7 @@ const MAGIC: &[u8; 4] = b"PWT1";
 /// error whatever kernel encoded (`theory::kernel_corrected_abs_bound`).
 const KERNEL: Kernel = Kernel::Fast;
 
-/// Assembles the `PWT1` container around an inner stream. Shared by the
-/// buffered and fused compression paths so their outputs stay identical.
+/// Assembles the `PWT1` container around an inner stream.
 fn container(
     float_bits: u32,
     base: LogBase,
@@ -56,11 +62,12 @@ fn container(
 /// use pwrel_core::{PwRelCompressor, LogBase};
 /// use pwrel_sz::SzCompressor;
 /// use pwrel_data::Dims;
+/// use pwrel_trace::noop;
 ///
 /// let data: Vec<f32> = (1..=1000).map(|i| (i as f32) * 0.25).collect();
 /// let codec = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
-/// let stream = codec.compress(&data, Dims::d1(data.len()), 1e-3).unwrap();
-/// let back: Vec<f32> = codec.decompress(&stream).unwrap();
+/// let stream = codec.compress(&data, Dims::d1(data.len()), 1e-3, noop()).unwrap();
+/// let (back, _) = codec.decompress::<f32>(&stream, noop()).unwrap();
 /// for (a, b) in data.iter().zip(&back) {
 ///     assert!(((a - b) / a).abs() <= 1e-3);
 /// }
@@ -87,41 +94,14 @@ impl<C> PwRelCompressor<C> {
     }
 
     /// Compresses `data` so that every decompressed value satisfies
-    /// `|x - x'| <= rel_bound * |x|`, with exact zeros preserved.
+    /// `|x - x'| <= rel_bound * |x|`, with exact zeros preserved. The log
+    /// transform runs inside the inner codec's own sweep (chunked through
+    /// a stack scratch) instead of materializing the mapped field first.
+    /// The transform planning pass, the inner codec sweep, and the
+    /// sign-section coding are each attributed to their own stage on
+    /// `rec`; the [`stage::SIGNS`] span is emitted even for all-positive
+    /// fields so per-codec stage coverage stays deterministic.
     pub fn compress<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        rel_bound: f64,
-    ) -> Result<Vec<u8>, CodecError>
-    where
-        C: AbsErrorCodec<F>,
-    {
-        if data.len() != dims.len() {
-            return Err(CodecError::InvalidArgument("data length != dims"));
-        }
-        let t = transform::forward(data, self.base, rel_bound, self.roundoff_guard, KERNEL)?;
-        let inner_stream = self.inner.compress_abs(&t.mapped, dims, t.abs_bound)?;
-        Ok(container(
-            F::BITS,
-            self.base,
-            rel_bound,
-            t.zero_threshold,
-            t.sign_section.as_deref(),
-            &inner_stream,
-        ))
-    }
-
-    /// Single-pass variant of [`PwRelCompressor::compress`] for inner
-    /// codecs that implement [`LogFusedCodec`]: the log transform runs
-    /// inside the codec's own sweep (chunked through a stack scratch)
-    /// instead of materializing the mapped field first. Produces the same
-    /// container bytes as the buffered route. The transform planning pass,
-    /// the inner codec sweep, and the sign-section coding are each
-    /// attributed to their own stage on `rec`; the [`stage::SIGNS`] span is
-    /// emitted even for all-positive fields so per-codec stage coverage
-    /// stays deterministic.
-    pub fn compress_fused<F: Float>(
         &self,
         data: &[F],
         dims: Dims,
@@ -179,7 +159,7 @@ impl<C> PwRelCompressor<C> {
 
     /// Decompresses, returning the data and its grid shape. The inner
     /// codec decode and the inverse transform each get a span on `rec`.
-    pub fn decompress_full<F: Float>(
+    pub fn decompress<F: Float>(
         &self,
         bytes: &[u8],
         rec: &dyn Recorder,
@@ -220,20 +200,12 @@ impl<C> PwRelCompressor<C> {
         let inner_len = len_of(varint::read_uvarint(bytes, &mut pos)?)?;
         let inner_stream = bytesio::get_bytes(bytes, &mut pos, inner_len)?;
 
-        let (mapped, dims) = self.inner.decompress_abs_traced(inner_stream, rec)?;
+        let (mapped, dims) = self.inner.decompress_abs(inner_stream, rec)?;
         let data = {
             let _inv = Span::enter(rec, stage::TRANSFORM_INV);
             transform::inverse(&mapped, base, zero_threshold, sign_section, KERNEL)?
         };
         Ok((data, dims))
-    }
-
-    /// Decompresses, returning just the data.
-    pub fn decompress<F: Float>(&self, bytes: &[u8]) -> Result<Vec<F>, CodecError>
-    where
-        C: AbsErrorCodec<F>,
-    {
-        Ok(self.decompress_full(bytes, pwrel_trace::noop())?.0)
     }
 }
 
@@ -242,6 +214,7 @@ mod tests {
     use super::*;
     use pwrel_data::{grf, nyx, Scale};
     use pwrel_sz::SzCompressor;
+    use pwrel_trace::noop;
     use pwrel_zfp::ZfpCompressor;
 
     fn sz_t(base: LogBase) -> PwRelCompressor<SzCompressor> {
@@ -269,10 +242,8 @@ mod tests {
         let field = nyx::dark_matter_density(Scale::Small);
         let codec = sz_t(LogBase::Two);
         for br in [1e-1, 1e-2, 1e-3, 1e-4] {
-            let bytes = codec.compress(&field.data, field.dims, br).unwrap();
-            let (dec, dims) = codec
-                .decompress_full::<f32>(&bytes, pwrel_trace::noop())
-                .unwrap();
+            let bytes = codec.compress(&field.data, field.dims, br, noop()).unwrap();
+            let (dec, dims) = codec.decompress::<f32>(&bytes, noop()).unwrap();
             assert_eq!(dims, field.dims);
             assert_rel_bounded(&field.data, &dec, br, "density");
         }
@@ -282,8 +253,10 @@ mod tests {
     fn sz_t_strictly_bounded_on_signed_velocity() {
         let field = nyx::velocity_x(Scale::Small);
         let codec = sz_t(LogBase::Two);
-        let bytes = codec.compress(&field.data, field.dims, 1e-3).unwrap();
-        let dec: Vec<f32> = codec.decompress(&bytes).unwrap();
+        let bytes = codec
+            .compress(&field.data, field.dims, 1e-3, noop())
+            .unwrap();
+        let (dec, _) = codec.decompress::<f32>(&bytes, noop()).unwrap();
         assert_rel_bounded(&field.data, &dec, 1e-3, "velocity");
         // Signs must be preserved exactly.
         for (&a, &b) in field.data.iter().zip(&dec) {
@@ -296,8 +269,8 @@ mod tests {
         let field = nyx::dark_matter_density(Scale::Small);
         let codec = zfp_t(LogBase::Two);
         for br in [1e-1, 1e-3] {
-            let bytes = codec.compress(&field.data, field.dims, br).unwrap();
-            let dec: Vec<f32> = codec.decompress(&bytes).unwrap();
+            let bytes = codec.compress(&field.data, field.dims, br, noop()).unwrap();
+            let (dec, _) = codec.decompress::<f32>(&bytes, noop()).unwrap();
             assert_rel_bounded(&field.data, &dec, br, "zfp_t");
         }
     }
@@ -308,8 +281,10 @@ mod tests {
         let mut sizes = Vec::new();
         for base in [LogBase::Two, LogBase::E, LogBase::Ten] {
             let codec = sz_t(base);
-            let bytes = codec.compress(&field.data, field.dims, 1e-2).unwrap();
-            let dec: Vec<f32> = codec.decompress(&bytes).unwrap();
+            let bytes = codec
+                .compress(&field.data, field.dims, 1e-2, noop())
+                .unwrap();
+            let (dec, _) = codec.decompress::<f32>(&bytes, noop()).unwrap();
             assert_rel_bounded(&field.data, &dec, 1e-2, "base study");
             sizes.push(bytes.len() as f64);
         }
@@ -329,8 +304,8 @@ mod tests {
             }
         }
         let codec = sz_t(LogBase::Two);
-        let bytes = codec.compress(&data, dims, 1e-2).unwrap();
-        let dec: Vec<f32> = codec.decompress(&bytes).unwrap();
+        let bytes = codec.compress(&data, dims, 1e-2, noop()).unwrap();
+        let (dec, _) = codec.decompress::<f32>(&bytes, noop()).unwrap();
         assert_rel_bounded(&data, &dec, 1e-2, "zeros+signs");
     }
 
@@ -348,8 +323,8 @@ mod tests {
             })
             .collect();
         let codec = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
-        let bytes = codec.compress(&data, dims, 1e-3).unwrap();
-        let dec: Vec<f64> = codec.decompress(&bytes).unwrap();
+        let bytes = codec.compress(&data, dims, 1e-3, noop()).unwrap();
+        let (dec, _) = codec.decompress::<f64>(&bytes, noop()).unwrap();
         for (&a, &b) in data.iter().zip(&dec) {
             assert!(((a - b) / a).abs() <= 1e-3);
         }
@@ -370,7 +345,9 @@ mod tests {
         let br = 1e-2;
         let sz = SzCompressor::default();
         let pwr_stream = sz.compress_pwr(&data, dims, br).unwrap();
-        let t_stream = sz_t(LogBase::Two).compress(&data, dims, br).unwrap();
+        let t_stream = sz_t(LogBase::Two)
+            .compress(&data, dims, br, noop())
+            .unwrap();
         assert!(
             (t_stream.len() as f64) < pwr_stream.len() as f64 / 2.0,
             "SZ_T {} vs SZ_PWR {}",
@@ -406,9 +383,7 @@ mod tests {
         kernel: Kernel,
     ) -> Vec<u8> {
         let plan = transform::plan(data, LogBase::Two, br, 2.0, kernel).unwrap();
-        let out = inner
-            .compress_fused(data, dims, &plan, pwrel_trace::noop())
-            .unwrap();
+        let out = inner.compress_fused(data, dims, &plan, noop()).unwrap();
         let signs = out.signs.as_deref().map(transform::compress_signs);
         container(
             32,
@@ -420,71 +395,66 @@ mod tests {
         )
     }
 
+    /// The buffered composition, the oracle for the fused route: map the
+    /// whole field, compress it with the inner codec's absolute bound,
+    /// wrap it in the same container.
+    fn buffered<C: AbsErrorCodec<f32>>(
+        inner: &C,
+        data: &[f32],
+        dims: Dims,
+        br: f64,
+        kernel: Kernel,
+    ) -> Vec<u8> {
+        let t = transform::forward(data, LogBase::Two, br, 2.0, kernel).unwrap();
+        let inner_stream = inner
+            .compress_abs(&t.mapped, dims, t.abs_bound, noop())
+            .unwrap();
+        container(
+            32,
+            LogBase::Two,
+            br,
+            t.zero_threshold,
+            t.sign_section.as_deref(),
+            &inner_stream,
+        )
+    }
+
+    /// Asserts the fused route matches the buffered oracle under both
+    /// encode kernels, that either stream holds the bound under the codec
+    /// path's decoder, and that `compress` is the fast-kernel fused route.
+    fn assert_fused_matches_buffered<C>(codec: &PwRelCompressor<C>, br: f64)
+    where
+        C: AbsErrorCodec<f32> + LogFusedCodec<f32>,
+    {
+        let (data, dims) = fused_test_field();
+        for kernel in [Kernel::Fast, Kernel::Libm] {
+            let fused = fused_with_plan(&codec.inner, &data, dims, br, kernel);
+            assert_eq!(
+                buffered(&codec.inner, &data, dims, br, kernel),
+                fused,
+                "{kernel:?}"
+            );
+            let (dec, _) = codec.decompress::<f32>(&fused, noop()).unwrap();
+            assert_rel_bounded(&data, &dec, br, "fused");
+        }
+        assert_eq!(
+            codec.compress(&data, dims, br, noop()).unwrap(),
+            fused_with_plan(&codec.inner, &data, dims, br, Kernel::Fast)
+        );
+    }
+
     #[test]
     fn fused_sz_stream_is_byte_identical_to_buffered() {
-        let (data, dims) = fused_test_field();
-        let codec = sz_t(LogBase::Two);
-        for kernel in [Kernel::Fast, Kernel::Libm] {
-            let t = transform::forward(&data, LogBase::Two, 1e-3, 2.0, kernel).unwrap();
-            let buffered = container(
-                32,
-                LogBase::Two,
-                1e-3,
-                t.zero_threshold,
-                t.sign_section.as_deref(),
-                &codec
-                    .inner
-                    .compress_abs(&t.mapped, dims, t.abs_bound)
-                    .unwrap(),
-            );
-            let fused = fused_with_plan(&codec.inner, &data, dims, 1e-3, kernel);
-            assert_eq!(buffered, fused, "{kernel:?}");
-            // Either encode kernel's stream holds the bound under the
-            // codec path's decoder.
-            let dec: Vec<f32> = codec.decompress(&fused).unwrap();
-            assert_rel_bounded(&data, &dec, 1e-3, "fused sz");
-        }
-        let shipped = codec
-            .compress_fused(&data, dims, 1e-3, pwrel_trace::noop())
-            .unwrap();
-        assert_eq!(
-            shipped,
-            fused_with_plan(&codec.inner, &data, dims, 1e-3, Kernel::Fast)
-        );
+        assert_fused_matches_buffered(&sz_t(LogBase::Two), 1e-3);
     }
 
     #[test]
     fn fused_zfp_stream_is_byte_identical_to_buffered() {
-        let (data, dims) = fused_test_field();
-        let codec = zfp_t(LogBase::Two);
-        for kernel in [Kernel::Fast, Kernel::Libm] {
-            let t = transform::forward(&data, LogBase::Two, 1e-2, 2.0, kernel).unwrap();
-            let buffered = container(
-                32,
-                LogBase::Two,
-                1e-2,
-                t.zero_threshold,
-                t.sign_section.as_deref(),
-                &AbsErrorCodec::<f32>::compress_abs(&codec.inner, &t.mapped, dims, t.abs_bound)
-                    .unwrap(),
-            );
-            let fused = fused_with_plan(&codec.inner, &data, dims, 1e-2, kernel);
-            assert_eq!(buffered, fused, "{kernel:?}");
-            let dec: Vec<f32> = codec.decompress(&fused).unwrap();
-            assert_rel_bounded(&data, &dec, 1e-2, "fused zfp");
-        }
-        let shipped = codec
-            .compress_fused(&data, dims, 1e-2, pwrel_trace::noop())
-            .unwrap();
-        assert_eq!(
-            shipped,
-            fused_with_plan(&codec.inner, &data, dims, 1e-2, Kernel::Fast)
-        );
+        assert_fused_matches_buffered(&zfp_t(LogBase::Two), 1e-2);
     }
 
     #[test]
     fn fused_hybrid_sz_matches_buffered() {
-        let (data, dims) = fused_test_field();
         let codec = PwRelCompressor::new(
             SzCompressor {
                 hybrid_predictor: true,
@@ -492,20 +462,18 @@ mod tests {
             },
             LogBase::Two,
         );
-        let buffered = codec.compress(&data, dims, 1e-3).unwrap();
-        let fused = codec
-            .compress_fused(&data, dims, 1e-3, pwrel_trace::noop())
-            .unwrap();
-        assert_eq!(buffered, fused);
+        assert_fused_matches_buffered(&codec, 1e-3);
     }
 
     #[test]
     fn rejects_nonfinite_and_bad_bounds() {
         let codec = sz_t(LogBase::Two);
         let dims = pwrel_data::Dims::d1(2);
-        assert!(codec.compress(&[1.0f32, f32::NAN], dims, 1e-2).is_err());
-        assert!(codec.compress(&[1.0f32, 2.0], dims, 0.0).is_err());
-        assert!(codec.compress(&[1.0f32, 2.0], dims, 1.5).is_err());
+        assert!(codec
+            .compress(&[1.0f32, f32::NAN], dims, 1e-2, noop())
+            .is_err());
+        assert!(codec.compress(&[1.0f32, 2.0], dims, 0.0, noop()).is_err());
+        assert!(codec.compress(&[1.0f32, 2.0], dims, 1.5, noop()).is_err());
     }
 
     #[test]
@@ -513,20 +481,24 @@ mod tests {
         let codec = sz_t(LogBase::Two);
         let dims = pwrel_data::Dims::d1(64);
         let data = vec![1.5f32; 64];
-        let bytes = codec.compress(&data, dims, 1e-2).unwrap();
-        assert!(codec.decompress::<f32>(&bytes[..8]).is_err());
-        assert!(codec.decompress::<f64>(&bytes).is_err());
+        let bytes = codec.compress(&data, dims, 1e-2, noop()).unwrap();
+        assert!(codec.decompress::<f32>(&bytes[..8], noop()).is_err());
+        assert!(codec.decompress::<f64>(&bytes, noop()).is_err());
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        assert!(codec.decompress::<f32>(&bad).is_err());
+        assert!(codec.decompress::<f32>(&bad, noop()).is_err());
     }
 
     #[test]
     fn tighter_bound_gives_lower_ratio() {
         let field = nyx::dark_matter_density(Scale::Small);
         let codec = sz_t(LogBase::Two);
-        let loose = codec.compress(&field.data, field.dims, 1e-1).unwrap();
-        let tight = codec.compress(&field.data, field.dims, 1e-4).unwrap();
+        let loose = codec
+            .compress(&field.data, field.dims, 1e-1, noop())
+            .unwrap();
+        let tight = codec
+            .compress(&field.data, field.dims, 1e-4, noop())
+            .unwrap();
         assert!(tight.len() > loose.len());
     }
 
@@ -534,9 +506,9 @@ mod tests {
     fn empty_input() {
         let codec = sz_t(LogBase::Two);
         let bytes = codec
-            .compress::<f32>(&[], pwrel_data::Dims::d1(0), 1e-2)
+            .compress::<f32>(&[], pwrel_data::Dims::d1(0), 1e-2, noop())
             .unwrap();
-        let dec: Vec<f32> = codec.decompress(&bytes).unwrap();
+        let (dec, _) = codec.decompress::<f32>(&bytes, noop()).unwrap();
         assert!(dec.is_empty());
     }
 }

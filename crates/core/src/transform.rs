@@ -26,7 +26,7 @@
 //! the exact ones.
 
 use crate::theory;
-use pwrel_data::{CodecError, Float, Transform};
+use pwrel_data::{CodecError, Float};
 use pwrel_kernels::scan;
 use pwrel_lossless::{lz, rle};
 
@@ -121,7 +121,10 @@ pub fn forward<F: Float>(
 
     let mut mapped: Vec<F> = vec![F::zero(); data.len()];
     let mut signs: Vec<bool> = Vec::with_capacity(if plan.any_negative { data.len() } else { 0 });
-    Transform::forward(&plan, data, &mut mapped, &mut signs);
+    let mut scratch = [0.0f64; CHUNK];
+    for (src, out) in data.chunks(CHUNK).zip(mapped.chunks_mut(CHUNK)) {
+        plan.map_chunk(src, out, &mut scratch, &mut signs);
+    }
 
     let sign_section = plan.any_negative.then(|| compress_signs(&signs));
     Ok(TransformedField {
@@ -157,7 +160,13 @@ pub fn inverse<F: Float>(
         any_negative: !signs.is_empty(),
     };
     let mut out: Vec<F> = vec![F::zero(); mapped.len()];
-    Transform::inverse(&plan, mapped, &mut out, &signs);
+    let mut scratch = [0.0f64; CHUNK];
+    // The bitmap holds exactly `mapped.len()` bits when present, so its
+    // CHUNK-sized runs line up with the data's.
+    let mut sign_runs = signs.chunks(CHUNK);
+    for (src, dst) in mapped.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
+        plan.unmap_chunk(src, dst, &mut scratch, sign_runs.next().unwrap_or(&[]));
+    }
     Ok(out)
 }
 

@@ -45,44 +45,28 @@ impl From<pwrel_bitstream::Error> for CodecError {
 ///
 /// For every finite input value `x_i`, the decompressed value `x'_i`
 /// satisfies `|x_i - x'_i| <= bound`. Non-finite inputs must be preserved
-/// exactly or rejected. `decompress(compress(data))` returns data of the
-/// original length and dims.
+/// exactly or rejected. `decompress_abs(compress_abs(data))` returns data
+/// of the original length and dims. The recorder only observes: the
+/// stream bytes and the decoded values are the same for every `rec`, and
+/// untraced callers pass [`pwrel_trace::noop`].
 pub trait AbsErrorCodec<F: Float> {
-    /// Short identifier used in reports (e.g. `"sz"`, `"zfp"`).
-    fn name(&self) -> &'static str;
-
-    /// Compresses `data` with the guarantee `|x - x'| <= bound`.
-    fn compress_abs(&self, data: &[F], dims: Dims, bound: f64) -> Result<Vec<u8>, CodecError>;
-
-    /// Decompresses a stream produced by [`AbsErrorCodec::compress_abs`].
-    fn decompress_abs(&self, bytes: &[u8]) -> Result<(Vec<F>, Dims), CodecError>;
-
-    /// [`AbsErrorCodec::compress_abs`] with per-stage recording on `rec`.
-    /// The default ignores the recorder; codecs with internal stages
-    /// worth attributing override it. The stream bytes must be identical
-    /// either way.
-    fn compress_abs_traced(
+    /// Compresses `data` with the guarantee `|x - x'| <= bound`, recording
+    /// per-stage spans and counters on `rec`.
+    fn compress_abs(
         &self,
         data: &[F],
         dims: Dims,
         bound: f64,
         rec: &dyn pwrel_trace::Recorder,
-    ) -> Result<Vec<u8>, CodecError> {
-        let _ = rec;
-        self.compress_abs(data, dims, bound)
-    }
+    ) -> Result<Vec<u8>, CodecError>;
 
-    /// [`AbsErrorCodec::decompress_abs`] with per-stage recording on
-    /// `rec`. Same contract as the compress side: identical output, the
-    /// recorder only observes.
-    fn decompress_abs_traced(
+    /// Decompresses a stream produced by [`AbsErrorCodec::compress_abs`],
+    /// recording per-stage spans and counters on `rec`.
+    fn decompress_abs(
         &self,
         bytes: &[u8],
         rec: &dyn pwrel_trace::Recorder,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        let _ = rec;
-        self.decompress_abs(bytes)
-    }
+    ) -> Result<(Vec<F>, Dims), CodecError>;
 }
 
 #[cfg(test)]

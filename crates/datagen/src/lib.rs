@@ -7,10 +7,12 @@
 //!
 //! 1. **Shared data model** for every codec in the workspace: the [`Float`]
 //!    trait (bit-level access to `f32`/`f64`), the [`Dims`] grid descriptor,
-//!    the [`Field`] container, the [`AbsErrorCodec`] contract the paper's
-//!    transform wraps, and the [`stage`] traits codecs are assembled
-//!    from. Scheduling work across threads is decided above the codecs,
-//!    by `pwrel-pipeline`'s chunk executors.
+//!    the [`Field`] container, and the [`AbsErrorCodec`] contract the
+//!    paper's transform wraps. A codec's stages (prediction, quantization,
+//!    entropy and lossless coding, lifting, plane coding) are plain
+//!    functions in its own crate: each has one implementation, so no
+//!    stage trait stands between them. Scheduling work across threads is
+//!    decided above the codecs, by `pwrel-pipeline`'s chunk executors.
 //! 2. **Synthetic stand-ins** for the four HPC applications evaluated in the
 //!    paper — HACC (1D particle velocities), CESM-ATM (2D climate fields),
 //!    NYX (3D cosmology) and Hurricane ISABEL (3D storm simulation). The
@@ -25,7 +27,6 @@ pub mod dims;
 pub mod field;
 pub mod float;
 pub mod grf;
-pub mod stage;
 
 pub mod cesm;
 pub mod hacc;
@@ -36,9 +37,6 @@ pub use codec::{AbsErrorCodec, CodecError};
 pub use dims::Dims;
 pub use field::Field;
 pub use float::Float;
-pub use stage::{
-    BlockTransform, Encoder, LosslessStage, PlaneCoder, Predictor, Quantizer, Transform,
-};
 
 /// Dataset size preset. `Small` keeps the whole suite (all four apps) under
 /// a second of generation time for tests; `Medium` matches the per-field

@@ -9,13 +9,19 @@
 //! [`LogFusedCodec`] is how a compressor advertises a *single-pass* hot
 //! path: transform, prediction, and quantization in one streaming sweep,
 //! with no intermediate mapped vector and the sign bitmap collected in the
-//! same pass. The buffered route (`transform::forward` + `compress_abs`)
-//! remains the reference; fused implementations must produce byte-identical
-//! streams under either kernel, which the integration tests assert.
+//! same pass. It is the only compression route of the transform codecs.
+//! The buffered composition (`transform::forward`, then `compress_abs` on
+//! the mapped field) survives only as the test oracle: fused
+//! implementations must produce byte-identical streams under either
+//! kernel, which the tests assert.
+//!
+//! The log mapping has one implementation, so it is not a stage trait:
+//! callers sweep a field in [`CHUNK`]-sized runs through
+//! [`LogPlan::map_chunk`] and [`LogPlan::unmap_chunk`] directly.
 
 use crate::base::LogBase;
 use crate::kernel::Kernel;
-use pwrel_data::{CodecError, Dims, Float, Transform};
+use pwrel_data::{CodecError, Dims, Float};
 
 /// Elements mapped per scratch refill; also the granularity of the batch
 /// kernels' inner loops. Fits two f64 cache pages.
@@ -101,37 +107,6 @@ impl LogPlan {
                 let v = if neg { -v } else { v };
                 *o = F::from_f64(if dv <= self.zero_threshold { 0.0 } else { v });
             }
-        }
-    }
-}
-
-/// The log mapping is the value-domain [`Transform`] stage of the
-/// pipeline: forward/inverse sweep the data in [`CHUNK`]-sized runs over
-/// a stack scratch buffer, so the stage keeps the fused path's
-/// allocation profile.
-impl<F: Float> Transform<F> for LogPlan {
-    fn name(&self) -> &'static str {
-        "log"
-    }
-
-    fn forward(&self, src: &[F], out: &mut [F], signs: &mut Vec<bool>) {
-        let mut scratch = [0.0f64; CHUNK];
-        for (s, o) in src.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            self.map_chunk(s, o, &mut scratch, signs);
-        }
-    }
-
-    fn inverse(&self, src: &[F], out: &mut [F], signs: &[bool]) {
-        let mut scratch = [0.0f64; CHUNK];
-        let mut done = 0usize;
-        for (s, o) in src.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            let bits = if signs.is_empty() {
-                &[][..]
-            } else {
-                &signs[done..done + s.len()]
-            };
-            self.unmap_chunk(s, o, &mut scratch, bits);
-            done += s.len();
         }
     }
 }

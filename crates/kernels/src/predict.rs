@@ -33,19 +33,16 @@
 //! rows, which is why sinks must be index-addressed (see [`sweep`]).
 
 use crate::cast;
-use pwrel_data::{Dims, Float};
+use pwrel_data::{CodecError, Dims, Float};
 
-/// SZ 1.4's linear-scaling quantization arithmetic (paper Sec. IV-A),
-/// hoisted out of the `Quantizer` trait object shape so the sweep sinks
-/// inline it: residuals bin into `capacity` intervals of width `2·eb`,
-/// out-of-radius or bound-violating points escape (`None`).
-///
-/// The arithmetic — including the division by `2·eb`, the `round()`, and
-/// the verify-on-rounded-reconstruction step — is kept operation-for-
-/// operation identical to the reference quantizer in `pwrel-sz`, which
-/// delegates here so the two cannot drift.
+/// SZ 1.4's linear-scaling quantizer (paper Sec. IV-A), both directions:
+/// residuals bin into `capacity` intervals of width `2·eb` centred on the
+/// radius, and out-of-radius or bound-violating points escape (`None`,
+/// stored as code 0 in the unpredictable section). Every SZ sweep sink
+/// calls it directly; there is one quantizer, so there is no trait.
 #[derive(Debug, Clone, Copy)]
 pub struct QuantKernel {
+    capacity: u32,
     radius: i64,
     radius_f: f64,
 }
@@ -56,6 +53,7 @@ impl QuantKernel {
     pub fn new(capacity: u32) -> Self {
         let radius = i64::from(capacity / 2);
         Self {
+            capacity,
             radius,
             radius_f: cast::f64_from_quant(radius),
         }
@@ -85,6 +83,18 @@ impl QuantKernel {
             }
         }
         None
+    }
+
+    /// Decoder side of [`QuantKernel::quantize`]: the value for a non-zero
+    /// `code` given the prediction and bound the encoder saw. Codes
+    /// outside the alphabet (`code >= capacity`) are corrupt.
+    #[inline]
+    pub fn reconstruct<F: Float>(&self, code: u32, pred: f64, eb: f64) -> Result<F, CodecError> {
+        if code >= self.capacity {
+            return Err(CodecError::Corrupt("quantization code out of range"));
+        }
+        let q = i64::from(code) - i64::from(self.capacity / 2);
+        Ok(F::from_f64(pred + 2.0 * eb * cast::f64_from_quant(q)))
     }
 }
 
@@ -621,12 +631,79 @@ mod tests {
     }
 
     #[test]
-    fn quant_kernel_round_trips() {
+    fn quant_kernel_round_trips_through_reconstruct() {
         let q = QuantKernel::new(1024);
         let (code, val) = q.quantize(3.07f32, 3.0, 0.05).unwrap();
         assert!(code > 0);
-        assert!((val - 3.07).abs() <= 0.05);
+        let back: f32 = q.reconstruct(code, 3.0, 0.05).unwrap();
+        assert_eq!(val, back);
+        assert!((back - 3.07).abs() <= 0.05);
         assert!(q.quantize(f32::NAN, 0.0, 0.1).is_none());
         assert!(q.quantize(1e9f32, 0.0, 0.1).is_none());
+    }
+
+    #[test]
+    fn reconstruct_rejects_out_of_alphabet_codes() {
+        let q = QuantKernel::new(8);
+        assert!(q.reconstruct::<f32>(8, 0.0, 0.1).is_err());
+        assert!(q.reconstruct::<f32>(7, 0.0, 0.1).is_ok());
+    }
+
+    #[test]
+    fn d1_prediction_is_previous_value() {
+        let dims = Dims::d1(4);
+        let dec = [1.0f32, 2.0, 3.0, 0.0];
+        assert_eq!(predict_point(&dec, dims, 0, 0, 0), 0.0);
+        assert_eq!(predict_point(&dec, dims, 3, 0, 0), 3.0);
+    }
+
+    #[test]
+    fn d2_prediction_exact_on_planes() {
+        // Lorenzo 2D is exact for bilinear data f(i,j) = a + b*i + c*j.
+        let dims = Dims::d2(4, 4);
+        let mut dec = vec![0.0f64; 16];
+        for j in 0..4 {
+            for i in 0..4 {
+                dec[dims.index(i, j, 0)] = 2.0 + 3.0 * i as f64 - 1.5 * j as f64;
+            }
+        }
+        for j in 1..4 {
+            for i in 1..4 {
+                let p = predict_point(&dec, dims, i, j, 0);
+                assert!((p - dec[dims.index(i, j, 0)]).abs() < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn d3_prediction_exact_on_trilinear() {
+        let dims = Dims::d3(3, 3, 3);
+        let mut dec = vec![0.0f64; 27];
+        for k in 0..3 {
+            for j in 0..3 {
+                for i in 0..3 {
+                    dec[dims.index(i, j, k)] =
+                        1.0 + 2.0 * i as f64 + 0.5 * j as f64 - 3.0 * k as f64;
+                }
+            }
+        }
+        for k in 1..3 {
+            for j in 1..3 {
+                for i in 1..3 {
+                    let p = predict_point(&dec, dims, i, j, k);
+                    assert!((p - dec[dims.index(i, j, k)]).abs() < 1e-12);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn border_neighbours_read_zero() {
+        let dims = Dims::d2(2, 2);
+        let dec = [5.0f32, 6.0, 7.0, 0.0];
+        // (0,0): all neighbours out of grid.
+        assert_eq!(predict_point(&dec, dims, 0, 0, 0), 0.0);
+        // (0,1): only the (i, j-1) term is in-grid.
+        assert_eq!(predict_point(&dec, dims, 0, 1, 0), 5.0);
     }
 }

@@ -141,13 +141,13 @@ impl ChunkedCodec {
 
 /// Runs the engine's per-chunk work on the pool with a bounded window of
 /// `window` chunks; reads, writes and the pool-task count stay on the
-/// calling thread.
+/// calling thread. Every consumed chunk counts as one pool task.
 impl ChunkExecutor for ChunkedCodec {
     fn run<T, R, P, W, C>(
         &self,
         produce: P,
         work: W,
-        consume: C,
+        mut consume: C,
         rec: &dyn Recorder,
     ) -> Result<(), CodecError>
     where
@@ -157,8 +157,15 @@ impl ChunkExecutor for ChunkedCodec {
         W: Fn(T) -> R + Sync,
         C: FnMut(R) -> Result<(), CodecError>,
     {
-        self.pool
-            .pipeline_traced(self.window, produce, work, consume, rec)
+        let mut tasks = 0u64;
+        let out = self.pool.pipeline(self.window, produce, work, |r| {
+            tasks += 1;
+            consume(r)
+        });
+        if rec.is_enabled() {
+            rec.add(stage::C_POOL_TASKS, tasks);
+        }
+        out
     }
 }
 

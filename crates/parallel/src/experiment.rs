@@ -132,6 +132,7 @@ mod tests {
     use pwrel_core::{LogBase, PwRelCompressor};
     use pwrel_data::{nyx, Scale};
     use pwrel_sz::SzCompressor;
+    use pwrel_trace::noop;
 
     #[test]
     fn dump_and_load_round_trip_with_sz_t() {
@@ -144,7 +145,9 @@ mod tests {
         };
         let codec = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
         let ranks = [1024usize, 2048, 4096];
-        let (dumps, streams) = exp.dump(&ranks, |f| codec.compress(&f.data, f.dims, 1e-2).unwrap());
+        let (dumps, streams) = exp.dump(&ranks, |f| {
+            codec.compress(&f.data, f.dims, 1e-2, noop()).unwrap()
+        });
         assert_eq!(dumps.len(), 3);
         assert!(dumps[0].ratio() > 1.5, "ratio = {}", dumps[0].ratio());
         // Weak scaling: write time grows with ranks, compute does not.
@@ -152,7 +155,7 @@ mod tests {
         assert_eq!(dumps[0].compress_seconds, dumps[2].compress_seconds);
 
         let loads = exp.load(&ranks, &streams, |s| {
-            codec.decompress::<f32>(s).unwrap().len()
+            codec.decompress::<f32>(s, noop()).unwrap().0.len()
         });
         assert_eq!(loads.len(), 3);
         assert!(loads[2].read_seconds > loads[0].read_seconds);

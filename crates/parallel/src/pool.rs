@@ -581,36 +581,6 @@ impl WorkerPool {
             }
         }
     }
-
-    /// [`WorkerPool::pipeline`] with pool-task counting: every consumed
-    /// item is added to the pool-task counter. With a disabled recorder
-    /// this is exactly `pipeline`.
-    pub fn pipeline_traced<T, R, E, P, F, C>(
-        &self,
-        window: usize,
-        producer: P,
-        f: F,
-        mut consumer: C,
-        rec: &dyn pwrel_trace::Recorder,
-    ) -> Result<(), E>
-    where
-        T: Send,
-        R: Send,
-        P: FnMut() -> Result<Option<T>, E>,
-        F: Fn(T) -> R + Sync,
-        C: FnMut(R) -> Result<(), E>,
-    {
-        if !rec.is_enabled() {
-            return self.pipeline(window, producer, f, consumer);
-        }
-        let consumed = std::cell::Cell::new(0u64);
-        let out = self.pipeline(window, producer, f, |r| {
-            consumed.set(consumed.get() + 1);
-            consumer(r)
-        });
-        rec.add(pwrel_trace::stage::C_POOL_TASKS, consumed.get());
-        out
-    }
 }
 
 #[cfg(test)]
@@ -878,26 +848,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sum, 55);
-    }
-
-    #[test]
-    fn pipeline_traced_counts_consumed_items() {
-        use pwrel_trace::{stage, TraceSink};
-        let pool = WorkerPool::new(2);
-        let sink = TraceSink::new();
-        let mut n = 0u64;
-        pool.pipeline_traced(
-            3,
-            || -> Result<Option<u64>, ()> {
-                n += 1;
-                Ok((n <= 40).then_some(n))
-            },
-            |t| t,
-            |_| Ok(()),
-            &sink,
-        )
-        .unwrap();
-        assert!(sink.counters().contains(&(stage::C_POOL_TASKS, 40)));
     }
 
     #[test]

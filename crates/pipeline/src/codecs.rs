@@ -1,19 +1,18 @@
 //! Adapters wrapping each workspace compressor in the [`Codec`] trait.
 //!
-//! Compression for the transform-wrapped codecs goes through the fused
-//! single-pass entry point (`compress_fused` — transform, prediction and
-//! quantization in one streaming sweep); its stream is byte-identical to
-//! the buffered route, so the PR 1 fast path survives registry dispatch
-//! unchanged. Decompression reads everything it needs from the payload
-//! itself — the adapters carry no decode-time state.
+//! Compression for the transform-wrapped codecs is `PwRelCompressor`'s
+//! one route, the fused single pass (transform, prediction and
+//! quantization in one streaming sweep). Decompression reads everything
+//! it needs from the payload itself — the adapters carry no decode-time
+//! state.
 
 use crate::codec::{Codec, CompressOpts};
 use pwrel_core::{LogBase, PwRelCompressor};
-use pwrel_data::{CodecError, Dims, Float};
+use pwrel_data::{AbsErrorCodec, CodecError, Dims, Float};
 use pwrel_fpzip::FpzipCompressor;
 use pwrel_isabela::IsabelaCompressor;
 use pwrel_sz::SzCompressor;
-use pwrel_trace::{stage, Recorder, Span};
+use pwrel_trace::{noop, stage, Recorder, Span};
 use pwrel_zfp::ZfpCompressor;
 
 /// Generates the four monomorphic `Codec` data methods, each a call to
@@ -81,7 +80,7 @@ impl SzT {
         opts: &CompressOpts,
         rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
-        PwRelCompressor::new(self.config(), opts.base).compress_fused(data, dims, opts.bound, rec)
+        PwRelCompressor::new(self.config(), opts.base).compress(data, dims, opts.bound, rec)
     }
 
     fn decompress_impl<F: Float>(
@@ -91,7 +90,7 @@ impl SzT {
     ) -> Result<(Vec<F>, Dims), CodecError> {
         // The base is read from the payload; the constructor's base is a
         // compile-side default.
-        PwRelCompressor::new(self.config(), LogBase::Two).decompress_full(payload, rec)
+        PwRelCompressor::new(self.config(), LogBase::Two).decompress(payload, rec)
     }
 }
 
@@ -155,7 +154,7 @@ impl ZfpT {
         opts: &CompressOpts,
         rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
-        PwRelCompressor::new(ZfpCompressor, opts.base).compress_fused(data, dims, opts.bound, rec)
+        PwRelCompressor::new(ZfpCompressor, opts.base).compress(data, dims, opts.bound, rec)
     }
 
     fn decompress_impl<F: Float>(
@@ -163,7 +162,7 @@ impl ZfpT {
         payload: &[u8],
         rec: &dyn Recorder,
     ) -> Result<(Vec<F>, Dims), CodecError> {
-        PwRelCompressor::new(ZfpCompressor, LogBase::Two).decompress_full(payload, rec)
+        PwRelCompressor::new(ZfpCompressor, LogBase::Two).decompress(payload, rec)
     }
 }
 
@@ -211,8 +210,7 @@ impl SzAbs {
         opts: &CompressOpts,
         rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
-        use pwrel_data::AbsErrorCodec;
-        SzCompressor::default().compress_abs_traced(data, dims, opts.bound, rec)
+        SzCompressor::default().compress_abs(data, dims, opts.bound, rec)
     }
 
     fn decompress_impl<F: Float>(
@@ -220,7 +218,7 @@ impl SzAbs {
         payload: &[u8],
         rec: &dyn Recorder,
     ) -> Result<(Vec<F>, Dims), CodecError> {
-        SzCompressor::default().decompress_traced(payload, rec)
+        SzCompressor::default().decompress(payload, rec)
     }
 }
 
@@ -271,8 +269,9 @@ impl SzPwr {
         payload: &[u8],
         rec: &dyn Recorder,
     ) -> Result<(Vec<F>, Dims), CodecError> {
+        // One encode stage, like the compress side.
         let _enc = Span::enter(rec, stage::ENCODE);
-        SzCompressor::default().decompress(payload)
+        SzCompressor::default().decompress(payload, noop())
     }
 }
 
@@ -413,7 +412,7 @@ impl ZfpP {
         opts: &CompressOpts,
         rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
-        ZfpCompressor.compress_precision_traced(
+        ZfpCompressor.compress_precision(
             data,
             dims,
             pwrel_zfp::precision_for_rel_bound(opts.bound),
@@ -426,7 +425,7 @@ impl ZfpP {
         payload: &[u8],
         rec: &dyn Recorder,
     ) -> Result<(Vec<F>, Dims), CodecError> {
-        ZfpCompressor.decompress_traced(payload, rec)
+        ZfpCompressor.decompress(payload, rec)
     }
 }
 

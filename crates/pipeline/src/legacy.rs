@@ -11,6 +11,7 @@ use crate::stream::{self, StreamHeader};
 use pwrel_core::{LogBase, PwRelCompressor};
 use pwrel_data::{CodecError, Dims};
 use pwrel_sz::SzCompressor;
+use pwrel_trace::noop;
 use pwrel_zfp::ZfpCompressor;
 
 /// Legacy stream kinds recognisable from their per-codec magic bytes.
@@ -105,14 +106,15 @@ pub fn decompress_legacy<F: PipelineElem>(bytes: &[u8]) -> Result<(Vec<F>, Dims)
             // The wrapper needs an inner codec; the inner stream is
             // self-identifying, so try SZ first and fall back to ZFP.
             let sz = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
-            match sz.decompress_full::<F>(bytes, pwrel_trace::noop()) {
+            match sz.decompress::<F>(bytes, noop()) {
                 Ok(r) => Ok(r),
-                Err(_) => PwRelCompressor::new(ZfpCompressor, LogBase::Two)
-                    .decompress_full::<F>(bytes, pwrel_trace::noop()),
+                Err(_) => {
+                    PwRelCompressor::new(ZfpCompressor, LogBase::Two).decompress::<F>(bytes, noop())
+                }
             }
         }
-        Some(StreamKind::Sz) => SzCompressor::default().decompress::<F>(bytes),
-        Some(StreamKind::Zfp) => ZfpCompressor.decompress::<F>(bytes),
+        Some(StreamKind::Sz) => SzCompressor::default().decompress::<F>(bytes, noop()),
+        Some(StreamKind::Zfp) => ZfpCompressor.decompress::<F>(bytes, noop()),
         Some(StreamKind::Fpzip) => pwrel_fpzip::decompress::<F>(bytes),
         Some(StreamKind::Isabela) => pwrel_isabela::decompress::<F>(bytes),
         None => Err(CodecError::Mismatch("unrecognized stream")),
@@ -122,6 +124,7 @@ pub fn decompress_legacy<F: PipelineElem>(bytes: &[u8]) -> Result<(Vec<F>, Dims)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pwrel_data::AbsErrorCodec;
 
     #[test]
     fn identify_legacy_kinds() {
@@ -140,7 +143,7 @@ mod tests {
         // (leading byte 1), which hides the magic until unwrapped.
         let data = vec![1.0f32; 65536];
         let stream = SzCompressor::default()
-            .compress_abs(&data, Dims::d1(65536), 0.1)
+            .compress_abs(&data, Dims::d1(65536), 0.1, noop())
             .unwrap();
         assert_eq!(stream[0], 1, "expected the LZ wrapper on constant data");
         assert_eq!(identify_legacy(&stream), Some(StreamKind::Sz));
@@ -151,7 +154,7 @@ mod tests {
         let data: Vec<f32> = (1..2000).map(|i| (i as f32).sin() * 100.0).collect();
         let dims = Dims::d1(data.len());
         let stream = PwRelCompressor::new(SzCompressor::default(), LogBase::Two)
-            .compress_fused(&data, dims, 1e-3, pwrel_trace::noop())
+            .compress(&data, dims, 1e-3, noop())
             .unwrap();
         let (back, d) = decompress_legacy::<f32>(&stream).unwrap();
         assert_eq!(d, dims);

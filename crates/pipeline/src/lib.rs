@@ -28,10 +28,9 @@
 //!   `CodecRegistry::{compress,decompress}_stream`, or on a worker pool
 //!   behind `pwrel-parallel`'s `ChunkedCodec`.
 //!
-//! The stage traits the codecs are assembled from (`Transform`,
-//! `Predictor`, `Quantizer`, `Encoder`, `LosslessStage`, …) live in
-//! `pwrel-data` so the codec crates can implement them without a
-//! dependency cycle; this crate sits above the codecs and only composes.
+//! This crate sits above the codecs and only composes: each codec's
+//! stages are plain functions inside its own crate, one implementation
+//! apiece, so no stage trait sits between the registry and them.
 
 pub mod codec;
 pub mod codecs;

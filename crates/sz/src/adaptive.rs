@@ -9,8 +9,8 @@
 //! stand-in for the decompressed neighbours used in the real pass), and
 //! size the bin count to cover the 99.5th percentile of `|q|`.
 
-use crate::lorenzo;
 use pwrel_data::{Dims, Float};
+use pwrel_kernels::predict::predict_point;
 
 /// Samples the prediction-error distribution and returns a capacity
 /// (power of two, in `[min_capacity, max_capacity]`) that quantizes
@@ -45,7 +45,7 @@ pub fn estimate_capacity<F: Float>(
                     continue;
                 }
                 // Predict from original neighbours (sampling approximation).
-                let pred = lorenzo::predict(data, dims, i, j, k);
+                let pred = predict_point(data, dims, i, j, k);
                 let q = ((x.to_f64() - pred).abs() / (2.0 * bound)).round();
                 if q.is_finite() {
                     qs.push(q.min(1e18) as u64);
@@ -75,7 +75,8 @@ pub fn estimate_capacity<F: Float>(
 mod tests {
     use super::*;
     use crate::SzCompressor;
-    use pwrel_data::grf;
+    use pwrel_data::{grf, AbsErrorCodec};
+    use pwrel_trace::noop;
 
     #[test]
     fn smooth_data_loose_bound_needs_few_bins() {
@@ -118,8 +119,8 @@ mod tests {
             ..SzCompressor::default()
         };
         let fixed = SzCompressor::default();
-        let a = adaptive.compress_abs(&data, dims, bound).unwrap();
-        let f = fixed.compress_abs(&data, dims, bound).unwrap();
+        let a = adaptive.compress_abs(&data, dims, bound, noop()).unwrap();
+        let f = fixed.compress_abs(&data, dims, bound, noop()).unwrap();
         assert!(
             a.len() <= f.len() + 16,
             "adaptive {} vs fixed {}",
@@ -127,7 +128,7 @@ mod tests {
             f.len()
         );
         // And the bound still holds.
-        let (dec, _) = adaptive.decompress::<f32>(&a).unwrap();
+        let (dec, _) = adaptive.decompress::<f32>(&a, noop()).unwrap();
         for (&x, &y) in data.iter().zip(&dec) {
             assert!((x as f64 - y as f64).abs() <= bound);
         }

@@ -1,12 +1,12 @@
 //! Prediction + linear-scaling quantization engine (both SZ modes).
 
 use crate::format::{SzMode, SzStream};
-use crate::stages::{HuffmanStage, LinearQuantizer};
 use crate::unpred;
 use crate::SzCompressor;
 use pwrel_bitstream::{BitReader, BitWriter};
-use pwrel_data::{CodecError, Dims, Encoder, Float, Quantizer};
+use pwrel_data::{CodecError, Dims, Float};
 use pwrel_kernels::{predict, LogPlan, CHUNK};
+use pwrel_lossless::huffman;
 use pwrel_trace::{stage, Recorder, Span, StageTimer};
 use std::convert::Infallible;
 
@@ -213,7 +213,6 @@ pub(crate) fn compress<F: Float>(
     rec: &dyn Recorder,
 ) -> Result<Vec<u8>, CodecError> {
     let capacity = cfg.capacity;
-    let quant = LinearQuantizer { capacity };
     // Hoisted once per sweep: rebuilding the kernel per point would put a
     // (cheap but pointless) int->float conversion in the hot loop.
     let qk = predict::QuantKernel::new(capacity);
@@ -272,7 +271,7 @@ pub(crate) fn compress<F: Float>(
 
     let codes_buf = {
         let _huff = Span::enter(rec, stage::HUFFMAN);
-        HuffmanStage.encode(&codes, Quantizer::<F>::alphabet(&quant))
+        huffman::encode_symbols(&codes, capacity as usize)
     };
     let stream = SzStream {
         float_bits: F::BITS as u8,
@@ -283,7 +282,7 @@ pub(crate) fn compress<F: Float>(
         n_unpred,
         unpred_bytes: unpred_w.into_bytes(),
     };
-    Ok(stream.serialize_traced(cfg.lossless_pass, rec))
+    Ok(stream.serialize(cfg.lossless_pass, rec))
 }
 
 /// Fused transform + compression: maps `data` through `plan` in
@@ -308,7 +307,6 @@ pub(crate) fn compress_fused<F: Float>(
     rec: &dyn Recorder,
 ) -> Result<(Vec<u8>, Option<Vec<bool>>), CodecError> {
     let capacity = cfg.capacity;
-    let quant = LinearQuantizer { capacity };
     let qk = predict::QuantKernel::new(capacity);
     let eb = plan.abs_bound;
 
@@ -367,7 +365,7 @@ pub(crate) fn compress_fused<F: Float>(
 
     let codes_buf = {
         let _huff = Span::enter(rec, stage::HUFFMAN);
-        HuffmanStage.encode(&codes, Quantizer::<F>::alphabet(&quant))
+        huffman::encode_symbols(&codes, capacity as usize)
     };
     let stream = SzStream {
         float_bits: F::BITS as u8,
@@ -379,7 +377,7 @@ pub(crate) fn compress_fused<F: Float>(
         unpred_bytes: unpred_w.into_bytes(),
     };
     Ok((
-        stream.serialize_traced(cfg.lossless_pass, rec),
+        stream.serialize(cfg.lossless_pass, rec),
         plan.any_negative.then_some(signs),
     ))
 }
@@ -407,7 +405,7 @@ pub(crate) fn decompress<F: Float>(
     bytes: &[u8],
     rec: &dyn Recorder,
 ) -> Result<(Vec<F>, Dims), CodecError> {
-    let stream = SzStream::deserialize_traced(bytes, rec)?;
+    let stream = SzStream::deserialize(bytes, rec)?;
     if stream.float_bits as u32 != F::BITS {
         return Err(CodecError::Mismatch("element type differs from stream"));
     }
@@ -419,9 +417,7 @@ pub(crate) fn decompress<F: Float>(
     }
     let dims = stream.dims;
     let n = dims.len();
-    let quant = LinearQuantizer {
-        capacity: stream.capacity,
-    };
+    let quant = predict::QuantKernel::new(stream.capacity);
 
     let ebs = match &stream.mode {
         SzMode::Abs { eb } => Ebs {
@@ -450,7 +446,7 @@ pub(crate) fn decompress<F: Float>(
     let codes = {
         let _huff = Span::enter(rec, stage::HUFFMAN);
         record_entropy_lanes(rec, &stream.codes_buf);
-        HuffmanStage.decode(&stream.codes_buf, &mut pos)?
+        huffman::decode_symbols(&stream.codes_buf, &mut pos)?
     };
     if codes.len() != n {
         return Err(CodecError::Corrupt("code count != point count"));
@@ -496,15 +492,16 @@ pub(crate) fn decompress<F: Float>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwrel_data::grf;
+    use pwrel_data::{grf, AbsErrorCodec};
+    use pwrel_trace::noop;
 
     fn sz() -> SzCompressor {
         SzCompressor::default()
     }
 
     fn check_abs<F: Float>(data: &[F], dims: Dims, eb: f64, cfg: &SzCompressor) -> Vec<u8> {
-        let bytes = cfg.compress_abs(data, dims, eb).unwrap();
-        let (dec, d2) = cfg.decompress::<F>(&bytes).unwrap();
+        let bytes = cfg.compress_abs(data, dims, eb, noop()).unwrap();
+        let (dec, d2) = cfg.decompress::<F>(&bytes, noop()).unwrap();
         assert_eq!(d2, dims);
         assert_eq!(dec.len(), data.len());
         for (idx, (&a, &b)) in data.iter().zip(&dec).enumerate() {
@@ -573,8 +570,8 @@ mod tests {
             -3.0,
             f32::NEG_INFINITY,
         ];
-        let bytes = sz().compress_abs(&data, dims, 0.1).unwrap();
-        let (dec, _) = sz().decompress::<f32>(&bytes).unwrap();
+        let bytes = sz().compress_abs(&data, dims, 0.1, noop()).unwrap();
+        let (dec, _) = sz().decompress::<f32>(&bytes, noop()).unwrap();
         assert!(dec[1].is_nan());
         assert_eq!(dec[3], f32::INFINITY);
         assert_eq!(dec[5], f32::NEG_INFINITY);
@@ -584,8 +581,8 @@ mod tests {
     #[test]
     fn empty_input_round_trips() {
         let dims = Dims::d1(0);
-        let bytes = sz().compress_abs::<f32>(&[], dims, 0.1).unwrap();
-        let (dec, _) = sz().decompress::<f32>(&bytes).unwrap();
+        let bytes = AbsErrorCodec::<f32>::compress_abs(&sz(), &[], dims, 0.1, noop()).unwrap();
+        let (dec, _) = sz().decompress::<f32>(&bytes, noop()).unwrap();
         assert!(dec.is_empty());
     }
 
@@ -597,7 +594,7 @@ mod tests {
             .collect();
         for br in [1e-1, 1e-2, 1e-3] {
             let bytes = sz().compress_pwr(&data, dims, br).unwrap();
-            let (dec, _) = sz().decompress::<f32>(&bytes).unwrap();
+            let (dec, _) = sz().decompress::<f32>(&bytes, noop()).unwrap();
             for (idx, (&a, &b)) in data.iter().zip(&dec).enumerate() {
                 let rel = ((a - b) / a).abs();
                 assert!(rel as f64 <= br, "idx {idx}: rel {rel} > {br}");
@@ -614,7 +611,7 @@ mod tests {
             *v = 1.0 + off as f32 * 0.001;
         }
         let bytes = sz().compress_pwr(&data, dims, 1e-2).unwrap();
-        let (dec, _) = sz().decompress::<f32>(&bytes).unwrap();
+        let (dec, _) = sz().decompress::<f32>(&bytes, noop()).unwrap();
         for (idx, &v) in dec.iter().take(512).enumerate() {
             assert_eq!(v, 0.0, "idx {idx}: leading zero block must be exact");
         }
@@ -637,7 +634,7 @@ mod tests {
         let cfg = sz();
         let s1 = cfg.compress_pwr(&smooth, dims, 1e-2).unwrap();
         let s2 = cfg.compress_pwr(&spiky, dims, 1e-2).unwrap();
-        let (dec, _) = cfg.decompress::<f32>(&s2).unwrap();
+        let (dec, _) = cfg.decompress::<f32>(&s2, noop()).unwrap();
         for (&a, &b) in spiky.iter().zip(&dec) {
             assert!(((a - b) / a).abs() <= 1e-2);
         }
@@ -653,23 +650,23 @@ mod tests {
     fn invalid_arguments_rejected() {
         let dims = Dims::d1(4);
         let data = [1.0f32; 4];
-        assert!(sz().compress_abs(&data, dims, 0.0).is_err());
-        assert!(sz().compress_abs(&data, dims, f64::NAN).is_err());
-        assert!(sz().compress_abs(&data, Dims::d1(5), 0.1).is_err());
+        assert!(sz().compress_abs(&data, dims, 0.0, noop()).is_err());
+        assert!(sz().compress_abs(&data, dims, f64::NAN, noop()).is_err());
+        assert!(sz().compress_abs(&data, Dims::d1(5), 0.1, noop()).is_err());
         assert!(sz().compress_pwr(&data, dims, -0.5).is_err());
         let bad_cfg = SzCompressor {
             capacity: 3,
             ..sz()
         };
-        assert!(bad_cfg.compress_abs(&data, dims, 0.1).is_err());
+        assert!(bad_cfg.compress_abs(&data, dims, 0.1, noop()).is_err());
     }
 
     #[test]
     fn wrong_element_type_rejected() {
         let dims = Dims::d1(16);
         let data = [1.5f32; 16];
-        let bytes = sz().compress_abs(&data, dims, 0.1).unwrap();
-        assert!(sz().decompress::<f64>(&bytes).is_err());
+        let bytes = sz().compress_abs(&data, dims, 0.1, noop()).unwrap();
+        assert!(sz().decompress::<f64>(&bytes, noop()).is_err());
     }
 
     #[test]
@@ -688,8 +685,8 @@ mod tests {
         let dims = Dims::d2(64, 64);
         let data = grf::gaussian_field(dims, 21, 3, 3);
         let cfg = sz();
-        let loose = cfg.compress_abs(&data, dims, 1e-1).unwrap();
-        let tight = cfg.compress_abs(&data, dims, 1e-4).unwrap();
+        let loose = cfg.compress_abs(&data, dims, 1e-1, noop()).unwrap();
+        let tight = cfg.compress_abs(&data, dims, 1e-4, noop()).unwrap();
         assert!(tight.len() > loose.len());
     }
 }

@@ -16,9 +16,10 @@
 //! `[1u8] ++ lz(payload)`, whichever is smaller when the LZ pass is enabled
 //! (SZ's optional gzip stage).
 
-use crate::stages::LzStage;
 use pwrel_bitstream::{bytesio, varint};
-use pwrel_data::{CodecError, Dims, LosslessStage};
+use pwrel_data::{CodecError, Dims};
+use pwrel_lossless::lz;
+use pwrel_trace::{stage, Recorder, Span};
 
 const MAGIC: &[u8; 4] = b"SZR1";
 
@@ -45,7 +46,7 @@ fn worth_lz_pass(payload: &[u8]) -> bool {
     let mut packed = 0usize;
     for region in regions {
         sampled += region.len();
-        packed += LzStage.compress(region).len();
+        packed += lz::compress(region).len();
     }
     packed * 100 < sampled * 97
 }
@@ -111,20 +112,11 @@ pub struct SzStream {
 }
 
 impl SzStream {
-    /// Serializes, optionally trying the LZ wrapper.
-    pub fn serialize(&self, lossless_pass: bool) -> Vec<u8> {
-        self.serialize_traced(lossless_pass, pwrel_trace::noop())
-    }
-
-    /// [`SzStream::serialize`] with the wrapper decision and LZ pass
-    /// attributed to the [`pwrel_trace::stage::LZ`] span. The span is
+    /// Serializes, optionally trying the LZ wrapper. The wrapper decision
+    /// and LZ pass are attributed to the [`stage::LZ`] span on `rec`,
     /// emitted even when the pass is disabled or declined, so stage
     /// coverage does not depend on the data.
-    pub fn serialize_traced(
-        &self,
-        lossless_pass: bool,
-        rec: &dyn pwrel_trace::Recorder,
-    ) -> Vec<u8> {
+    pub fn serialize(&self, lossless_pass: bool, rec: &dyn Recorder) -> Vec<u8> {
         let mut p = Vec::with_capacity(self.codes_buf.len() + self.unpred_bytes.len() + 64);
         p.extend_from_slice(MAGIC);
         p.push(self.float_bits);
@@ -206,9 +198,9 @@ impl SzStream {
         // redundant streams, wasted time on already-dense Huffman output.
         // Payloads over 128 KiB are sampled at head, middle and tail (see
         // `worth_lz_pass`) before paying for the full pass.
-        let _lz = pwrel_trace::Span::enter(rec, pwrel_trace::stage::LZ);
+        let _lz = Span::enter(rec, stage::LZ);
         if lossless_pass && worth_lz_pass(&p) {
-            let packed = LzStage.compress(&p);
+            let packed = lz::compress(&p);
             if packed.len() + 1 < p.len() + 1 {
                 let mut out = Vec::with_capacity(packed.len() + 1);
                 out.push(1u8);
@@ -222,27 +214,20 @@ impl SzStream {
         out
     }
 
-    /// Parses a stream produced by [`SzStream::serialize`].
-    pub fn deserialize(bytes: &[u8]) -> Result<Self, CodecError> {
-        Self::deserialize_traced(bytes, pwrel_trace::noop())
-    }
-
-    /// [`SzStream::deserialize`] with the LZ unwrap attributed to the
-    /// [`pwrel_trace::stage::LZ`] span (emitted for both wrapper kinds).
-    pub fn deserialize_traced(
-        bytes: &[u8],
-        rec: &dyn pwrel_trace::Recorder,
-    ) -> Result<Self, CodecError> {
+    /// Parses a stream produced by [`SzStream::serialize`], attributing
+    /// the LZ unwrap to the [`stage::LZ`] span on `rec` (emitted for both
+    /// wrapper kinds).
+    pub fn deserialize(bytes: &[u8], rec: &dyn Recorder) -> Result<Self, CodecError> {
         let (&wrapper, rest) = bytes
             .split_first()
             .ok_or(CodecError::Corrupt("empty stream"))?;
         let unpacked;
         let p: &[u8] = {
-            let _lz = pwrel_trace::Span::enter(rec, pwrel_trace::stage::LZ);
+            let _lz = Span::enter(rec, stage::LZ);
             match wrapper {
                 0 => rest,
                 1 => {
-                    unpacked = LzStage.decompress(rest)?;
+                    unpacked = lz::decompress(rest)?;
                     &unpacked
                 }
                 _ => return Err(CodecError::Corrupt("unknown wrapper byte")),
@@ -381,6 +366,7 @@ impl SzStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pwrel_trace::noop;
 
     fn sample(mode: SzMode) -> SzStream {
         SzStream {
@@ -398,8 +384,8 @@ mod tests {
     fn abs_round_trip_both_wrappers() {
         let s = sample(SzMode::Abs { eb: 0.125 });
         for lossless in [false, true] {
-            let bytes = s.serialize(lossless);
-            let back = SzStream::deserialize(&bytes).unwrap();
+            let bytes = s.serialize(lossless, noop());
+            let back = SzStream::deserialize(&bytes, noop()).unwrap();
             assert_eq!(back.float_bits, 32);
             assert_eq!(back.dims, Dims::d2(3, 5));
             assert_eq!(back.capacity, 1024);
@@ -424,8 +410,8 @@ mod tests {
             n_unpred: 2,
             unpred_bytes: vec![1u8; 16],
         };
-        let bytes = s.serialize(true);
-        let back = SzStream::deserialize(&bytes).unwrap();
+        let bytes = s.serialize(true, noop());
+        let back = SzStream::deserialize(&bytes, noop()).unwrap();
         assert_eq!(back.mode, s.mode);
         assert_eq!(back.float_bits, 64);
     }
@@ -433,17 +419,20 @@ mod tests {
     #[test]
     fn corrupt_magic_rejected() {
         let s = sample(SzMode::Abs { eb: 1.0 });
-        let mut bytes = s.serialize(false);
+        let mut bytes = s.serialize(false, noop());
         bytes[1] = b'X';
-        assert!(SzStream::deserialize(&bytes).is_err());
+        assert!(SzStream::deserialize(&bytes, noop()).is_err());
     }
 
     #[test]
     fn truncation_rejected() {
         let s = sample(SzMode::Abs { eb: 1.0 });
-        let bytes = s.serialize(false);
+        let bytes = s.serialize(false, noop());
         for cut in [0, 3, 8, bytes.len() - 2] {
-            assert!(SzStream::deserialize(&bytes[..cut]).is_err(), "cut={cut}");
+            assert!(
+                SzStream::deserialize(&bytes[..cut], noop()).is_err(),
+                "cut={cut}"
+            );
         }
     }
 
@@ -462,7 +451,7 @@ mod tests {
             n_unpred: 0,
             unpred_bytes: vec![],
         };
-        let bytes = s.serialize(false);
-        assert!(SzStream::deserialize(&bytes).is_err());
+        let bytes = s.serialize(false, noop());
+        assert!(SzStream::deserialize(&bytes, noop()).is_err());
     }
 }

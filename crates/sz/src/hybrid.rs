@@ -8,10 +8,12 @@
 
 use crate::format::{SzMode, SzStream};
 use crate::regression::{self, LinearModel};
-use crate::{lorenzo, unpred, SzCompressor};
+use crate::{unpred, SzCompressor};
 use pwrel_bitstream::{BitReader, BitWriter};
 use pwrel_data::{CodecError, Dims, Float};
+use pwrel_kernels::predict::predict_point;
 use pwrel_lossless::huffman;
+use pwrel_trace::noop;
 
 /// Reads selector bit `i` (LSB-first within bytes).
 // audit:allow-fn(L1): `deserialize` rejects streams whose selector bitmap
@@ -82,7 +84,7 @@ pub(crate) fn compress<F: Float>(
                     if x.is_finite() {
                         let pred = match model {
                             Some(m) => m.predict(di, dj, dk),
-                            None => lorenzo::predict(&dec, dims, i, j, k),
+                            None => predict_point(&dec, dims, i, j, k),
                         };
                         let qf = ((x.to_f64() - pred) / (2.0 * eb)).round();
                         if qf.is_finite() && qf.abs() < radius as f64 {
@@ -119,7 +121,7 @@ pub(crate) fn compress<F: Float>(
         n_unpred,
         unpred_bytes: unpred_w.into_bytes(),
     };
-    Ok(stream.serialize(cfg.lossless_pass))
+    Ok(stream.serialize(cfg.lossless_pass, noop()))
 }
 
 /// Decompresses an `AbsHybrid` stream (called from the main decoder after
@@ -183,7 +185,7 @@ pub(crate) fn decompress<F: Float>(stream: &SzStream) -> Result<(Vec<F>, Dims), 
                         let q = code as i64 - radius;
                         let pred = match &model {
                             Some(m) => m.predict(di, dj, dk),
-                            None => lorenzo::predict(&dec, dims, i, j, k),
+                            None => predict_point(&dec, dims, i, j, k),
                         };
                         F::from_f64(pred + 2.0 * eb * q as f64)
                     };
@@ -206,7 +208,7 @@ mod tests {
 
     fn check<F: Float>(data: &[F], dims: Dims, eb: f64) -> Vec<u8> {
         let bytes = cfg().compress_abs_hybrid(data, dims, eb).unwrap();
-        let (dec, d2) = cfg().decompress::<F>(&bytes).unwrap();
+        let (dec, d2) = cfg().decompress::<F>(&bytes, noop()).unwrap();
         assert_eq!(d2, dims);
         for (idx, (&a, &b)) in data.iter().zip(&dec).enumerate() {
             let err = (a.to_f64() - b.to_f64()).abs();
@@ -248,8 +250,8 @@ mod tests {
             .collect();
         let eb = 0.5;
         let hybrid = cfg().compress_abs_hybrid(&data, dims, eb).unwrap();
-        let plain = cfg().compress_abs(&data, dims, eb).unwrap();
-        let (dec, _) = cfg().decompress::<f32>(&hybrid).unwrap();
+        let plain = cfg().compress_abs(&data, dims, eb, noop()).unwrap();
+        let (dec, _) = cfg().decompress::<f32>(&hybrid, noop()).unwrap();
         for (&a, &b) in data.iter().zip(&dec) {
             assert!((a as f64 - b as f64).abs() <= eb);
         }
@@ -269,7 +271,7 @@ mod tests {
         let data = grf::gaussian_field(dims, 11, 2, 3);
         let eb = 1e-3;
         let hybrid = cfg().compress_abs_hybrid(&data, dims, eb).unwrap();
-        let plain = cfg().compress_abs(&data, dims, eb).unwrap();
+        let plain = cfg().compress_abs(&data, dims, eb, noop()).unwrap();
         assert!(
             (hybrid.len() as f64) < plain.len() as f64 * 1.15,
             "hybrid {} vs lorenzo {}",
@@ -283,13 +285,13 @@ mod tests {
         let dims = Dims::d1(8);
         let data = vec![1.0f32, f32::NAN, 2.0, -3.0, f32::INFINITY, 0.0, 7.0, 8.0];
         let bytes = cfg().compress_abs_hybrid(&data, dims, 0.1).unwrap();
-        let (dec, _) = cfg().decompress::<f32>(&bytes).unwrap();
+        let (dec, _) = cfg().decompress::<f32>(&bytes, noop()).unwrap();
         assert!(dec[1].is_nan());
         assert_eq!(dec[4], f32::INFINITY);
         let empty = cfg()
             .compress_abs_hybrid::<f32>(&[], Dims::d1(0), 0.1)
             .unwrap();
-        let (dec, _) = cfg().decompress::<f32>(&empty).unwrap();
+        let (dec, _) = cfg().decompress::<f32>(&empty, noop()).unwrap();
         assert!(dec.is_empty());
     }
 
@@ -303,18 +305,21 @@ mod tests {
     }
 
     #[test]
-    fn inherent_compress_abs_honours_the_hybrid_predictor() {
-        // The inherent method and the AbsErrorCodec impl share one body, so
-        // a hybrid config gets the hybrid stream through either.
+    fn compress_abs_honours_the_hybrid_predictor() {
+        // Production selects the hybrid coder through the config flag, so
+        // a hybrid config's `compress_abs` must emit the hybrid stream.
         let dims = Dims::d2(48, 40);
         let data = grf::gaussian_field(dims, 12, 3, 2);
         let sz = SzCompressor {
             hybrid_predictor: true,
             ..cfg()
         };
-        let inherent = sz.compress_abs(&data, dims, 1e-3).unwrap();
-        let via_trait = AbsErrorCodec::<f32>::compress_abs(&sz, &data, dims, 1e-3).unwrap();
-        assert_eq!(inherent.len(), via_trait.len());
-        assert_eq!(inherent, via_trait);
+        let via_flag = sz.compress_abs(&data, dims, 1e-3, noop()).unwrap();
+        let hybrid = cfg().compress_abs_hybrid(&data, dims, 1e-3).unwrap();
+        assert_eq!(via_flag, hybrid);
+        assert_ne!(
+            via_flag,
+            cfg().compress_abs(&data, dims, 1e-3, noop()).unwrap()
+        );
     }
 }

@@ -19,28 +19,32 @@
 //!
 //! Two modes:
 //!
-//! * [`SzCompressor::compress_abs`] — absolute error bound (the mode the
+//! * [`AbsErrorCodec::compress_abs`] — absolute error bound (the mode the
 //!   log-transform scheme targets, "SZ_T" when wrapped),
 //! * [`SzCompressor::compress_pwr`] — the *blockwise* point-wise-relative
 //!   mode of SZ 1.4 ("SZ_PWR"): the data is split into blocks and each block
 //!   is compressed with an absolute bound derived from the smallest
 //!   magnitude in the block. This is the baseline whose compression-ratio
 //!   collapse on spiky data motivates the paper.
+//!
+//! Each stage is one function: the Lorenzo sweep and
+//! [`pwrel_kernels::predict::QuantKernel`] in `pwrel-kernels`, and
+//! `huffman::{encode_symbols, decode_symbols}` and
+//! `lz::{compress, decompress}` in `pwrel-lossless`. With one
+//! implementation apiece there is nothing for a stage trait to choose
+//! between, so the engine calls them directly.
 
 pub mod adaptive;
 mod engine;
 mod format;
 mod hybrid;
-mod lorenzo;
 mod pwr_spatial;
 pub mod regression;
-pub mod stages;
 mod unpred;
 
 pub use adaptive::estimate_capacity;
 pub use engine::{quantization_codes, EbSpec, DEFAULT_CAPACITY};
 pub use format::{SzMode, SzStream};
-pub use stages::{HuffmanStage, LinearQuantizer, LorenzoPredictor, LzStage};
 
 use pwrel_data::{AbsErrorCodec, CodecError, Dims, Float};
 use pwrel_kernels::{FusedOutput, LogFusedCodec, LogPlan};
@@ -50,12 +54,13 @@ use pwrel_trace::{noop, stage, Recorder, Span, StageTimer};
 ///
 /// ```
 /// use pwrel_sz::SzCompressor;
-/// use pwrel_data::Dims;
+/// use pwrel_data::{AbsErrorCodec, Dims};
+/// use pwrel_trace::noop;
 ///
 /// let data: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.01).sin()).collect();
 /// let sz = SzCompressor::default();
-/// let stream = sz.compress_abs(&data, Dims::d1(4096), 1e-3).unwrap();
-/// let (back, _) = sz.decompress::<f32>(&stream).unwrap();
+/// let stream = sz.compress_abs(&data, Dims::d1(4096), 1e-3, noop()).unwrap();
+/// let (back, _) = sz.decompress::<f32>(&stream, noop()).unwrap();
 /// for (a, b) in data.iter().zip(&back) {
 ///     assert!((a - b).abs() <= 1e-3);
 /// }
@@ -91,7 +96,7 @@ impl SzCompressor {
     /// Builds a compressor whose quantization capacity is estimated from a
     /// sample of the data's prediction errors (SZ 1.4's adaptive interval
     /// selection). The bound must be the one later passed to
-    /// [`SzCompressor::compress_abs`].
+    /// [`AbsErrorCodec::compress_abs`].
     pub fn adaptive<F: Float>(data: &[F], dims: Dims, bound: f64) -> Self {
         Self {
             capacity: adaptive::estimate_capacity(data, dims, bound, 256, DEFAULT_CAPACITY),
@@ -110,19 +115,6 @@ impl SzCompressor {
             return Err(CodecError::InvalidArgument("pwr_block_len must be > 0"));
         }
         Ok(())
-    }
-
-    /// Compresses with an absolute error bound: every decompressed value
-    /// satisfies `|x - x'| <= bound`. Runs the hybrid predictor when
-    /// [`SzCompressor::hybrid_predictor`] is set, exactly as the
-    /// [`AbsErrorCodec`] impl does (it is the same body).
-    pub fn compress_abs<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        bound: f64,
-    ) -> Result<Vec<u8>, CodecError> {
-        AbsErrorCodec::compress_abs_traced(self, data, dims, bound, noop())
     }
 
     /// Compresses with SZ's blockwise point-wise relative error bound:
@@ -170,12 +162,19 @@ impl SzCompressor {
     /// Lorenzo/regression predictor (SZ 2-style extension): each 6^d block
     /// picks whichever of the two predictors fits it better. Wins on
     /// fields with strong local gradients; never loses much elsewhere.
-    pub fn compress_abs_hybrid<F: Float>(
+    /// Callers select it with [`SzCompressor::hybrid_predictor`].
+    pub(crate) fn compress_abs_hybrid<F: Float>(
         &self,
         data: &[F],
         dims: Dims,
         bound: f64,
     ) -> Result<Vec<u8>, CodecError> {
+        self.check_abs(data, dims, bound)?;
+        hybrid::compress(data, dims, bound, self)
+    }
+
+    /// Validates the configuration and an absolute-bound request.
+    fn check_abs<F: Float>(&self, data: &[F], dims: Dims, bound: f64) -> Result<(), CodecError> {
         self.check_config()?;
         if !(bound > 0.0) || !bound.is_finite() {
             return Err(CodecError::InvalidArgument("bound must be finite and > 0"));
@@ -183,17 +182,12 @@ impl SzCompressor {
         if data.len() != dims.len() {
             return Err(CodecError::InvalidArgument("data length != dims"));
         }
-        hybrid::compress(data, dims, bound, self)
+        Ok(())
     }
 
-    /// Decompresses any SZ stream (any mode).
-    pub fn decompress<F: Float>(&self, bytes: &[u8]) -> Result<(Vec<F>, Dims), CodecError> {
-        engine::decompress(bytes, noop())
-    }
-
-    /// [`SzCompressor::decompress`] with per-stage recording (LZ unwrap,
-    /// Huffman decode, reconstruction sweep).
-    pub fn decompress_traced<F: Float>(
+    /// Decompresses any SZ stream (any mode), recording the LZ unwrap,
+    /// Huffman decode and reconstruction sweep on `rec`.
+    pub fn decompress<F: Float>(
         &self,
         bytes: &[u8],
         rec: &dyn Recorder,
@@ -203,19 +197,9 @@ impl SzCompressor {
 }
 
 impl<F: Float> AbsErrorCodec<F> for SzCompressor {
-    fn name(&self) -> &'static str {
-        "sz"
-    }
-
-    fn compress_abs(&self, data: &[F], dims: Dims, bound: f64) -> Result<Vec<u8>, CodecError> {
-        self.compress_abs_traced(data, dims, bound, noop())
-    }
-
-    fn decompress_abs(&self, bytes: &[u8]) -> Result<(Vec<F>, Dims), CodecError> {
-        self.decompress(bytes)
-    }
-
-    fn compress_abs_traced(
+    /// Runs the hybrid predictor when [`SzCompressor::hybrid_predictor`]
+    /// is set, the paper's SZ 1.4 pipeline otherwise.
+    fn compress_abs(
         &self,
         data: &[F],
         dims: Dims,
@@ -228,23 +212,17 @@ impl<F: Float> AbsErrorCodec<F> for SzCompressor {
             let _enc = Span::enter(rec, stage::ENCODE);
             self.compress_abs_hybrid(data, dims, bound)
         } else {
-            self.check_config()?;
-            if !(bound > 0.0) || !bound.is_finite() {
-                return Err(CodecError::InvalidArgument("bound must be finite and > 0"));
-            }
-            if data.len() != dims.len() {
-                return Err(CodecError::InvalidArgument("data length != dims"));
-            }
+            self.check_abs(data, dims, bound)?;
             engine::compress(data, dims, EbSpec::Abs(bound), self, rec)
         }
     }
 
-    fn decompress_abs_traced(
+    fn decompress_abs(
         &self,
         bytes: &[u8],
         rec: &dyn Recorder,
     ) -> Result<(Vec<F>, Dims), CodecError> {
-        self.decompress_traced(bytes, rec)
+        self.decompress(bytes, rec)
     }
 }
 
@@ -262,13 +240,7 @@ impl<F: Float> LogFusedCodec<F> for SzCompressor {
         plan: &LogPlan,
         rec: &dyn Recorder,
     ) -> Result<FusedOutput, CodecError> {
-        self.check_config()?;
-        if !(plan.abs_bound > 0.0) || !plan.abs_bound.is_finite() {
-            return Err(CodecError::InvalidArgument("bound must be finite and > 0"));
-        }
-        if data.len() != dims.len() {
-            return Err(CodecError::InvalidArgument("data length != dims"));
-        }
+        self.check_abs(data, dims, plan.abs_bound)?;
         if self.hybrid_predictor {
             let mut mapped: Vec<F> = vec![F::zero(); data.len()];
             let mut scratch = [0f64; pwrel_kernels::CHUNK];

@@ -13,10 +13,12 @@
 
 use crate::format::{SzMode, SzStream};
 use crate::regression;
-use crate::{lorenzo, unpred, SzCompressor};
+use crate::{unpred, SzCompressor};
 use pwrel_bitstream::{BitReader, BitWriter};
 use pwrel_data::{CodecError, Dims, Float};
+use pwrel_kernels::predict::predict_point;
 use pwrel_lossless::huffman;
+use pwrel_trace::noop;
 
 /// Per-block power-of-two bound exponent (see `engine::block_exponents`
 /// for the 1D analogue and the zero-block rationale).
@@ -79,7 +81,7 @@ pub(crate) fn compress<F: Float>(
                     let x = data[idx];
                     let mut done = false;
                     if x.is_finite() {
-                        let pred = lorenzo::predict(&dec, dims, i, j, k);
+                        let pred = predict_point(&dec, dims, i, j, k);
                         let qf = ((x.to_f64() - pred) / (2.0 * eb)).round();
                         if qf.is_finite() && qf.abs() < radius as f64 {
                             let q = qf as i64;
@@ -113,7 +115,7 @@ pub(crate) fn compress<F: Float>(
         n_unpred,
         unpred_bytes: unpred_w.into_bytes(),
     };
-    Ok(stream.serialize(cfg.lossless_pass))
+    Ok(stream.serialize(cfg.lossless_pass, noop()))
 }
 
 /// Decompresses a `PwrSpatial` stream.
@@ -164,7 +166,7 @@ pub(crate) fn decompress<F: Float>(stream: &SzStream) -> Result<(Vec<F>, Dims), 
                             return Err(CodecError::Corrupt("code out of range"));
                         }
                         let q = code as i64 - radius;
-                        let pred = lorenzo::predict(&dec, dims, i, j, k);
+                        let pred = predict_point(&dec, dims, i, j, k);
                         F::from_f64(pred + 2.0 * eb * q as f64)
                     };
                     dec[idx] = val;
@@ -186,7 +188,7 @@ mod tests {
 
     fn check_rel(data: &[f32], dims: Dims, br: f64) -> Vec<u8> {
         let bytes = sz().compress_pwr(data, dims, br).unwrap();
-        let (dec, d2) = sz().decompress::<f32>(&bytes).unwrap();
+        let (dec, d2) = sz().decompress::<f32>(&bytes, noop()).unwrap();
         assert_eq!(d2, dims);
         for (idx, (&a, &b)) in data.iter().zip(&dec).enumerate() {
             if a != 0.0 {
@@ -253,7 +255,7 @@ mod tests {
         }
         data[dims.index(3, 12, 0)] = 0.0; // a zero inside a non-zero block
         let bytes = sz().compress_pwr(&data, dims, 1e-2).unwrap();
-        let (dec, _) = sz().decompress::<f32>(&bytes).unwrap();
+        let (dec, _) = sz().decompress::<f32>(&bytes, noop()).unwrap();
         // All-zero half exact:
         for j in 0..6 {
             for i in 0..24 {
@@ -267,7 +269,7 @@ mod tests {
         let dims = Dims::d3(8, 9, 10);
         let data: Vec<f64> = (0..dims.len()).map(|i| 1e6 + (i as f64) * 3.7).collect();
         let bytes = sz().compress_pwr(&data, dims, 1e-3).unwrap();
-        let (dec, _) = sz().decompress::<f64>(&bytes).unwrap();
+        let (dec, _) = sz().decompress::<f64>(&bytes, noop()).unwrap();
         for (&a, &b) in data.iter().zip(&dec) {
             assert!(((a - b) / a).abs() <= 1e-3);
         }

@@ -197,7 +197,7 @@ pub fn lorenzo_sae<F: Float>(data: &[F], dims: Dims, block: &Block) -> f64 {
                 let (i, j, k) = (ox + di, oy + dj, oz + dk);
                 let v = data[dims.index(i, j, k)].to_f64();
                 if v.is_finite() {
-                    let pred = crate::lorenzo::predict(data, dims, i, j, k);
+                    let pred = pwrel_kernels::predict::predict_point(data, dims, i, j, k);
                     sae += (v - pred).abs();
                 }
             }

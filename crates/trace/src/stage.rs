@@ -2,12 +2,13 @@
 //! crates, the codec registry's per-codec stage declarations, and the
 //! exporters.
 //!
-//! One constant per stage boundary named by the `pwrel-data` stage
-//! traits (`Transform`, `Predictor`/`Quantizer`, `Encoder`,
-//! `LosslessStage`, `BlockTransform`, `PlaneCoder`), plus the container
-//! and orchestration layers above them. Using these constants — never
-//! string literals — keeps the acceptance check "trace span names cover
-//! every stage the registry reports" structural rather than textual.
+//! One constant per stage boundary of the codecs — the log map, SZ's
+//! predict/quantize sweep, Huffman and LZ passes and reconstruction,
+//! ZFP's lift and plane coder — plus the container and orchestration
+//! layers above them. Using these constants — never string literals —
+//! keeps the check "trace span names cover every stage the registry
+//! reports" structural rather than textual, and the benchmark's
+//! per-layer attribution reads the same names.
 
 /// Whole-codec root span opened by the registry around `compress`.
 pub const COMPRESS: &str = "compress";

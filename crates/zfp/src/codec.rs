@@ -18,10 +18,10 @@
 //! which real ZFP does not support).
 
 use crate::blocks;
-use crate::lift::{self, Lift};
-use crate::nb::{self, GroupTestCoder};
+use crate::lift;
+use crate::nb;
 use pwrel_bitstream::{bytesio, varint, BitReader, BitWriter};
-use pwrel_data::{BlockTransform, CodecError, Dims, Float, PlaneCoder};
+use pwrel_data::{CodecError, Dims, Float};
 use pwrel_kernels::LogPlan;
 use pwrel_trace::{stage, Recorder, StageTimer};
 
@@ -214,18 +214,18 @@ fn decode_one_block(
         let budget = rate_budget(rate, bs) - 18;
         clocks
             .plane
-            .time(|| GroupTestCoder.decode(r, coeffs, ip, kmin, Some(budget)))?;
+            .time(|| nb::decode_planes_budget(r, coeffs, ip, kmin, budget))?;
         skip_to(r, block_start, rate_budget(rate, bs))?;
     } else {
         clocks
             .plane
-            .time(|| GroupTestCoder.decode(r, coeffs, ip, kmin, None))?;
+            .time(|| nb::decode_planes(r, coeffs, ip, kmin))?;
     }
     clocks.lift.time(|| {
         for (slot, &dst) in order.iter().enumerate() {
             iblock[dst] = nb::nb_decode(coeffs[slot], ip);
         }
-        Lift.inverse(iblock, rank);
+        lift::inv_xform(iblock, rank);
         let s = (ip as i32 - g) - emax;
         let inv_scale = exp2_clamped(-s);
         for (i, &q) in iblock.iter().enumerate() {
@@ -326,7 +326,7 @@ fn lift_chunk(
             for (i, &v) in fblock.iter().enumerate() {
                 iblock[i] = (v * scale) as i64;
             }
-            Lift.forward(iblock, rank);
+            lift::fwd_xform(iblock, rank);
             let coeffs = &mut coeffs_chunk[slot * bs..(slot + 1) * bs];
             for (c, &src) in order.iter().enumerate() {
                 coeffs[c] = nb::nb_encode(iblock[src], ip);
@@ -771,7 +771,7 @@ pub(crate) fn decompress<F: Float>(
                         for (c, &dst) in order.iter().enumerate() {
                             iblock[dst] = nb::nb_decode(coeffs[c], ip);
                         }
-                        Lift.inverse(&mut iblock, rank);
+                        lift::inv_xform(&mut iblock, rank);
                         let s = (ip as i32 - g) - emax;
                         let inv_scale = exp2_clamped(-s);
                         for (i, &q) in iblock.iter().enumerate() {
@@ -897,14 +897,15 @@ mod tests {
     use super::*;
     use crate::ZfpCompressor;
     use pwrel_data::grf;
+    use pwrel_trace::noop;
 
     fn zfp() -> ZfpCompressor {
         ZfpCompressor
     }
 
     fn check_accuracy<F: Float>(data: &[F], dims: Dims, tol: f64) -> Vec<u8> {
-        let bytes = zfp().compress_accuracy(data, dims, tol).unwrap();
-        let (dec, d2) = zfp().decompress::<F>(&bytes).unwrap();
+        let bytes = zfp().compress_accuracy(data, dims, tol, noop()).unwrap();
+        let (dec, d2) = zfp().decompress::<F>(&bytes, noop()).unwrap();
         assert_eq!(d2, dims);
         for (idx, (&a, &b)) in data.iter().zip(&dec).enumerate() {
             let err = (a.to_f64() - b.to_f64()).abs();
@@ -981,15 +982,15 @@ mod tests {
         let data = grf::gaussian_field(dims, 8, 2, 2);
         let mut prev_len = 0usize;
         for p in [8u32, 16, 24, 32] {
-            let bytes = zfp().compress_precision(&data, dims, p).unwrap();
-            let (dec, _) = zfp().decompress::<f32>(&bytes).unwrap();
+            let bytes = zfp().compress_precision(&data, dims, p, noop()).unwrap();
+            let (dec, _) = zfp().decompress::<f32>(&bytes, noop()).unwrap();
             assert_eq!(dec.len(), data.len());
             assert!(bytes.len() >= prev_len, "p={p}");
             prev_len = bytes.len();
         }
         // High precision must be near-lossless.
-        let bytes = zfp().compress_precision(&data, dims, 34).unwrap();
-        let (dec, _) = zfp().decompress::<f32>(&bytes).unwrap();
+        let bytes = zfp().compress_precision(&data, dims, 34, noop()).unwrap();
+        let (dec, _) = zfp().decompress::<f32>(&bytes, noop()).unwrap();
         for (&a, &b) in data.iter().zip(&dec) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
@@ -1005,8 +1006,8 @@ mod tests {
             data[i] = 1e6;
             data[i + 1] = 1e-6;
         }
-        let bytes = zfp().compress_precision(&data, dims, 20).unwrap();
-        let (dec, _) = zfp().decompress::<f32>(&bytes).unwrap();
+        let bytes = zfp().compress_precision(&data, dims, 20, noop()).unwrap();
+        let (dec, _) = zfp().decompress::<f32>(&bytes, noop()).unwrap();
         let max_rel = data
             .iter()
             .zip(&dec)
@@ -1022,8 +1023,8 @@ mod tests {
     fn raw_escape_preserves_nonfinite() {
         let dims = Dims::d1(6);
         let data = vec![1.0f32, f32::NAN, f32::INFINITY, -2.0, 3.0, -4.0];
-        let bytes = zfp().compress_accuracy(&data, dims, 0.5).unwrap();
-        let (dec, _) = zfp().decompress::<f32>(&bytes).unwrap();
+        let bytes = zfp().compress_accuracy(&data, dims, 0.5, noop()).unwrap();
+        let (dec, _) = zfp().decompress::<f32>(&bytes, noop()).unwrap();
         assert!(dec[1].is_nan());
         assert_eq!(dec[2], f32::INFINITY);
     }
@@ -1039,9 +1040,9 @@ mod tests {
     #[test]
     fn empty_input() {
         let bytes = zfp()
-            .compress_accuracy::<f32>(&[], Dims::d1(0), 0.1)
+            .compress_accuracy::<f32>(&[], Dims::d1(0), 0.1, noop())
             .unwrap();
-        let (dec, _) = zfp().decompress::<f32>(&bytes).unwrap();
+        let (dec, _) = zfp().decompress::<f32>(&bytes, noop()).unwrap();
         assert!(dec.is_empty());
     }
 
@@ -1049,17 +1050,21 @@ mod tests {
     fn invalid_arguments() {
         let data = [1.0f32; 4];
         let dims = Dims::d1(4);
-        assert!(zfp().compress_accuracy(&data, dims, 0.0).is_err());
-        assert!(zfp().compress_precision(&data, dims, 0).is_err());
-        assert!(zfp().compress_precision(&data, dims, 99).is_err());
-        assert!(zfp().compress_accuracy(&data, Dims::d1(3), 0.1).is_err());
+        assert!(zfp().compress_accuracy(&data, dims, 0.0, noop()).is_err());
+        assert!(zfp().compress_precision(&data, dims, 0, noop()).is_err());
+        assert!(zfp().compress_precision(&data, dims, 99, noop()).is_err());
+        assert!(zfp()
+            .compress_accuracy(&data, Dims::d1(3), 0.1, noop())
+            .is_err());
     }
 
     #[test]
     fn wrong_type_rejected() {
         let data = [1.0f32; 8];
-        let bytes = zfp().compress_accuracy(&data, Dims::d1(8), 0.1).unwrap();
-        assert!(zfp().decompress::<f64>(&bytes).is_err());
+        let bytes = zfp()
+            .compress_accuracy(&data, Dims::d1(8), 0.1, noop())
+            .unwrap();
+        assert!(zfp().decompress::<f64>(&bytes, noop()).is_err());
     }
 
     #[test]
@@ -1071,8 +1076,8 @@ mod tests {
         let smooth = grf::gaussian_field(dims, 51, 4, 3);
         let noise = grf::white_noise(dims.len(), 52);
         for rate in [2u32, 8, 16] {
-            let a = zfp().compress_rate(&smooth, dims, rate).unwrap();
-            let b = zfp().compress_rate(&noise, dims, rate).unwrap();
+            let a = zfp().compress_rate(&smooth, dims, rate, noop()).unwrap();
+            let b = zfp().compress_rate(&noise, dims, rate, noop()).unwrap();
             assert_eq!(a.len(), b.len(), "rate {rate}");
             let payload_bits = (rate as usize) * dims.len();
             assert!(a.len() * 8 >= payload_bits);
@@ -1086,8 +1091,8 @@ mod tests {
         let data = grf::gaussian_field(dims, 53, 2, 2);
         let mut last = f64::INFINITY;
         for rate in [2u32, 6, 12, 24] {
-            let s = zfp().compress_rate(&data, dims, rate).unwrap();
-            let (dec, _) = zfp().decompress::<f32>(&s).unwrap();
+            let s = zfp().compress_rate(&data, dims, rate, noop()).unwrap();
+            let (dec, _) = zfp().decompress::<f32>(&s, noop()).unwrap();
             let err = data
                 .iter()
                 .zip(&dec)
@@ -1108,8 +1113,8 @@ mod tests {
                 *v = (i as f32).sin();
             }
         }
-        let s = zfp().compress_rate(&data, dims, 12).unwrap();
-        let (dec, d) = zfp().decompress::<f32>(&s).unwrap();
+        let s = zfp().compress_rate(&data, dims, 12, noop()).unwrap();
+        let (dec, d) = zfp().decompress::<f32>(&s, noop()).unwrap();
         assert_eq!(d, dims);
         assert_eq!(dec.len(), data.len());
     }
@@ -1119,8 +1124,8 @@ mod tests {
         let dims = Dims::d3(9, 10, 11); // unaligned on every axis
         let data = grf::gaussian_field(dims, 71, 1, 2);
         let rate = 14u32;
-        let stream = zfp().compress_rate(&data, dims, rate).unwrap();
-        let (full, _) = zfp().decompress::<f32>(&stream).unwrap();
+        let stream = zfp().compress_rate(&data, dims, rate, noop()).unwrap();
+        let (full, _) = zfp().decompress::<f32>(&stream, noop()).unwrap();
         let (gx, gy, gz) = crate::blocks::block_grid(dims);
         for bz in 0..gz {
             for by in 0..gy {
@@ -1150,9 +1155,9 @@ mod tests {
     fn random_access_rejects_wrong_mode_and_range() {
         let dims = Dims::d2(8, 8);
         let data = grf::gaussian_field(dims, 72, 1, 1);
-        let acc = zfp().compress_accuracy(&data, dims, 1e-3).unwrap();
+        let acc = zfp().compress_accuracy(&data, dims, 1e-3, noop()).unwrap();
         assert!(zfp().decompress_block::<f32>(&acc, 0, 0, 0).is_err());
-        let fixed = zfp().compress_rate(&data, dims, 8).unwrap();
+        let fixed = zfp().compress_rate(&data, dims, 8, noop()).unwrap();
         assert!(zfp().decompress_block::<f32>(&fixed, 0, 0, 0).is_ok());
         assert!(zfp().decompress_block::<f32>(&fixed, 2, 0, 0).is_err());
         assert!(zfp().decompress_block::<f32>(&fixed, 0, 0, 1).is_err());
@@ -1162,10 +1167,10 @@ mod tests {
     fn fixed_rate_rejects_nonfinite_and_bad_rate() {
         let dims = Dims::d1(4);
         assert!(zfp()
-            .compress_rate(&[1.0f32, f32::NAN, 0.0, 0.0], dims, 8)
+            .compress_rate(&[1.0f32, f32::NAN, 0.0, 0.0], dims, 8, noop())
             .is_err());
-        assert!(zfp().compress_rate(&[1.0f32; 4], dims, 0).is_err());
-        assert!(zfp().compress_rate(&[1.0f32; 4], dims, 99).is_err());
+        assert!(zfp().compress_rate(&[1.0f32; 4], dims, 0, noop()).is_err());
+        assert!(zfp().compress_rate(&[1.0f32; 4], dims, 99, noop()).is_err());
     }
 
     #[test]
@@ -1179,8 +1184,8 @@ mod tests {
     fn tighter_tolerance_larger_stream() {
         let dims = Dims::d2(64, 64);
         let data = grf::gaussian_field(dims, 9, 3, 3);
-        let loose = zfp().compress_accuracy(&data, dims, 1e-1).unwrap();
-        let tight = zfp().compress_accuracy(&data, dims, 1e-5).unwrap();
+        let loose = zfp().compress_accuracy(&data, dims, 1e-1, noop()).unwrap();
+        let tight = zfp().compress_accuracy(&data, dims, 1e-5, noop()).unwrap();
         assert!(tight.len() > loose.len());
     }
 }

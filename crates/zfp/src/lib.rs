@@ -39,30 +39,46 @@ pub mod lift;
 pub mod nb;
 
 pub use codec::{precision_for_rel_bound, BlockSamples};
-pub use lift::Lift;
-pub use nb::GroupTestCoder;
 
 use pwrel_data::{AbsErrorCodec, CodecError, Dims, Float};
 use pwrel_kernels::{FusedOutput, LogFusedCodec, LogPlan};
-use pwrel_trace::{noop, Recorder};
+use pwrel_trace::Recorder;
 
-/// Configuration + entry points for the ZFP-like codec.
+/// Configuration + entry points for the ZFP-like codec. Every compress
+/// and decompress records its lift and plane-coder aggregates on `rec`;
+/// the bytes and values are the same for every recorder, and untraced
+/// callers pass [`pwrel_trace::noop`].
 ///
 /// ```
 /// use pwrel_zfp::ZfpCompressor;
 /// use pwrel_data::Dims;
+/// use pwrel_trace::noop;
 ///
 /// let dims = Dims::d2(32, 32);
 /// let data: Vec<f32> = (0..dims.len()).map(|i| (i as f32 * 0.02).cos()).collect();
 /// let zfp = ZfpCompressor;
-/// let stream = zfp.compress_accuracy(&data, dims, 1e-4).unwrap();
-/// let (back, _) = zfp.decompress::<f32>(&stream).unwrap();
+/// let stream = zfp.compress_accuracy(&data, dims, 1e-4, noop()).unwrap();
+/// let (back, _) = zfp.decompress::<f32>(&stream, noop()).unwrap();
 /// for (a, b) in data.iter().zip(&back) {
 ///     assert!((a - b).abs() <= 1e-4);
 /// }
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ZfpCompressor;
+
+/// Validates a fixed-accuracy request: a finite, positive tolerance over
+/// a field of `dims.len()` values.
+fn check_accuracy<F>(data: &[F], dims: Dims, tolerance: f64) -> Result<(), CodecError> {
+    if !(tolerance > 0.0) || !tolerance.is_finite() {
+        return Err(CodecError::InvalidArgument(
+            "tolerance must be finite and > 0",
+        ));
+    }
+    if data.len() != dims.len() {
+        return Err(CodecError::InvalidArgument("data length != dims"));
+    }
+    Ok(())
+}
 
 impl ZfpCompressor {
     /// Fixed-accuracy compression: target `|x - x'| <= tolerance`.
@@ -71,38 +87,15 @@ impl ZfpCompressor {
         data: &[F],
         dims: Dims,
         tolerance: f64,
+        rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
-        if !(tolerance > 0.0) || !tolerance.is_finite() {
-            return Err(CodecError::InvalidArgument(
-                "tolerance must be finite and > 0",
-            ));
-        }
-        if data.len() != dims.len() {
-            return Err(CodecError::InvalidArgument("data length != dims"));
-        }
-        codec::compress(data, dims, codec::Mode::Accuracy(tolerance), noop())
+        check_accuracy(data, dims, tolerance)?;
+        codec::compress(data, dims, codec::Mode::Accuracy(tolerance), rec)
     }
 
     /// Fixed-precision compression: keep `precision` bit planes per block
     /// (ZFP's `-p` flag; 1 ..= F::BITS+2).
     pub fn compress_precision<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        precision: u32,
-    ) -> Result<Vec<u8>, CodecError> {
-        if precision == 0 || precision > F::BITS + 2 {
-            return Err(CodecError::InvalidArgument("precision out of range"));
-        }
-        if data.len() != dims.len() {
-            return Err(CodecError::InvalidArgument("data length != dims"));
-        }
-        codec::compress(data, dims, codec::Mode::Precision(precision), noop())
-    }
-
-    /// [`ZfpCompressor::compress_precision`] with per-stage recording
-    /// (lift and plane-coder aggregates). Emits the same bytes.
-    pub fn compress_precision_traced<F: Float>(
         &self,
         data: &[F],
         dims: Dims,
@@ -127,6 +120,7 @@ impl ZfpCompressor {
         data: &[F],
         dims: Dims,
         rate: u32,
+        rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
         if rate == 0 || rate > F::BITS + 2 {
             return Err(CodecError::InvalidArgument("rate out of range"));
@@ -134,17 +128,11 @@ impl ZfpCompressor {
         if data.len() != dims.len() {
             return Err(CodecError::InvalidArgument("data length != dims"));
         }
-        codec::compress(data, dims, codec::Mode::FixedRate(rate), noop())
+        codec::compress(data, dims, codec::Mode::FixedRate(rate), rec)
     }
 
     /// Decompresses any ZFP stream (any mode).
-    pub fn decompress<F: Float>(&self, bytes: &[u8]) -> Result<(Vec<F>, Dims), CodecError> {
-        codec::decompress(bytes, noop())
-    }
-
-    /// [`ZfpCompressor::decompress`] with per-stage recording (plane-coder
-    /// and inverse-lift aggregates).
-    pub fn decompress_traced<F: Float>(
+    pub fn decompress<F: Float>(
         &self,
         bytes: &[u8],
         rec: &dyn Recorder,
@@ -179,14 +167,7 @@ impl<F: Float> LogFusedCodec<F> for ZfpCompressor {
         plan: &LogPlan,
         rec: &dyn Recorder,
     ) -> Result<FusedOutput, CodecError> {
-        if !(plan.abs_bound > 0.0) || !plan.abs_bound.is_finite() {
-            return Err(CodecError::InvalidArgument(
-                "tolerance must be finite and > 0",
-            ));
-        }
-        if data.len() != dims.len() {
-            return Err(CodecError::InvalidArgument("data length != dims"));
-        }
+        check_accuracy(data, dims, plan.abs_bound)?;
         let (stream, signs) =
             codec::compress_fused(data, dims, plan, codec::Mode::Accuracy(plan.abs_bound), rec)?;
         Ok(FusedOutput { stream, signs })
@@ -194,41 +175,22 @@ impl<F: Float> LogFusedCodec<F> for ZfpCompressor {
 }
 
 impl<F: Float> AbsErrorCodec<F> for ZfpCompressor {
-    fn name(&self) -> &'static str {
-        "zfp"
-    }
-
-    fn compress_abs(&self, data: &[F], dims: Dims, bound: f64) -> Result<Vec<u8>, CodecError> {
-        self.compress_accuracy(data, dims, bound)
-    }
-
-    fn decompress_abs(&self, bytes: &[u8]) -> Result<(Vec<F>, Dims), CodecError> {
-        self.decompress(bytes)
-    }
-
-    fn compress_abs_traced(
+    /// Fixed-accuracy mode: [`ZfpCompressor::compress_accuracy`].
+    fn compress_abs(
         &self,
         data: &[F],
         dims: Dims,
         bound: f64,
         rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
-        if !(bound > 0.0) || !bound.is_finite() {
-            return Err(CodecError::InvalidArgument(
-                "tolerance must be finite and > 0",
-            ));
-        }
-        if data.len() != dims.len() {
-            return Err(CodecError::InvalidArgument("data length != dims"));
-        }
-        codec::compress(data, dims, codec::Mode::Accuracy(bound), rec)
+        self.compress_accuracy(data, dims, bound, rec)
     }
 
-    fn decompress_abs_traced(
+    fn decompress_abs(
         &self,
         bytes: &[u8],
         rec: &dyn Recorder,
     ) -> Result<(Vec<F>, Dims), CodecError> {
-        codec::decompress(bytes, rec)
+        self.decompress(bytes, rec)
     }
 }

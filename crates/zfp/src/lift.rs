@@ -198,26 +198,6 @@ pub fn block_size(rank: u8) -> usize {
     }
 }
 
-/// The lifting scheme as the pipeline's [`pwrel_data::BlockTransform`] stage.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Lift;
-
-impl pwrel_data::BlockTransform for Lift {
-    fn name(&self) -> &'static str {
-        "lift"
-    }
-
-    #[inline]
-    fn forward(&self, block: &mut [i64], rank: u8) {
-        fwd_xform(block, rank)
-    }
-
-    #[inline]
-    fn inverse(&self, block: &mut [i64], rank: u8) {
-        inv_xform(block, rank)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

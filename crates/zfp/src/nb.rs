@@ -506,54 +506,6 @@ pub fn decode_plane_words(
     Ok(maxbits - bits)
 }
 
-/// The group-testing embedded coder as the pipeline's [`pwrel_data::PlaneCoder`]
-/// stage. `maxbits: None` selects the unbudgeted accuracy/precision path,
-/// `Some(budget)` the fixed-rate path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GroupTestCoder;
-
-impl pwrel_data::PlaneCoder for GroupTestCoder {
-    fn name(&self) -> &'static str {
-        "group-test"
-    }
-
-    fn encode(
-        &self,
-        w: &mut BitWriter,
-        coeffs: &[u64],
-        intprec: u32,
-        kmin: u32,
-        maxbits: Option<u64>,
-    ) -> u64 {
-        match maxbits {
-            Some(budget) => encode_planes_budget(w, coeffs, intprec, kmin, budget),
-            None => {
-                let before = w.bit_len();
-                encode_planes(w, coeffs, intprec, kmin);
-                w.bit_len() - before
-            }
-        }
-    }
-
-    fn decode(
-        &self,
-        r: &mut BitReader<'_>,
-        coeffs: &mut [u64],
-        intprec: u32,
-        kmin: u32,
-        maxbits: Option<u64>,
-    ) -> std::result::Result<u64, pwrel_data::CodecError> {
-        match maxbits {
-            Some(budget) => Ok(decode_planes_budget(r, coeffs, intprec, kmin, budget)?),
-            None => {
-                let before = r.bits_read();
-                decode_planes(r, coeffs, intprec, kmin)?;
-                Ok(r.bits_read() - before)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

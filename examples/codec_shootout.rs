@@ -11,6 +11,7 @@ use pwrel::fpzip::FpzipCompressor;
 use pwrel::isabela::IsabelaCompressor;
 use pwrel::metrics::{compression_ratio, RelErrorStats};
 use pwrel::sz::SzCompressor;
+use pwrel::trace::noop;
 use pwrel::zfp::ZfpCompressor;
 use std::time::Instant;
 
@@ -37,8 +38,8 @@ fn main() {
             Box::new({
                 let f = field.clone();
                 move || {
-                    let s = sz_t.compress(&f.data, f.dims, br).unwrap();
-                    let d = sz_t.decompress(&s).unwrap();
+                    let s = sz_t.compress(&f.data, f.dims, br, noop()).unwrap();
+                    let (d, _) = sz_t.decompress::<f32>(&s, noop()).unwrap();
                     (s, d)
                 }
             }),
@@ -48,8 +49,8 @@ fn main() {
             Box::new({
                 let f = field.clone();
                 move || {
-                    let s = zfp_t.compress(&f.data, f.dims, br).unwrap();
-                    let d = zfp_t.decompress(&s).unwrap();
+                    let s = zfp_t.compress(&f.data, f.dims, br, noop()).unwrap();
+                    let (d, _) = zfp_t.decompress::<f32>(&s, noop()).unwrap();
                     (s, d)
                 }
             }),
@@ -61,7 +62,7 @@ fn main() {
                 move || {
                     let sz = SzCompressor::default();
                     let s = sz.compress_pwr(&f.data, f.dims, br).unwrap();
-                    let d = sz.decompress::<f32>(&s).unwrap().0;
+                    let d = sz.decompress::<f32>(&s, noop()).unwrap().0;
                     (s, d)
                 }
             }),

@@ -12,9 +12,10 @@
 //! ```
 
 use pwrel::core::{LogBase, PwRelCompressor};
-use pwrel::data::{nyx, Scale};
+use pwrel::data::{nyx, AbsErrorCodec, Scale};
 use pwrel::metrics::RelErrorStats;
 use pwrel::sz::SzCompressor;
+use pwrel::trace::noop;
 
 fn main() {
     let field = nyx::dark_matter_density(Scale::Medium);
@@ -35,8 +36,12 @@ fn main() {
 
     // Compress with SZ_T at a 1% point-wise relative bound.
     let sz_t = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
-    let rel_stream = sz_t.compress(&field.data, field.dims, 1e-2).expect("sz_t");
-    let rel_dec: Vec<f32> = sz_t.decompress(&rel_stream).expect("sz_t dec");
+    let rel_stream = sz_t
+        .compress(&field.data, field.dims, 1e-2, noop())
+        .expect("sz_t");
+    let (rel_dec, _) = sz_t
+        .decompress::<f32>(&rel_stream, noop())
+        .expect("sz_t dec");
     let target_cr = raw as f64 / rel_stream.len() as f64;
 
     // Give SZ's absolute mode the same budget: pick the absolute bound that
@@ -47,7 +52,7 @@ fn main() {
     for _ in 0..24 {
         let eb = (lo * hi).sqrt();
         abs_stream = sz
-            .compress_abs(&field.data, field.dims, eb)
+            .compress_abs(&field.data, field.dims, eb, noop())
             .expect("sz abs");
         if (raw as f64 / abs_stream.len() as f64) < target_cr {
             lo = eb;
@@ -55,7 +60,7 @@ fn main() {
             hi = eb;
         }
     }
-    let abs_dec: Vec<f32> = sz.decompress(&abs_stream).expect("sz abs dec").0;
+    let abs_dec: Vec<f32> = sz.decompress(&abs_stream, noop()).expect("sz abs dec").0;
 
     // Compare relative-error behaviour in the dense region (values <= 1).
     let small_idx: Vec<usize> = (0..field.data.len())

@@ -12,6 +12,7 @@ use pwrel::core::{LogBase, PwRelCompressor};
 use pwrel::data::{nyx, Scale};
 use pwrel::parallel::{PfsModel, ScalingExperiment, WorkerPool};
 use pwrel::sz::SzCompressor;
+use pwrel::trace::noop;
 
 fn main() {
     let ds = nyx::dataset(Scale::Medium);
@@ -31,7 +32,9 @@ fn main() {
 
     let ranks = [1024usize, 2048, 4096];
     let (dumps, streams) = exp.dump(&ranks, |f| {
-        codec.compress(&f.data, f.dims, 1e-2).expect("compress")
+        codec
+            .compress(&f.data, f.dims, 1e-2, noop())
+            .expect("compress")
     });
     println!(
         "\ncompression: {:.2}x ratio, {:.2} s/rank on {} threads",
@@ -58,7 +61,11 @@ fn main() {
     }
 
     let loads = exp.load(&ranks, &streams, |s| {
-        codec.decompress::<f32>(s).expect("decompress").len()
+        codec
+            .decompress::<f32>(s, noop())
+            .expect("decompress")
+            .0
+            .len()
     });
     println!("\n{:>8} {:>12} {:>12}", "ranks", "read (s)", "load (s)");
     for l in &loads {

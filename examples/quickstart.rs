@@ -8,6 +8,7 @@ use pwrel::core::{LogBase, PwRelCompressor};
 use pwrel::data::Dims;
 use pwrel::metrics::{compression_ratio, RelErrorStats};
 use pwrel::sz::SzCompressor;
+use pwrel::trace::noop;
 
 fn main() {
     // A synthetic signal spanning nine orders of magnitude, with exact
@@ -29,8 +30,12 @@ fn main() {
     let codec = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
     let rel_bound = 1e-3;
 
-    let compressed = codec.compress(&data, dims, rel_bound).expect("compress");
-    let restored: Vec<f32> = codec.decompress(&compressed).expect("decompress");
+    let compressed = codec
+        .compress(&data, dims, rel_bound, noop())
+        .expect("compress");
+    let (restored, _) = codec
+        .decompress::<f32>(&compressed, noop())
+        .expect("decompress");
 
     let stats = RelErrorStats::compute(&data, &restored, rel_bound);
     println!("points:              {}", data.len());

@@ -11,9 +11,10 @@
 //! ```
 
 use pwrel::core::{LogBase, PwRelCompressor};
-use pwrel::data::{hacc, Scale};
+use pwrel::data::{hacc, AbsErrorCodec, Scale};
 use pwrel::metrics::skew;
 use pwrel::sz::SzCompressor;
+use pwrel::trace::noop;
 
 fn main() {
     let fields = [
@@ -30,9 +31,11 @@ fn main() {
     let szt_dec: Vec<Vec<f32>> = fields
         .iter()
         .map(|f| {
-            let s = sz_t.compress(&f.data, f.dims, 1e-2).expect("compress");
+            let s = sz_t
+                .compress(&f.data, f.dims, 1e-2, noop())
+                .expect("compress");
             szt_bytes += s.len();
-            sz_t.decompress(&s).expect("decompress")
+            sz_t.decompress::<f32>(&s, noop()).expect("decompress").0
         })
         .collect();
 
@@ -46,7 +49,11 @@ fn main() {
         abs_eb = (lo * hi).sqrt();
         let len: usize = fields
             .iter()
-            .map(|f| sz.compress_abs(&f.data, f.dims, abs_eb).unwrap().len())
+            .map(|f| {
+                sz.compress_abs(&f.data, f.dims, abs_eb, noop())
+                    .unwrap()
+                    .len()
+            })
             .sum();
         if (raw_total as f64 / len as f64) < target_cr {
             lo = abs_eb;
@@ -57,9 +64,12 @@ fn main() {
     let abs_dec: Vec<Vec<f32>> = fields
         .iter()
         .map(|f| {
-            sz.decompress::<f32>(&sz.compress_abs(&f.data, f.dims, abs_eb).unwrap())
-                .unwrap()
-                .0
+            sz.decompress::<f32>(
+                &sz.compress_abs(&f.data, f.dims, abs_eb, noop()).unwrap(),
+                noop(),
+            )
+            .unwrap()
+            .0
         })
         .collect();
 

@@ -17,11 +17,12 @@
 //! use pwrel::core::{PwRelCompressor, LogBase};
 //! use pwrel::sz::SzCompressor;
 //! use pwrel::data::Dims;
+//! use pwrel::trace::noop;
 //!
 //! let data: Vec<f32> = (1..=4096).map(|i| (i as f32).sin().abs() + 0.5).collect();
 //! let codec = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
-//! let compressed = codec.compress(&data, Dims::d1(data.len()), 1e-3).unwrap();
-//! let restored = codec.decompress(&compressed).unwrap();
+//! let compressed = codec.compress(&data, Dims::d1(data.len()), 1e-3, noop()).unwrap();
+//! let (restored, _) = codec.decompress::<f32>(&compressed, noop()).unwrap();
 //! for (a, b) in data.iter().zip(&restored) {
 //!     assert!(((a - b) / a).abs() <= 1e-3);
 //! }
@@ -38,4 +39,5 @@ pub use pwrel_parallel as parallel;
 pub use pwrel_pipeline as pipeline;
 pub use pwrel_serve as serve;
 pub use pwrel_sz as sz;
+pub use pwrel_trace as trace;
 pub use pwrel_zfp as zfp;

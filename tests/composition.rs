@@ -6,6 +6,7 @@ use pwrel::data::{nyx, Dims, Scale};
 use pwrel::parallel::{ChunkedCodec, WorkerPool};
 use pwrel::pipeline::{global, CompressOpts, SliceSource, VecSink};
 use pwrel::sz::SzCompressor;
+use pwrel_trace::noop;
 
 fn hybrid_sz() -> SzCompressor {
     SzCompressor {
@@ -19,8 +20,8 @@ fn hybrid_predictor_inside_the_wrapper_is_strictly_bounded() {
     let field = nyx::dark_matter_density(Scale::Small);
     let codec = PwRelCompressor::new(hybrid_sz(), LogBase::Two);
     for br in [1e-3, 1e-1] {
-        let stream = codec.compress(&field.data, field.dims, br).unwrap();
-        let dec: Vec<f32> = codec.decompress(&stream).unwrap();
+        let stream = codec.compress(&field.data, field.dims, br, noop()).unwrap();
+        let (dec, _) = codec.decompress::<f32>(&stream, noop()).unwrap();
         for (&a, &b) in field.data.iter().zip(&dec) {
             if a == 0.0 {
                 assert_eq!(b, 0.0);
@@ -45,8 +46,8 @@ fn adaptive_capacity_inside_the_wrapper_is_strictly_bounded() {
     let abs_guess = pwrel::core::theory::abs_bound_for(LogBase::Two, br);
     let sz = SzCompressor::adaptive(&mags, field.dims, abs_guess);
     let codec = PwRelCompressor::new(sz, LogBase::Two);
-    let stream = codec.compress(&field.data, field.dims, br).unwrap();
-    let dec: Vec<f32> = codec.decompress(&stream).unwrap();
+    let stream = codec.compress(&field.data, field.dims, br, noop()).unwrap();
+    let (dec, _) = codec.decompress::<f32>(&stream, noop()).unwrap();
     for (&a, &b) in field.data.iter().zip(&dec) {
         if a != 0.0 {
             assert!(((a as f64 - b as f64) / a as f64).abs() <= br);
@@ -102,7 +103,7 @@ fn spatial_pwr_on_multidim_datasets_beats_nothing_but_stays_bounded() {
                 continue;
             }
             let stream = sz.compress_pwr(&field.data, field.dims, 1e-2).unwrap();
-            let (dec, _) = sz.decompress::<f32>(&stream).unwrap();
+            let (dec, _) = sz.decompress::<f32>(&stream, noop()).unwrap();
             for (&a, &b) in field.data.iter().zip(&dec) {
                 if a != 0.0 {
                     assert!(
@@ -122,8 +123,8 @@ fn fixed_rate_zfp_streams_decode_through_generic_decompress() {
     let dims = Dims::d2(32, 48);
     let data: Vec<f32> = (0..dims.len()).map(|i| (i as f32 * 0.05).cos()).collect();
     let zfp = pwrel::zfp::ZfpCompressor;
-    let stream = zfp.compress_rate(&data, dims, 10).unwrap();
-    let (dec, d) = zfp.decompress::<f32>(&stream).unwrap();
+    let stream = zfp.compress_rate(&data, dims, 10, noop()).unwrap();
+    let (dec, d) = zfp.decompress::<f32>(&stream, noop()).unwrap();
     assert_eq!(d, dims);
     assert_eq!(dec.len(), data.len());
 }

@@ -4,12 +4,13 @@
 
 use proptest::prelude::*;
 use pwrel::core::{LogBase, PwRelCompressor};
-use pwrel::data::Dims;
+use pwrel::data::{AbsErrorCodec, Dims};
 use pwrel::fpzip::FpzipCompressor;
 use pwrel::isabela::IsabelaCompressor;
 use pwrel::lossless::lz;
 use pwrel::sz::SzCompressor;
 use pwrel::zfp::ZfpCompressor;
+use pwrel_trace::noop;
 
 fn read_uvarint(bytes: &[u8], pos: &mut usize) -> u64 {
     let mut value = 0u64;
@@ -143,7 +144,7 @@ fn streams() -> Vec<(&'static str, Vec<u8>)> {
         (
             "sz_abs",
             SzCompressor::default()
-                .compress_abs(&data, dims, 0.01)
+                .compress_abs(&data, dims, 0.01, noop())
                 .unwrap(),
         ),
         (
@@ -154,7 +155,9 @@ fn streams() -> Vec<(&'static str, Vec<u8>)> {
         ),
         (
             "zfp",
-            ZfpCompressor.compress_accuracy(&data, dims, 0.01).unwrap(),
+            ZfpCompressor
+                .compress_accuracy(&data, dims, 0.01, noop())
+                .unwrap(),
         ),
         (
             "fpzip",
@@ -169,7 +172,7 @@ fn streams() -> Vec<(&'static str, Vec<u8>)> {
         (
             "sz_t",
             PwRelCompressor::new(SzCompressor::default(), LogBase::Two)
-                .compress(&data, dims, 0.01)
+                .compress(&data, dims, 0.01, noop())
                 .unwrap(),
         ),
     ]
@@ -177,11 +180,12 @@ fn streams() -> Vec<(&'static str, Vec<u8>)> {
 
 /// Decodes a stream with every decoder; must never panic.
 fn try_all_decoders(name: &str, bytes: &[u8]) {
-    let _ = SzCompressor::default().decompress::<f32>(bytes);
-    let _ = ZfpCompressor.decompress::<f32>(bytes);
+    let _ = SzCompressor::default().decompress::<f32>(bytes, noop());
+    let _ = ZfpCompressor.decompress::<f32>(bytes, noop());
     let _ = pwrel::fpzip::decompress::<f32>(bytes);
     let _ = pwrel::isabela::decompress::<f32>(bytes);
-    let _ = PwRelCompressor::new(SzCompressor::default(), LogBase::Two).decompress::<f32>(bytes);
+    let _ = PwRelCompressor::new(SzCompressor::default(), LogBase::Two)
+        .decompress::<f32>(bytes, noop());
     let _ = name;
 }
 
@@ -234,10 +238,10 @@ mod forged {
     fn truncated_transform_header_errors() {
         let (data, dims) = sample_field();
         let codec = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
-        let stream = codec.compress(&data, dims, 0.01).unwrap();
+        let stream = codec.compress(&data, dims, 0.01, noop()).unwrap();
         for cut in 0..stream.len().min(40) {
             assert!(
-                codec.decompress::<f32>(&stream[..cut]).is_err(),
+                codec.decompress::<f32>(&stream[..cut], noop()).is_err(),
                 "cut={cut}"
             );
         }
@@ -248,10 +252,14 @@ mod forged {
     #[test]
     fn truncated_zfp_header_errors() {
         let (data, dims) = sample_field();
-        let stream = ZfpCompressor.compress_accuracy(&data, dims, 0.01).unwrap();
+        let stream = ZfpCompressor
+            .compress_accuracy(&data, dims, 0.01, noop())
+            .unwrap();
         for cut in 0..8 {
             assert!(
-                ZfpCompressor.decompress::<f32>(&stream[..cut]).is_err(),
+                ZfpCompressor
+                    .decompress::<f32>(&stream[..cut], noop())
+                    .is_err(),
                 "cut={cut}"
             );
         }
@@ -297,8 +305,8 @@ mod forged {
             n_unpred: 0,
             unpred_bytes: Vec::new(),
         }
-        .serialize(false);
-        match SzCompressor::default().decompress::<f32>(&stream) {
+        .serialize(false, noop());
+        match SzCompressor::default().decompress::<f32>(&stream, noop()) {
             Err(CodecError::Corrupt(_)) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -310,7 +318,7 @@ mod forged {
     fn unrouted_sz_mode_errors_not_panics() {
         let (data, dims) = sample_field();
         let stream = SzCompressor::default()
-            .compress_abs(&data, dims, 0.01)
+            .compress_abs(&data, dims, 0.01, noop())
             .unwrap();
         // Flip the mode tag (byte 5, after magic + float_bits) through all
         // 256 values; decoding must never panic and unknown or
@@ -318,7 +326,7 @@ mod forged {
         for tag in 0u8..=255 {
             let mut bad = stream.clone();
             bad[5] = tag;
-            let _ = SzCompressor::default().decompress::<f32>(&bad);
+            let _ = SzCompressor::default().decompress::<f32>(&bad, noop());
         }
     }
 }
@@ -387,7 +395,7 @@ mod allocation_bombs {
             .map(|i| (if i % 3 == 0 { -2.0 } else { 1.5 }) * (1.0 + i as f32 * 0.01))
             .collect();
         let codec = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
-        let stream = codec.compress(&data, dims, 0.01).unwrap();
+        let stream = codec.compress(&data, dims, 0.01, noop()).unwrap();
         assert_eq!(stream[6], 1, "mixed-sign field stores a sign section");
         let sign_len_at = 4 + 1 + 1 + 1 + 8 + 8; // magic, width, base, flag, bounds
         let mut pos = sign_len_at;
@@ -403,7 +411,7 @@ mod allocation_bombs {
         write_uvarint(&mut bad, blob.len() as u64);
         bad.extend_from_slice(&blob);
         bad.extend_from_slice(&stream[sign_end..]);
-        assert!(codec.decompress::<f32>(&bad).is_err());
+        assert!(codec.decompress::<f32>(&bad, noop()).is_err());
     }
 }
 

@@ -2,10 +2,11 @@
 //! reference [7]): SZ's linear-scaling quantization leaves near-uniform
 //! errors; the bound is tight against the error support.
 
-use pwrel::data::{grf, Dims};
+use pwrel::data::{grf, AbsErrorCodec, Dims};
 use pwrel::metrics::ErrorDistribution;
 use pwrel::sz::SzCompressor;
 use pwrel::zfp::ZfpCompressor;
+use pwrel_trace::noop;
 
 #[test]
 fn sz_errors_are_near_uniform_within_the_bound() {
@@ -14,7 +15,7 @@ fn sz_errors_are_near_uniform_within_the_bound() {
     let eb = 1e-3;
     let sz = SzCompressor::default();
     let (dec, _) = sz
-        .decompress::<f32>(&sz.compress_abs(&data, dims, eb).unwrap())
+        .decompress::<f32>(&sz.compress_abs(&data, dims, eb, noop()).unwrap(), noop())
         .unwrap();
     let dist = ErrorDistribution::compute(&data, &dec, 20, Some(eb));
     // Unbiased, flat-ish, and filling the [-eb, eb] support.
@@ -43,7 +44,10 @@ fn zfp_errors_are_peaked_relative_to_its_bound() {
     let tol = 1e-3;
     let zfp = ZfpCompressor;
     let (dec, _) = zfp
-        .decompress::<f32>(&zfp.compress_accuracy(&data, dims, tol).unwrap())
+        .decompress::<f32>(
+            &zfp.compress_accuracy(&data, dims, tol, noop()).unwrap(),
+            noop(),
+        )
         .unwrap();
     let dist = ErrorDistribution::compute(&data, &dec, 20, Some(tol));
     assert!(

@@ -7,12 +7,13 @@
 
 use proptest::prelude::*;
 use pwrel::core::{LogBase, PwRelCompressor};
-use pwrel::data::Dims;
+use pwrel::data::{AbsErrorCodec, Dims};
 use pwrel::fpzip::FpzipCompressor;
 use pwrel::isabela::IsabelaCompressor;
 use pwrel::lossless::{huffman, lz, rle};
 use pwrel::sz::SzCompressor;
 use pwrel::zfp::ZfpCompressor;
+use pwrel_trace::noop;
 
 /// Finite, non-pathological f32s spanning a wide but bounded range, with
 /// zeros mixed in (exponent range where f32 round-off margins are sane).
@@ -75,8 +76,8 @@ proptest! {
         let eb = (eb_exp as f64).exp2();
         let dims = Dims::d1(data.len());
         let sz = SzCompressor::default();
-        let stream = sz.compress_abs(&data, dims, eb).unwrap();
-        let (dec, _) = sz.decompress::<f32>(&stream).unwrap();
+        let stream = sz.compress_abs(&data, dims, eb, noop()).unwrap();
+        let (dec, _) = sz.decompress::<f32>(&stream, noop()).unwrap();
         for (&a, &b) in data.iter().zip(&dec) {
             prop_assert!((a as f64 - b as f64).abs() <= eb, "{} vs {} (eb {})", a, b, eb);
         }
@@ -87,8 +88,8 @@ proptest! {
         let eb = (eb_exp as f64).exp2();
         let dims = Dims::d1(data.len());
         let zfp = ZfpCompressor;
-        let stream = zfp.compress_accuracy(&data, dims, eb).unwrap();
-        let (dec, _) = zfp.decompress::<f32>(&stream).unwrap();
+        let stream = zfp.compress_accuracy(&data, dims, eb, noop()).unwrap();
+        let (dec, _) = zfp.decompress::<f32>(&stream, noop()).unwrap();
         for (&a, &b) in data.iter().zip(&dec) {
             prop_assert!((a as f64 - b as f64).abs() <= eb, "{} vs {} (eb {})", a, b, eb);
         }
@@ -99,8 +100,8 @@ proptest! {
         let br = (br_exp as f64).exp2();
         let dims = Dims::d1(data.len());
         let codec = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
-        let stream = codec.compress(&data, dims, br).unwrap();
-        let dec: Vec<f32> = codec.decompress(&stream).unwrap();
+        let stream = codec.compress(&data, dims, br, noop()).unwrap();
+        let (dec, _) = codec.decompress::<f32>(&stream, noop()).unwrap();
         for (&a, &b) in data.iter().zip(&dec) {
             if a == 0.0 {
                 prop_assert_eq!(b, 0.0);
@@ -116,8 +117,8 @@ proptest! {
         let br = (br_exp as f64).exp2();
         let dims = Dims::d1(data.len());
         let codec = PwRelCompressor::new(ZfpCompressor, LogBase::Two);
-        let stream = codec.compress(&data, dims, br).unwrap();
-        let dec: Vec<f32> = codec.decompress(&stream).unwrap();
+        let stream = codec.compress(&data, dims, br, noop()).unwrap();
+        let (dec, _) = codec.decompress::<f32>(&stream, noop()).unwrap();
         for (&a, &b) in data.iter().zip(&dec) {
             if a == 0.0 {
                 prop_assert_eq!(b, 0.0);
@@ -174,7 +175,7 @@ proptest! {
         let eb = (eb_exp as f64).exp2();
         let dims = Dims::d2(rows, cols);
         let sz = SzCompressor::default();
-        let (dec, _) = sz.decompress::<f32>(&sz.compress_abs(&data, dims, eb).unwrap()).unwrap();
+        let (dec, _) = sz.decompress::<f32>(&sz.compress_abs(&data, dims, eb, noop()).unwrap(), noop()).unwrap();
         for (&a, &b) in data.iter().zip(&dec) {
             prop_assert!((a as f64 - b as f64).abs() <= eb);
         }

@@ -192,21 +192,23 @@ fn elem_width_mismatch_is_mismatch_error() {
 #[test]
 fn legacy_streams_still_decode_through_the_registry() {
     use pwrel::core::{LogBase, PwRelCompressor};
+    use pwrel::data::AbsErrorCodec;
     use pwrel::sz::SzCompressor;
     use pwrel::zfp::ZfpCompressor;
+    use pwrel_trace::noop;
 
     let data: Vec<f32> = (1..3000).map(|i| (i as f32).ln() + 0.5).collect();
     let dims = Dims::d1(data.len());
 
     // Pre-container streams: raw per-codec magics.
     let legacy_szt = PwRelCompressor::new(SzCompressor::default(), LogBase::Two)
-        .compress_fused(&data, dims, 1e-3, pwrel_trace::noop())
+        .compress(&data, dims, 1e-3, noop())
         .unwrap();
     let legacy_zfpt = PwRelCompressor::new(ZfpCompressor, LogBase::Ten)
-        .compress_fused(&data, dims, 1e-3, pwrel_trace::noop())
+        .compress(&data, dims, 1e-3, noop())
         .unwrap();
     let legacy_sz = SzCompressor::default()
-        .compress_abs(&data, dims, 1e-3)
+        .compress_abs(&data, dims, 1e-3, noop())
         .unwrap();
 
     for (tag, stream) in [

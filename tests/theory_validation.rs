@@ -9,6 +9,7 @@
 use pwrel::core::{theory, transform, Kernel, LogBase, PwRelCompressor};
 use pwrel::data::{nyx, Dims, Scale};
 use pwrel::sz::{self, SzCompressor};
+use pwrel_trace::noop;
 
 /// Theorem 3: quantization indices under two bases differ by at most
 /// `neighbours × |log_{1+br}(1−br) − 1|` (plus one for the rounding of the
@@ -95,7 +96,7 @@ fn base_choice_does_not_move_compressed_sizes() {
             .iter()
             .map(|&b| {
                 PwRelCompressor::new(SzCompressor::default(), b)
-                    .compress(&field.data, field.dims, br)
+                    .compress(&field.data, field.dims, br, noop())
                     .unwrap()
                     .len()
             })
@@ -119,8 +120,8 @@ fn guardless_bound_holds_on_narrow_range_data() {
     let mut codec = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
     codec.roundoff_guard = 0.0;
     let br = 1e-3;
-    let stream = codec.compress(&data, dims, br).unwrap();
-    let dec: Vec<f32> = codec.decompress(&stream).unwrap();
+    let stream = codec.compress(&data, dims, br, noop()).unwrap();
+    let (dec, _) = codec.decompress::<f32>(&stream, noop()).unwrap();
     for (&a, &b) in data.iter().zip(&dec) {
         assert!(((a as f64 - b as f64) / a as f64).abs() <= br * (1.0 + 1e-9));
     }
