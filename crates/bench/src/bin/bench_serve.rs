@@ -221,7 +221,6 @@ fn main() {
         ..Default::default()
     };
     let inflight = cfg.max_inflight;
-    let workers = cfg.workers;
     let handle = Server::bind(cfg)
         .expect("bind")
         .spawn()
@@ -229,7 +228,7 @@ fn main() {
     let addr = handle.addr();
     eprintln!(
         "serve bench: {dims} f32 ({raw_mb} MiB/request), {total_reqs} requests/config, \
-         server {addr} (workers {workers}, inflight {inflight}), host_cpus {host_cpus}"
+         server {addr} (inflight {inflight}), host_cpus {host_cpus}"
     );
 
     let bit_identical = check_bit_identity(addr, dims, chunk_elems);
@@ -301,7 +300,6 @@ fn main() {
             "  \"chunk_elems\": {},\n",
             "  \"total_requests\": {},\n",
             "  \"raw_bytes_per_request\": {},\n",
-            "  \"server_workers\": {},\n",
             "  \"server_inflight\": {},\n",
             "  \"think_us\": {},\n",
             "  \"bit_identical\": {},\n",
@@ -320,7 +318,6 @@ fn main() {
         chunk_elems,
         total_reqs,
         dims.len() * 4,
-        workers,
         inflight,
         warmup.p50_us,
         bit_identical,

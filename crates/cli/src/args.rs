@@ -21,9 +21,9 @@ USAGE:
   pwrel run        -i <raw> --dims <...> --bound <b> [--codec <name>]
                    [--type f32|f64] [--base 2|e|10] [--trace <out.json>] [--stats]
                    [--stream] [--chunk-elems <n>] [--workers <n>] [--window <n>]
-  pwrel serve      [--addr <host:port>] [--workers <n>] [--inflight <n>]
-                   [--max-conns <n>] [--quota <bytes>] [--max-elems <n>]
-                   [--timeout-ms <ms>] [--window <n>] [--chunk-elems <n>]
+  pwrel serve      [--addr <host:port>] [--inflight <n>] [--max-conns <n>]
+                   [--quota <bytes>] [--max-elems <n>] [--timeout-ms <ms>]
+                   [--chunk-elems <n>]
   pwrel remote     <compress|decompress|info|codecs|metrics|ping>
                    [--server <host:port>] (plus the matching local flags)
 

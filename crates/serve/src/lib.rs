@@ -21,21 +21,17 @@
 //!   timeouts.
 //! - [`client`] — a small blocking client used by the CLI's `remote`
 //!   subcommand, the black-box integration tests, and `bench_serve`.
-//! - [`metrics`] — lock-free request/latency counters plus the
-//!   `pwrel-trace` sink, rendered as the text `metrics` response.
+//! - [`metrics`] — the text `metrics` response, rendered from the
+//!   server's one record, its `pwrel-trace` sink.
 //!
 //! Concurrency model: one OS thread per connection (requests on a
 //! connection are sequential, as the protocol requires), bounded by the
 //! connection cap; heavy requests additionally pass the global in-flight
 //! gate or are rejected with `busy` so overload degrades predictably
 //! instead of queueing unboundedly. Every compress and decompress runs
-//! the one framed-stream engine of [`pwrel_pipeline::stream`]: inline on
-//! the connection thread at `workers = 1`, or, with `workers > 1`, on a
-//! [`pwrel_parallel::ChunkedCodec`] that each connection lazily builds
-//! over its own [`pwrel_parallel::WorkerPool`]. The bytes are the same
-//! either way. Pools are per-connection because the pool's submit side
-//! is exclusive — sharing one pool would serialize every request in the
-//! process.
+//! the registry's framed-stream engine ([`pwrel_pipeline::stream`])
+//! inline on its connection thread, so the threads doing codec work are
+//! at most the in-flight cap.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,14 +51,6 @@ pub use server::{Server, ServerHandle};
 pub struct ServeConfig {
     /// Listen address, `host:port` (port 0 = ephemeral).
     pub addr: String,
-    /// Worker threads per request pipeline. 1 = compress/decompress run
-    /// sequentially on the connection thread (best aggregate throughput
-    /// when many clients share few cores); >1 = each connection lazily
-    /// builds a `ChunkedCodec` over its own pool of this many workers.
-    pub workers: usize,
-    /// Bounded in-flight chunk window for the pipelined engines
-    /// (0 = two chunks per worker).
-    pub window: usize,
     /// Default elements per PWS1 chunk when a compress request leaves
     /// `chunk_elems` at 0 (clamped to the field size per request).
     pub chunk_elems: usize,
@@ -89,8 +77,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:9474".to_string(),
-            workers: 1,
-            window: 0,
             chunk_elems: 0,
             max_inflight: 8,
             max_connections: 64,
@@ -105,9 +91,8 @@ impl ServeConfig {
     /// Parses `--flag value` pairs (the `pwrel-serve` binary's and
     /// `pwrel serve`'s shared flag set) on top of the defaults.
     ///
-    /// Accepted flags: `--addr`, `--workers`, `--window`,
-    /// `--chunk-elems`, `--inflight`, `--max-conns`, `--quota`,
-    /// `--max-elems`, `--timeout-ms`.
+    /// Accepted flags: `--addr`, `--chunk-elems`, `--inflight`,
+    /// `--max-conns`, `--quota`, `--max-elems`, `--timeout-ms`.
     pub fn from_args(args: &[String]) -> Result<Self, String> {
         let mut cfg = Self::default();
         let mut it = args.iter();
@@ -123,8 +108,6 @@ impl ServeConfig {
             };
             match flag.as_str() {
                 "--addr" => cfg.addr = value.to_string(),
-                "--workers" => cfg.workers = parse("--workers")?.max(1),
-                "--window" => cfg.window = parse("--window")?,
                 "--chunk-elems" => cfg.chunk_elems = parse("--chunk-elems")?,
                 "--inflight" => cfg.max_inflight = parse("--inflight")?.max(1),
                 "--max-conns" => cfg.max_connections = parse("--max-conns")?.max(1),
@@ -147,8 +130,8 @@ mod tests {
         let args: Vec<String> = [
             "--addr",
             "0.0.0.0:0",
-            "--workers",
-            "3",
+            "--chunk-elems",
+            "4096",
             "--inflight",
             "2",
             "--quota",
@@ -161,7 +144,7 @@ mod tests {
         .collect();
         let cfg = ServeConfig::from_args(&args).unwrap();
         assert_eq!(cfg.addr, "0.0.0.0:0");
-        assert_eq!(cfg.workers, 3);
+        assert_eq!(cfg.chunk_elems, 4096);
         assert_eq!(cfg.max_inflight, 2);
         assert_eq!(cfg.quota_bytes, 1024);
         assert_eq!(cfg.read_timeout_ms, 250);
@@ -175,19 +158,21 @@ mod tests {
             let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
             ServeConfig::from_args(&v).unwrap_err()
         };
-        assert!(bad(&["--workers"]).contains("needs a value"));
-        assert!(bad(&["--workers", "lots"]).contains("non-negative integer"));
+        assert!(bad(&["--inflight"]).contains("needs a value"));
+        assert!(bad(&["--inflight", "lots"]).contains("non-negative integer"));
         assert!(bad(&["--wat", "1"]).contains("unknown flag"));
+        assert!(bad(&["--workers", "2"]).contains("unknown flag"));
+        assert!(bad(&["--window", "8"]).contains("unknown flag"));
     }
 
     #[test]
     fn zero_floors_are_clamped() {
-        let v: Vec<String> = ["--workers", "0", "--inflight", "0", "--timeout-ms", "0"]
+        let v: Vec<String> = ["--max-conns", "0", "--inflight", "0", "--timeout-ms", "0"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         let cfg = ServeConfig::from_args(&v).unwrap();
-        assert_eq!(cfg.workers, 1);
+        assert_eq!(cfg.max_connections, 1);
         assert_eq!(cfg.max_inflight, 1);
         assert_eq!(cfg.read_timeout_ms, 1);
     }

@@ -11,8 +11,6 @@ USAGE:
 
 FLAGS (all take a value; defaults in parentheses):
     --addr <host:port>   listen address (127.0.0.1:9474; port 0 = ephemeral)
-    --workers <n>        worker threads per request pipeline (1)
-    --window <n>         in-flight chunk window, 0 = 2 per worker (0)
     --chunk-elems <n>    default elements per PWS1 chunk, 0 = auto (0)
     --inflight <n>       global cap on concurrent heavy requests (8)
     --max-conns <n>      cap on open connections (64)

@@ -1,289 +1,129 @@
-//! Lock-free server metrics and the text exposition behind the
-//! `metrics` request.
+//! The text exposition behind the `metrics` request.
 //!
-//! Everything on the hot path is a relaxed atomic: request counters, a
-//! per-status response table, and a base-2 logarithmic latency
-//! histogram. The render side folds in the shared
-//! [`pwrel_trace::TraceSink`] aggregates (counters, observations, span
-//! totals), so one `metrics` response carries both the service-level
-//! view (`pwrp_*`) and the codec-level view (`trace_*`). Field meanings
-//! are glossed in `OPERATIONS.md`.
+//! The server keeps one record, its [`pwrel_trace::TraceSink`], and
+//! [`render`] shows it twice: the `pwrp_*` block is the service view
+//! (requests, responses by status, connections, latency quantiles from
+//! the `serve_request_us` histogram) and the `trace_*` block lists every
+//! counter, observation and span total as recorded. Only the two gauges,
+//! open connections and in-flight requests, come from outside the sink.
+//! Field meanings are glossed in `OPERATIONS.md`.
 
-use crate::proto::status_name;
-use pwrel_trace::TraceSink;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::proto::{status_counter, status_name, ST_OK, ST_UNSUPPORTED_VERSION};
+use pwrel_trace::{stage, TraceSink};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-/// Number of log-2 latency buckets: bucket 0 holds 0 µs, bucket `i`
-/// holds latencies in `[2^(i-1), 2^i)` µs. 64 buckets cover `u64`.
-const LAT_BUCKETS: usize = 64;
+/// Renders the text exposition: `pwrp_*` service lines followed by
+/// `trace_*` lines from the sink, one `name value` pair per line.
+pub fn render(sink: &TraceSink, open_conns: u64, inflight: u64) -> String {
+    let counters: BTreeMap<_, _> = sink.counters().into_iter().collect();
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    let observations = sink.observations();
+    let latency = observations
+        .iter()
+        .find(|(name, _)| *name == stage::O_SERVE_REQUEST_US)
+        .map(|(_, stat)| *stat)
+        .unwrap_or_default();
 
-/// Number of tracked response status codes (`ST_*` fit comfortably).
-const STATUS_SLOTS: usize = 16;
-
-/// A base-2 logarithmic histogram of microsecond latencies.
-#[derive(Debug)]
-pub struct LatencyHisto {
-    buckets: [AtomicU64; LAT_BUCKETS],
-    count: AtomicU64,
-    sum_us: AtomicU64,
-    max_us: AtomicU64,
-}
-
-impl Default for LatencyHisto {
-    fn default() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_us: AtomicU64::new(0),
-            max_us: AtomicU64::new(0),
+    let mut out = String::with_capacity(2048);
+    let _ = writeln!(
+        out,
+        "pwrp_requests_total {}",
+        counter(stage::C_SERVE_REQUESTS)
+    );
+    for code in ST_OK..=ST_UNSUPPORTED_VERSION {
+        let n = counter(status_counter(code));
+        if n > 0 {
+            let _ = writeln!(out, "pwrp_responses_{} {n}", status_name(code));
         }
     }
-}
+    let _ = writeln!(out, "pwrp_connections_open {open_conns}");
+    let _ = writeln!(
+        out,
+        "pwrp_connections_total {}",
+        counter(stage::C_SERVE_CONNECTIONS)
+    );
+    let _ = writeln!(
+        out,
+        "pwrp_connections_refused {}",
+        counter(stage::C_SERVE_REFUSED)
+    );
+    let _ = writeln!(out, "pwrp_inflight {inflight}");
+    let _ = writeln!(out, "pwrp_latency_count {}", latency.count);
+    let _ = writeln!(out, "pwrp_latency_mean_us {:.1}", latency.mean());
+    for (label, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
+        let _ = writeln!(out, "pwrp_latency_{label}_us {}", latency.quantile(q));
+    }
+    let max_us = if latency.count > 0 { latency.max } else { 0.0 };
+    let _ = writeln!(out, "pwrp_latency_max_us {max_us:.0}");
 
-impl LatencyHisto {
-    fn bucket_index(us: u64) -> usize {
-        if us == 0 {
-            0
-        } else {
-            (64 - us.leading_zeros() as usize).min(LAT_BUCKETS - 1)
+    for (name, value) in &counters {
+        let _ = writeln!(out, "trace_{name} {value}");
+    }
+    for (name, stat) in &observations {
+        let _ = writeln!(out, "trace_obs_{name}_count {}", stat.count);
+        let _ = writeln!(out, "trace_obs_{name}_mean {:.3}", stat.mean());
+        if stat.count > 0 {
+            let _ = writeln!(out, "trace_obs_{name}_min {:.3}", stat.min);
+            let _ = writeln!(out, "trace_obs_{name}_max {:.3}", stat.max);
         }
     }
-
-    /// Records one latency observation.
-    pub fn record(&self, us: u64) {
-        let ix = Self::bucket_index(us);
-        if let Some(b) = self.buckets.get(ix) {
-            b.fetch_add(1, Ordering::Relaxed);
-        }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-        self.max_us.fetch_max(us, Ordering::Relaxed);
+    for (name, total) in sink.span_totals() {
+        let _ = writeln!(out, "trace_span_{name}_ns_total {}", total.total_ns);
+        let _ = writeln!(out, "trace_span_{name}_calls {}", total.calls);
     }
-
-    /// Number of recorded observations.
-    pub fn observations(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Approximate `q`-quantile (0..=1) as the upper bound of the bucket
-    /// where the cumulative count crosses `q * total`. Resolution is one
-    /// power of two — exact quantiles come from raw samples (as
-    /// `bench_serve` does); this is the cheap always-on view.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        let total = self.observations();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (ix, b) in self.buckets.iter().enumerate() {
-            seen = seen.saturating_add(b.load(Ordering::Relaxed));
-            if seen >= rank {
-                return if ix == 0 { 0 } else { 1u64 << ix.min(63) };
-            }
-        }
-        self.max_us.load(Ordering::Relaxed)
-    }
-
-    /// Mean latency in microseconds (0 when empty).
-    pub fn mean_us(&self) -> f64 {
-        let n = self.observations();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum_us.load(Ordering::Relaxed) as f64 / n as f64
-        }
-    }
-}
-
-/// Service-level counters shared by every connection thread.
-#[derive(Debug, Default)]
-pub struct ServerMetrics {
-    /// Requests fully parsed, by `MSG_*` slot (index = message type).
-    requests: AtomicU64,
-    /// Responses sent, indexed by status code.
-    responses: [AtomicU64; STATUS_SLOTS],
-    /// Connections accepted over the server's lifetime.
-    conns_total: AtomicU64,
-    /// Connections refused by the connection cap.
-    conns_refused: AtomicU64,
-    /// End-to-end request latency.
-    latency: LatencyHisto,
-}
-
-impl ServerMetrics {
-    /// A zeroed metrics block.
-    pub fn new() -> Self {
-        Self {
-            requests: AtomicU64::new(0),
-            responses: std::array::from_fn(|_| AtomicU64::new(0)),
-            conns_total: AtomicU64::new(0),
-            conns_refused: AtomicU64::new(0),
-            latency: LatencyHisto::default(),
-        }
-    }
-
-    /// Counts one fully parsed request.
-    pub fn record_request(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one response by status code.
-    pub fn record_status(&self, code: u8) {
-        let ix = (code as usize).min(STATUS_SLOTS - 1);
-        if let Some(slot) = self.responses.get(ix) {
-            slot.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one accepted connection.
-    pub fn record_connection(&self) {
-        self.conns_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one connection refused by the cap.
-    pub fn record_refused(&self) {
-        self.conns_refused.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one end-to-end request latency.
-    pub fn record_latency_us(&self, us: u64) {
-        self.latency.record(us);
-    }
-
-    /// Total parsed requests.
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Responses sent with the given status code.
-    pub fn responses_with(&self, code: u8) -> u64 {
-        self.responses
-            .get((code as usize).min(STATUS_SLOTS - 1))
-            .map(|s| s.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Renders the text exposition: `pwrp_*` service lines followed by
-    /// `trace_*` lines from the shared sink. One `name value` pair per
-    /// line; the field glossary lives in `OPERATIONS.md`.
-    pub fn render(&self, sink: &TraceSink, open_conns: u64, inflight: u64) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(2048);
-        let _ = writeln!(out, "pwrp_requests_total {}", self.requests());
-        for (code, slot) in self.responses.iter().enumerate() {
-            let n = slot.load(Ordering::Relaxed);
-            if n > 0 {
-                let _ = writeln!(out, "pwrp_responses_{} {}", status_name(code as u8), n);
-            }
-        }
-        let _ = writeln!(out, "pwrp_connections_open {open_conns}");
-        let _ = writeln!(
-            out,
-            "pwrp_connections_total {}",
-            self.conns_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "pwrp_connections_refused {}",
-            self.conns_refused.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "pwrp_inflight {inflight}");
-        let _ = writeln!(out, "pwrp_latency_count {}", self.latency.observations());
-        let _ = writeln!(out, "pwrp_latency_mean_us {:.1}", self.latency.mean_us());
-        let _ = writeln!(
-            out,
-            "pwrp_latency_p50_us {}",
-            self.latency.quantile_us(0.50)
-        );
-        let _ = writeln!(
-            out,
-            "pwrp_latency_p90_us {}",
-            self.latency.quantile_us(0.90)
-        );
-        let _ = writeln!(
-            out,
-            "pwrp_latency_p99_us {}",
-            self.latency.quantile_us(0.99)
-        );
-        let _ = writeln!(
-            out,
-            "pwrp_latency_max_us {}",
-            self.latency.max_us.load(Ordering::Relaxed)
-        );
-        for (name, value) in sink.counters() {
-            let _ = writeln!(out, "trace_{name} {value}");
-        }
-        for (name, stat) in sink.observations() {
-            let _ = writeln!(out, "trace_obs_{name}_count {}", stat.count);
-            let _ = writeln!(out, "trace_obs_{name}_mean {:.3}", stat.mean());
-            if stat.count > 0 {
-                let _ = writeln!(out, "trace_obs_{name}_min {:.3}", stat.min);
-                let _ = writeln!(out, "trace_obs_{name}_max {:.3}", stat.max);
-            }
-        }
-        for (name, total) in sink.span_totals() {
-            let _ = writeln!(out, "trace_span_{name}_ns_total {}", total.total_ns);
-            let _ = writeln!(out, "trace_span_{name}_calls {}", total.calls);
-        }
-        out
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::ST_BUSY;
     use pwrel_trace::Recorder;
 
     #[test]
-    fn histogram_buckets_and_quantiles() {
-        let h = LatencyHisto::default();
-        for us in [0u64, 1, 2, 3, 100, 1000, 1000, 1000] {
-            h.record(us);
-        }
-        assert_eq!(h.observations(), 8);
-        assert_eq!(h.quantile_us(0.0), 0);
-        // p99 lands in the 1000 µs bucket: upper bound 2^10 = 1024.
-        assert_eq!(h.quantile_us(0.99), 1024);
-        assert!(h.mean_us() > 0.0);
-    }
-
-    #[test]
-    fn bucket_index_is_monotone_and_in_range() {
-        let mut last = 0;
-        for shift in 0..64u32 {
-            let ix = LatencyHisto::bucket_index(1u64 << shift);
-            assert!(ix >= last && ix < LAT_BUCKETS);
-            last = ix;
-        }
-        assert_eq!(LatencyHisto::bucket_index(0), 0);
-        assert_eq!(LatencyHisto::bucket_index(u64::MAX), LAT_BUCKETS - 1);
-    }
-
-    #[test]
     fn render_contains_service_and_trace_sections() {
-        let m = ServerMetrics::new();
-        m.record_request();
-        m.record_status(crate::proto::ST_OK);
-        m.record_connection();
-        m.record_latency_us(500);
         let sink = TraceSink::new();
-        sink.add(pwrel_trace::stage::C_SERVE_REQUESTS, 1);
-        sink.observe(pwrel_trace::stage::O_SERVE_REQUEST_US, 500.0);
-        sink.add_span_total(pwrel_trace::stage::SERVE_REQUEST, 1_000, 1);
-        let text = m.render(&sink, 1, 0);
-        assert!(text.contains("pwrp_requests_total 1"));
-        assert!(text.contains("pwrp_responses_ok 1"));
-        assert!(text.contains("pwrp_latency_p99_us"));
-        assert!(text.contains("trace_serve_requests 1"));
-        assert!(text.contains("trace_obs_serve_request_us_count 1"));
-        assert!(text.contains("trace_span_serve.request_calls 1"));
+        sink.add(stage::C_SERVE_REQUESTS, 2);
+        sink.add(status_counter(ST_OK), 1);
+        sink.add(status_counter(ST_BUSY), 1);
+        sink.add(stage::C_SERVE_CONNECTIONS, 1);
+        sink.observe(stage::O_SERVE_REQUEST_US, 500.0);
+        sink.add_span_total(stage::SERVE_REQUEST, 1_000, 1);
+        let text = render(&sink, 1, 0);
+        for line in [
+            "pwrp_requests_total 2",
+            "pwrp_responses_ok 1",
+            "pwrp_responses_busy 1",
+            "pwrp_connections_open 1",
+            "pwrp_connections_total 1",
+            "pwrp_connections_refused 0",
+            "pwrp_latency_count 1",
+            "pwrp_latency_mean_us 500.0",
+            // 500 µs lands in [256, 512): upper bound 512.
+            "pwrp_latency_p99_us 512",
+            "pwrp_latency_max_us 500",
+            "trace_serve_requests 2",
+            "trace_serve_responses_busy 1",
+            "trace_obs_serve_request_us_count 1",
+            "trace_span_serve.request_calls 1",
+        ] {
+            assert!(text.lines().any(|l| l == line), "{line} missing:\n{text}");
+        }
     }
 
     #[test]
-    fn status_codes_out_of_range_do_not_panic() {
-        let m = ServerMetrics::new();
-        m.record_status(255);
-        assert_eq!(m.responses_with(255), 1);
+    fn empty_sink_renders_zeros() {
+        let text = render(&TraceSink::new(), 0, 0);
+        for line in [
+            "pwrp_requests_total 0",
+            "pwrp_latency_count 0",
+            "pwrp_latency_mean_us 0.0",
+            "pwrp_latency_p50_us 0",
+            "pwrp_latency_max_us 0",
+        ] {
+            assert!(text.lines().any(|l| l == line), "{line} missing:\n{text}");
+        }
+        assert!(!text.contains("pwrp_responses_"), "{text}");
     }
 }

@@ -87,6 +87,24 @@ pub fn status_name(code: u8) -> &'static str {
     }
 }
 
+/// The trace counter of responses with status `code`:
+/// `serve_responses_` followed by [`status_name`].
+pub fn status_counter(code: u8) -> &'static str {
+    match code {
+        ST_OK => "serve_responses_ok",
+        ST_BAD_REQUEST => "serve_responses_bad_request",
+        ST_UNKNOWN_CODEC => "serve_responses_unknown_codec",
+        ST_CORRUPT => "serve_responses_corrupt",
+        ST_BUSY => "serve_responses_busy",
+        ST_QUOTA => "serve_responses_quota",
+        ST_TIMEOUT => "serve_responses_timeout",
+        ST_TOO_LARGE => "serve_responses_too_large",
+        ST_INTERNAL => "serve_responses_internal",
+        ST_UNSUPPORTED_VERSION => "serve_responses_unsupported_version",
+        _ => "serve_responses_unknown",
+    }
+}
+
 /// Everything that can go wrong speaking PWRP/1.
 #[derive(Debug)]
 pub enum ServeError {
@@ -542,6 +560,16 @@ mod tests {
     fn hello_rejects_bad_magic() {
         let mut r: &[u8] = b"HTTP/1.1 GET";
         assert!(matches!(decode_hello(&mut r), Err(ServeError::Protocol(_))));
+    }
+
+    #[test]
+    fn status_counter_is_the_prefixed_status_name() {
+        for code in 0..=u8::MAX {
+            assert_eq!(
+                status_counter(code),
+                format!("serve_responses_{}", status_name(code))
+            );
+        }
     }
 
     #[test]

@@ -18,14 +18,16 @@
 //! Bodies never materialize: a compress request's raw elements flow
 //! from the socket through [`ReadSource`] into the chunk pipeline, and
 //! the PWS1 output flows straight back out through the segment framing;
-//! decompression is the mirror image. Telemetry uses only the bounded
-//! sink aggregates (`add_span_total`, `observe`, counters) — a
-//! long-running server must not grow its trace sink per request.
+//! decompression is the mirror image. Both run the registry's one
+//! stream engine inline on the connection thread.
+//!
+//! The trace sink is the server's only record, and it must not grow per
+//! request: the server records counters, observations and span totals,
+//! and the codecs inside heavy requests report through a recorder that
+//! keeps no span events.
 
-use crate::metrics::ServerMetrics;
 use crate::proto::{self, CompressHeader, RequestPrefix, SegmentWriter, ServeError};
 use crate::ServeConfig;
-use pwrel_parallel::{ChunkedCodec, WorkerPool};
 use pwrel_pipeline::stream::decode_stream_header;
 use pwrel_pipeline::{
     global, identify, CodecRegistry, CompressOpts, PipelineElem, ReadSource, StreamHeader,
@@ -42,11 +44,16 @@ use std::time::{Duration, Instant};
 /// config picks one (1 Mi elements = 4 MiB of `f32`, 8 MiB of `f64`).
 const DEFAULT_CHUNK_ELEMS: usize = 1 << 20;
 
+/// Pause before retrying a failed `accept`. A failure such as running
+/// out of file descriptors persists while connections wait in the
+/// backlog, so retrying at once would spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 /// State shared by the acceptor and every connection thread.
 struct Shared {
     cfg: ServeConfig,
     registry: &'static CodecRegistry,
-    metrics: ServerMetrics,
+    /// The server's one record, rendered by the `metrics` request.
     sink: TraceSink,
     /// Heavy requests currently processing (the `busy` gate).
     inflight: AtomicUsize,
@@ -76,6 +83,30 @@ impl<'a> InflightGuard<'a> {
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// The recorder heavy requests hand the codec: counters, observations
+/// and stage totals go to the server's sink, span events go nowhere. A
+/// stream round trip opens dozens of spans, and a sink that kept them
+/// would grow for the life of the process.
+struct Aggregates<'a>(&'a TraceSink);
+
+impl Recorder for Aggregates<'_> {
+    fn is_enabled(&self) -> bool {
+        true
+    }
+
+    fn add(&self, name: &'static str, delta: u64) {
+        self.0.add(name, delta);
+    }
+
+    fn observe(&self, name: &'static str, value: f64) {
+        self.0.observe(name, value);
+    }
+
+    fn add_span_total(&self, name: &'static str, total_ns: u64, calls: u64) {
+        self.0.add_span_total(name, total_ns, calls);
     }
 }
 
@@ -145,32 +176,6 @@ impl<R: Read> Read for MeteredReader<R> {
     }
 }
 
-/// Per-connection lazily built pool executor for the stream engine
-/// (`workers > 1` only).
-/// Per-connection because the pool's submit side is exclusive: one
-/// shared pool would serialize every request in the process, and
-/// submitting from inside a pool task deadlocks.
-#[derive(Default)]
-struct ConnCtx {
-    chunked: Option<ChunkedCodec>,
-}
-
-impl ConnCtx {
-    fn engine(&mut self, cfg: &ServeConfig) -> Option<&mut ChunkedCodec> {
-        if cfg.workers <= 1 {
-            return None;
-        }
-        if self.chunked.is_none() {
-            let mut cc = ChunkedCodec::new(WorkerPool::new(cfg.workers), 1);
-            if cfg.window > 0 {
-                cc.window = cfg.window;
-            }
-            self.chunked = Some(cc);
-        }
-        self.chunked.as_mut()
-    }
-}
-
 /// A bound PWRP/1 server, ready to [`run`](Server::run) or
 /// [`spawn`](Server::spawn).
 pub struct Server {
@@ -196,7 +201,6 @@ impl Server {
             shared: Arc::new(Shared {
                 cfg,
                 registry: global(),
-                metrics: ServerMetrics::new(),
                 sink: TraceSink::new(),
                 inflight: AtomicUsize::new(0),
                 conns: AtomicUsize::new(0),
@@ -268,18 +272,19 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
+                std::thread::sleep(ACCEPT_BACKOFF);
                 continue;
             }
         };
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        shared.metrics.record_connection();
+        shared.sink.add(stage::C_SERVE_CONNECTIONS, 1);
         let open = shared.conns.fetch_add(1, Ordering::AcqRel) + 1;
         let guard = ConnGuard(Arc::clone(&shared));
         if open > shared.cfg.max_connections {
-            shared.metrics.record_refused();
-            shared.metrics.record_status(proto::ST_BUSY);
+            shared.sink.add(stage::C_SERVE_REFUSED, 1);
+            count_response(&shared, proto::ST_BUSY);
             refuse(stream, proto::ST_BUSY, "connection cap reached");
             drop(guard);
             continue;
@@ -293,7 +298,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             });
         // Spawn failure (resource exhaustion): shed the connection.
         if spawned.is_err() {
-            shared.metrics.record_refused();
+            shared.sink.add(stage::C_SERVE_REFUSED, 1);
         }
     }
 }
@@ -335,15 +340,9 @@ fn classify<R: Read>(err: &ServeError, reader: &MeteredReader<R>) -> (u8, String
     }
 }
 
-/// Bumps the rejection counters matching a non-OK status.
-fn note_status(shared: &Shared, status: u8) {
-    shared.metrics.record_status(status);
-    match status {
-        proto::ST_BUSY => shared.sink.add(stage::C_SERVE_BUSY, 1),
-        proto::ST_QUOTA => shared.sink.add(stage::C_SERVE_QUOTA, 1),
-        proto::ST_TIMEOUT => shared.sink.add(stage::C_SERVE_TIMEOUTS, 1),
-        _ => {}
-    }
+/// Counts one response with status `status`.
+fn count_response(shared: &Shared, status: u8) {
+    shared.sink.add(proto::status_counter(status), 1);
 }
 
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
@@ -370,7 +369,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         Err(_) => return,
     };
     if peer_version.min(proto::PROTO_VERSION) < 1 {
-        note_status(&shared, proto::ST_UNSUPPORTED_VERSION);
+        count_response(&shared, proto::ST_UNSUPPORTED_VERSION);
         let _ = proto::write_response_prefix(
             &mut writer,
             proto::MSG_CONNECTION,
@@ -382,7 +381,6 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         return;
     }
 
-    let mut conn = ConnCtx::default();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -395,7 +393,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
                 // when the cause is identifiable (the slowloris case).
                 let (status, msg) = classify(&e, &reader);
                 if status == proto::ST_TIMEOUT || status == proto::ST_QUOTA {
-                    note_status(&shared, status);
+                    count_response(&shared, status);
                     let _ =
                         proto::write_response_prefix(&mut writer, proto::MSG_CONNECTION, 0, status);
                     let _ = proto::write_error_msg(&mut writer, &msg);
@@ -404,17 +402,15 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
                 return;
             }
         };
-        shared.metrics.record_request();
         shared.sink.add(stage::C_SERVE_REQUESTS, 1);
         let started = Instant::now();
         let bytes_before = reader.bytes_read;
 
-        let outcome = dispatch(prefix, &mut reader, &mut writer, &shared, &mut conn);
+        let outcome = dispatch(prefix, &mut reader, &mut writer, &shared);
 
         let elapsed = started.elapsed();
         let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        shared.metrics.record_latency_us(us);
         shared.sink.observe(stage::O_SERVE_REQUEST_US, us as f64);
         shared.sink.add_span_total(stage::SERVE_REQUEST, ns, 1);
         shared.sink.add(
@@ -427,7 +423,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
             Ok(false) => return,
             Err(e) => {
                 let (status, msg) = classify(&e, &reader);
-                note_status(&shared, status);
+                count_response(&shared, status);
                 let _ = proto::write_response_prefix(
                     &mut writer,
                     prefix.msg_type,
@@ -451,7 +447,6 @@ fn dispatch(
     reader: &mut MeteredReader<BufReader<TcpStream>>,
     writer: &mut BufWriter<TcpStream>,
     shared: &Shared,
-    conn: &mut ConnCtx,
 ) -> Result<bool, ServeError> {
     match prefix.msg_type {
         proto::MSG_PING => {
@@ -471,7 +466,7 @@ fn dispatch(
         }
         proto::MSG_METRICS => {
             let t0 = Instant::now();
-            let text = shared.metrics.render(
+            let text = crate::metrics::render(
                 &shared.sink,
                 shared.conns.load(Ordering::Relaxed) as u64,
                 shared.inflight.load(Ordering::Relaxed) as u64,
@@ -493,8 +488,8 @@ fn dispatch(
             respond_ok_body(writer, prefix, shared, text.as_bytes())?;
             Ok(true)
         }
-        proto::MSG_COMPRESS => handle_compress(prefix, reader, writer, shared, conn),
-        proto::MSG_DECOMPRESS => handle_decompress(prefix, reader, writer, shared, conn),
+        proto::MSG_COMPRESS => handle_compress(prefix, reader, writer, shared),
+        proto::MSG_DECOMPRESS => handle_decompress(prefix, reader, writer, shared),
         _ => Err(ServeError::Status {
             code: proto::ST_BAD_REQUEST,
             msg: format!("unknown request type 0x{:02x}", prefix.msg_type),
@@ -519,7 +514,7 @@ fn respond_ok_body(
     seg.write_all(body).map_err(ServeError::Io)?;
     let sent = seg.finish(proto::ST_OK, "")?;
     shared.sink.add(stage::C_SERVE_BYTES_OUT, sent);
-    shared.metrics.record_status(proto::ST_OK);
+    count_response(shared, proto::ST_OK);
     Ok(())
 }
 
@@ -530,7 +525,6 @@ fn handle_compress(
     reader: &mut MeteredReader<BufReader<TcpStream>>,
     writer: &mut BufWriter<TcpStream>,
     shared: &Shared,
-    conn: &mut ConnCtx,
 ) -> Result<bool, ServeError> {
     let hdr = proto::decode_compress_header(reader, shared.cfg.max_request_elems)?;
     let Some(codec) = shared.registry.get(hdr.codec_id) else {
@@ -551,8 +545,8 @@ fn handle_compress(
     let t0 = Instant::now();
     let mut seg = SegmentWriter::new(writer);
     let result = match hdr.elem_bits {
-        32 => compress_body::<f32>(shared, conn, name, &hdr, reader, &mut seg),
-        64 => compress_body::<f64>(shared, conn, name, &hdr, reader, &mut seg),
+        32 => compress_body::<f32>(shared, name, &hdr, reader, &mut seg),
+        64 => compress_body::<f64>(shared, name, &hdr, reader, &mut seg),
         _ => Err(pwrel_data::CodecError::InvalidArgument(
             "element width must be 32 or 64",
         )),
@@ -563,7 +557,6 @@ fn handle_compress(
 
 fn compress_body<F: PipelineElem>(
     shared: &Shared,
-    conn: &mut ConnCtx,
     name: &str,
     hdr: &CompressHeader,
     reader: &mut MeteredReader<BufReader<TcpStream>>,
@@ -571,37 +564,21 @@ fn compress_body<F: PipelineElem>(
 ) -> Result<(), pwrel_data::CodecError> {
     let total = hdr.dims.len();
     let nbytes = (total as u64).saturating_mul(F::NBYTES as u64);
-    let chunk_elems = effective_chunk_elems(hdr.chunk_elems, &shared.cfg, total);
     let opts = CompressOpts {
         bound: hdr.bound,
         base: hdr.base,
     };
     let limited = Read::take(reader, nbytes);
     let mut src: ReadSource<_> = ReadSource::new(limited);
-    let stats = match conn.engine(&shared.cfg) {
-        Some(cc) => {
-            cc.chunk_elems = chunk_elems;
-            cc.compress_stream_traced::<F>(
-                shared.registry,
-                name,
-                &mut src,
-                seg,
-                hdr.dims,
-                &opts,
-                &shared.sink,
-            )?
-        }
-        None => shared.registry.compress_stream_traced::<F>(
-            name,
-            &mut src,
-            seg,
-            hdr.dims,
-            &opts,
-            chunk_elems,
-            &shared.sink,
-        )?,
-    };
-    let _ = stats;
+    shared.registry.compress_stream_traced::<F>(
+        name,
+        &mut src,
+        seg,
+        hdr.dims,
+        &opts,
+        effective_chunk_elems(hdr.chunk_elems, &shared.cfg, total),
+        &Aggregates(&shared.sink),
+    )?;
     Ok(())
 }
 
@@ -613,7 +590,6 @@ fn handle_decompress(
     reader: &mut MeteredReader<BufReader<TcpStream>>,
     writer: &mut BufWriter<TcpStream>,
     shared: &Shared,
-    conn: &mut ConnCtx,
 ) -> Result<bool, ServeError> {
     let header = decode_stream_header(reader).map_err(ServeError::Codec)?;
     let total = header.dims.len() as u64;
@@ -646,8 +622,8 @@ fn handle_decompress(
     let t0 = Instant::now();
     let mut seg = SegmentWriter::new(writer);
     let result = match header.elem_bits {
-        32 => decompress_body::<f32>(shared, conn, &header, reader, &mut seg),
-        64 => decompress_body::<f64>(shared, conn, &header, reader, &mut seg),
+        32 => decompress_body::<f32>(shared, &header, reader, &mut seg),
+        64 => decompress_body::<f64>(shared, &header, reader, &mut seg),
         _ => Err(pwrel_data::CodecError::Corrupt(
             "element width must be 32 or 64",
         )),
@@ -658,31 +634,17 @@ fn handle_decompress(
 
 fn decompress_body<F: PipelineElem>(
     shared: &Shared,
-    conn: &mut ConnCtx,
     header: &StreamHeader,
     reader: &mut MeteredReader<BufReader<TcpStream>>,
     seg: &mut SegmentWriter<'_>,
 ) -> Result<(), pwrel_data::CodecError> {
     let mut sink: WriteSink<&mut SegmentWriter<'_>> = WriteSink::new(seg);
-    match conn.engine(&shared.cfg) {
-        Some(cc) => {
-            cc.decompress_stream_body_traced::<F>(
-                shared.registry,
-                header,
-                reader,
-                &mut sink,
-                &shared.sink,
-            )?;
-        }
-        None => {
-            shared.registry.decompress_stream_body_traced::<F>(
-                header,
-                reader,
-                &mut sink,
-                &shared.sink,
-            )?;
-        }
-    }
+    shared.registry.decompress_stream_body_traced::<F>(
+        header,
+        reader,
+        &mut sink,
+        &Aggregates(&shared.sink),
+    )?;
     Ok(())
 }
 
@@ -699,12 +661,12 @@ fn finish_heavy(
         Ok(()) => {
             let sent = seg.finish(proto::ST_OK, "")?;
             shared.sink.add(stage::C_SERVE_BYTES_OUT, sent);
-            shared.metrics.record_status(proto::ST_OK);
+            count_response(shared, proto::ST_OK);
             Ok(true)
         }
         Err(e) => {
             let (status, msg) = classify(&ServeError::Codec(e), reader);
-            note_status(shared, status);
+            count_response(shared, status);
             let sent = seg.finish(status, &msg)?;
             shared.sink.add(stage::C_SERVE_BYTES_OUT, sent);
             Ok(false)
@@ -764,6 +726,36 @@ mod tests {
         r.read_to_end(&mut out).expect("no quota");
         assert_eq!(out.len(), 100);
         assert_eq!(r.bytes_read, 100);
+    }
+
+    #[test]
+    fn heavy_requests_leave_no_span_events_in_the_sink() {
+        let handle = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServeConfig::default()
+        })
+        .and_then(Server::spawn)
+        .expect("spawn server");
+        let codec = global().by_name("sz_t").expect("sz_t registered").id();
+        let dims = pwrel_data::Dims::d3(16, 16, 16);
+        let data: Vec<f32> = (0..dims.len()).map(|i| 1.0 + (i % 29) as f32).collect();
+        let mut client = crate::Client::connect(handle.addr()).expect("connect");
+        for _ in 0..3 {
+            let stream = client
+                .compress_elems(codec, &data, dims, 1e-3, pwrel_core::LogBase::Two)
+                .expect("compress");
+            let back: Vec<f32> = client.decompress_elems(&stream).expect("decompress");
+            assert_eq!(back.len(), data.len());
+        }
+        let text = client.metrics().expect("metrics");
+        assert_eq!(handle.shared.sink.events().len(), 0);
+        // The codecs' counters and stage totals still reach the record.
+        for name in ["trace_quant_values ", "trace_span_transform_calls "] {
+            assert!(
+                text.lines().any(|l| l.starts_with(name)),
+                "{name}missing:\n{text}"
+            );
+        }
     }
 
     #[test]

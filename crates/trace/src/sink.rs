@@ -39,6 +39,11 @@ pub struct Event {
     pub dur_ns: Option<u64>,
 }
 
+/// Number of power-of-two buckets in an [`ObservedStat`] histogram:
+/// bucket 0 holds values whose integer part is 0, bucket `i` holds
+/// integer parts in `[2^(i-1), 2^i)`. 64 buckets cover `u64`.
+pub const BUCKETS: usize = 64;
+
 /// Running summary of an observation series.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObservedStat {
@@ -50,6 +55,30 @@ pub struct ObservedStat {
     pub min: f64,
     /// Largest observed value.
     pub max: f64,
+    /// Observation counts per power-of-two bucket of the value's integer
+    /// part (see [`BUCKETS`]).
+    pub buckets: [u64; BUCKETS],
+}
+
+/// The bucket of `value`: its integer part's bit length, capped at the
+/// last bucket. The saturating `as` sends NaN, negative and fractional
+/// values to bucket 0.
+fn bucket_index(value: f64) -> usize {
+    let int = value as u64;
+    ((u64::BITS - int.leading_zeros()) as usize).min(BUCKETS - 1)
+}
+
+impl Default for ObservedStat {
+    /// The summary of no observations.
+    fn default() -> Self {
+        ObservedStat {
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            buckets: [0; BUCKETS],
+        }
+    }
 }
 
 impl ObservedStat {
@@ -58,6 +87,28 @@ impl ObservedStat {
         self.sum += value;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
+        if let Some(bucket) = self.buckets.get_mut(bucket_index(value)) {
+            *bucket += 1;
+        }
+    }
+
+    /// Approximate `q`-quantile (`q` in 0..=1) as the upper bound of the
+    /// bucket where the cumulative count crosses `q * count`; 0 when
+    /// empty or when that bucket is bucket 0. Resolution is one power of
+    /// two: exact quantiles need the raw samples.
+    pub fn quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (ix, n) in self.buckets.iter().enumerate() {
+            seen = seen.saturating_add(*n);
+            if seen >= rank {
+                return if ix == 0 { 0 } else { 1u64 << ix.min(63) };
+            }
+        }
+        self.max as u64
     }
 
     /// Mean of the observed values (0 when empty).
@@ -239,15 +290,7 @@ impl Recorder for TraceSink {
             .observations
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        guard
-            .entry(name)
-            .or_insert(ObservedStat {
-                count: 0,
-                sum: 0.0,
-                min: f64::INFINITY,
-                max: f64::NEG_INFINITY,
-            })
-            .merge(value);
+        guard.entry(name).or_default().merge(value);
     }
 
     fn add_span_total(&self, name: &'static str, total_ns: u64, calls: u64) {
@@ -330,6 +373,47 @@ mod tests {
         assert_eq!(stat.min, 2.0);
         assert_eq!(stat.max, 4.0);
         assert_eq!(stat.mean(), 3.0);
+    }
+
+    #[test]
+    fn histogram_buckets_and_quantiles() {
+        let sink = TraceSink::new();
+        for us in [0u64, 1, 2, 3, 100, 1000, 1000, 1000] {
+            sink.observe("latency", us as f64);
+        }
+        let (_, h) = sink.observations().pop().expect("one observation");
+        assert_eq!(h.count, 8);
+        assert_eq!(h.quantile(0.0), 0);
+        // p99 lands in the 1000 µs bucket: upper bound 2^10 = 1024.
+        assert_eq!(h.quantile(0.99), 1024);
+        assert!(h.mean() > 0.0);
+        assert_eq!(h.buckets.iter().sum::<u64>(), h.count);
+
+        let odd = TraceSink::new();
+        for v in [f64::NAN, -5.0, 0.5] {
+            odd.observe("odd", v);
+        }
+        let (_, h) = odd.observations().pop().expect("one observation");
+        assert_eq!(h.buckets.first(), Some(&3));
+        assert_eq!(h.quantile(1.0), 0);
+    }
+
+    #[test]
+    fn bucket_index_is_monotone_and_in_range() {
+        let mut last = 0;
+        for shift in 0..64u32 {
+            let ix = bucket_index((1u64 << shift) as f64);
+            assert!(ix >= last && ix < BUCKETS);
+            last = ix;
+        }
+        assert_eq!(bucket_index(0.0), 0);
+        assert_eq!(bucket_index(u64::MAX as f64), BUCKETS - 1);
+        // Filed by integer part: NaN, negatives and fractions are 0.
+        for v in [f64::NAN, -1.0, -1e300, f64::NEG_INFINITY, 0.999] {
+            assert_eq!(bucket_index(v), 0, "{v}");
+        }
+        assert_eq!(bucket_index(1.5), 1);
+        assert_eq!(bucket_index(f64::INFINITY), BUCKETS - 1);
     }
 
     #[test]

@@ -92,9 +92,12 @@ pub const O_SIGN_DENSITY: &str = "sign_density";
 pub const O_LEMMA2_CORRECTION: &str = "lemma2_correction";
 
 // ---------------------------------------------------------------------------
-// pwrel-serve (the PWRP/1 service). Serve spans are recorded as
-// aggregated totals (`Recorder::add_span_total`), never as raw events:
-// a long-running server must not grow its sink per request.
+// pwrel-serve (the PWRP/1 service). Its trace sink is the server's only
+// record, and it must not grow per request: serve spans are recorded as
+// aggregated totals (`Recorder::add_span_total`), the codecs inside heavy
+// requests report counters, observations and stage totals but no span
+// events, and responses are counted per status under the names
+// `serve_responses_<status>` (`pwrel_serve::proto::status_counter`).
 // ---------------------------------------------------------------------------
 
 /// Serve span: one whole request, any type (header read to last byte of
@@ -113,16 +116,16 @@ pub const SERVE_METRICS: &str = "serve.metrics";
 
 /// Counter: requests fully parsed (any type, before dispatch).
 pub const C_SERVE_REQUESTS: &str = "serve_requests";
-/// Counter: requests rejected with `busy` by the in-flight cap.
-pub const C_SERVE_BUSY: &str = "serve_busy";
-/// Counter: requests rejected for exhausting the connection byte quota.
-pub const C_SERVE_QUOTA: &str = "serve_quota";
-/// Counter: connections dropped by the read timeout mid-request.
-pub const C_SERVE_TIMEOUTS: &str = "serve_timeouts";
+/// Counter: connections accepted.
+pub const C_SERVE_CONNECTIONS: &str = "serve_connections";
+/// Counter: accepted connections refused by the connection cap or a
+/// failed thread spawn.
+pub const C_SERVE_REFUSED: &str = "serve_refused";
 /// Counter: request body bytes consumed off the wire.
 pub const C_SERVE_BYTES_IN: &str = "serve_bytes_in";
 /// Counter: response body bytes produced onto the wire.
 pub const C_SERVE_BYTES_OUT: &str = "serve_bytes_out";
 
-/// Observation: end-to-end latency of one served request, microseconds.
+/// Observation: end-to-end latency of one served request, in whole
+/// microseconds (its buckets give the `pwrp_latency_p*_us` quantiles).
 pub const O_SERVE_REQUEST_US: &str = "serve_request_us";

@@ -6,9 +6,8 @@
 //! 1. **Transport adds nothing.** A stream compressed through the
 //!    server is byte-identical to `CodecRegistry::compress_stream` run
 //!    locally with the same codec, bound, dims and chunking — for every
-//!    registered codec at both precisions, with the server's pipelines
-//!    inline (`workers` 1) or pooled (`workers` 2) — and concurrent
-//!    clients all get those same bytes.
+//!    registered codec at both precisions — and concurrent clients all
+//!    get those same bytes.
 //! 2. **Hostile input maps to a status, never a panic.** Each protocol
 //!    error code is reachable from the wire (bad magic, version 0,
 //!    unknown request type, unknown codec, corrupt body, quota, element
@@ -16,7 +15,8 @@
 //!    and the server keeps serving afterwards.
 //! 3. **Overload degrades predictably.** Connection-cap and in-flight
 //!    cap rejections are `busy`, delivered as connection-level or
-//!    request-level errors respectively.
+//!    request-level errors respectively, and the `metrics` response
+//!    counts them from the server's one record.
 
 use pwrel::data::Float;
 use pwrel::pipeline::{global, CompressOpts, SliceSource};
@@ -107,52 +107,29 @@ fn server_stream<F: pwrel::data::Float>(
 // 1. Transport adds nothing.
 // ---------------------------------------------------------------------
 
-/// A server on an ephemeral port running request pipelines on
-/// `workers` threads: 1 runs them inline on the connection thread, more
-/// runs them on a per-connection `ChunkedCodec` pool.
-fn spawn_with_workers(workers: usize) -> ServerHandle {
-    spawn(ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers,
-        ..Default::default()
-    })
-}
-
 #[test]
 fn every_codec_matches_local_compress_and_round_trips_f32() {
     let dims = pwrel::data::Dims::d2(32, 64);
     let data: Vec<f32> = sample(dims.len());
     let bound = 1e-3;
-    for workers in [1, 2] {
-        let handle = spawn_with_workers(workers);
-        for codec in global().iter() {
-            let mut client = Client::connect(handle.addr()).expect("connect");
-            let via_server = server_stream(&mut client, codec.id(), &data, dims, bound, 512);
-            let local = local_stream(codec.name(), &data, dims, bound, 512);
-            assert_eq!(
-                via_server,
-                local,
-                "{} at {workers} workers: server stream differs",
-                codec.name()
-            );
+    let handle = spawn_default();
+    for codec in global().iter() {
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        let via_server = server_stream(&mut client, codec.id(), &data, dims, bound, 512);
+        let local = local_stream(codec.name(), &data, dims, bound, 512);
+        assert_eq!(via_server, local, "{}: server stream differs", codec.name());
 
-            // Round trip back through the server; must equal the local
-            // decode bit for bit.
-            let back: Vec<f32> = client.decompress_elems(&via_server).expect("decompress");
-            let mut sink = pwrel::pipeline::VecSink::new();
-            global()
-                .decompress_stream::<f32>(&mut &local[..], &mut sink)
-                .unwrap();
-            let local_back = sink.into_inner();
-            assert_eq!(back.len(), data.len(), "{}", codec.name());
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&back),
-                bits(&local_back),
-                "{} at {workers} workers",
-                codec.name()
-            );
-        }
+        // Round trip back through the server; must equal the local
+        // decode bit for bit.
+        let back: Vec<f32> = client.decompress_elems(&via_server).expect("decompress");
+        let mut sink = pwrel::pipeline::VecSink::new();
+        global()
+            .decompress_stream::<f32>(&mut &local[..], &mut sink)
+            .unwrap();
+        let local_back = sink.into_inner();
+        assert_eq!(back.len(), data.len(), "{}", codec.name());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&local_back), "{}", codec.name());
     }
 }
 
@@ -161,21 +138,14 @@ fn every_codec_matches_local_compress_f64() {
     let dims = pwrel::data::Dims::d1(1500);
     let data: Vec<f64> = sample(dims.len());
     let bound = 1e-4;
-    for workers in [1, 2] {
-        let handle = spawn_with_workers(workers);
-        for codec in global().iter() {
-            let mut client = Client::connect(handle.addr()).expect("connect");
-            let via_server = server_stream(&mut client, codec.id(), &data, dims, bound, 400);
-            let local = local_stream(codec.name(), &data, dims, bound, 400);
-            assert_eq!(
-                via_server,
-                local,
-                "{} at {workers} workers: server stream differs",
-                codec.name()
-            );
-            let back: Vec<f64> = client.decompress_elems(&via_server).expect("decompress");
-            assert_eq!(back.len(), data.len(), "{}", codec.name());
-        }
+    let handle = spawn_default();
+    for codec in global().iter() {
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        let via_server = server_stream(&mut client, codec.id(), &data, dims, bound, 400);
+        let local = local_stream(codec.name(), &data, dims, bound, 400);
+        assert_eq!(via_server, local, "{}: server stream differs", codec.name());
+        let back: Vec<f64> = client.decompress_elems(&via_server).expect("decompress");
+        assert_eq!(back.len(), data.len(), "{}", codec.name());
     }
 }
 
@@ -228,14 +198,37 @@ fn info_ping_codecs_metrics_respond() {
     assert!(info.contains("framed stream"), "{info}");
 
     let metrics = client.metrics().expect("metrics");
-    for line in [
+    // Every line the OPERATIONS.md glossary names except the error
+    // responses, which appear once they occur (see
+    // `metrics_count_refusals_and_requests_once`).
+    for name in [
         "pwrp_requests_total",
+        "pwrp_responses_ok",
         "pwrp_connections_open",
+        "pwrp_connections_total",
+        "pwrp_connections_refused",
+        "pwrp_inflight",
+        "pwrp_latency_count",
+        "pwrp_latency_mean_us",
         "pwrp_latency_p50_us",
+        "pwrp_latency_p90_us",
+        "pwrp_latency_p99_us",
+        "pwrp_latency_max_us",
+        "trace_serve_requests",
+        "trace_serve_responses_ok",
         "trace_span_serve.compress_ns_total",
     ] {
-        assert!(metrics.contains(line), "metrics misses {line}:\n{metrics}");
+        assert!(
+            metric(&metrics, name).is_some(),
+            "metrics misses {name}:\n{metrics}"
+        );
     }
+}
+
+/// The value of line `name` in a `metrics` response.
+fn metric(text: &str, name: &str) -> Option<f64> {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
 }
 
 // ---------------------------------------------------------------------
@@ -526,6 +519,51 @@ fn connection_cap_refuses_with_busy() {
     assert_eq!(prefix[0], proto::MSG_CONNECTION);
     assert_eq!(prefix[5], proto::ST_BUSY);
     drop(first);
+}
+
+#[test]
+fn metrics_count_refusals_and_requests_once() {
+    let handle = spawn(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        max_connections: 1,
+        ..Default::default()
+    });
+    let mut client = Client::connect(handle.addr()).expect("first connection");
+    // One refusal at the connection cap, read to the end so the server
+    // has counted it.
+    let mut refused = TcpStream::connect(handle.addr()).unwrap();
+    refused
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .unwrap();
+    let mut rest = Vec::new();
+    refused.read_to_end(&mut rest).unwrap();
+    // The 5-byte hello, then a connection-level prefix ending in its
+    // status byte.
+    assert_eq!(rest.get(10), Some(&proto::ST_BUSY), "{rest:?}");
+
+    client.ping().expect("ping");
+    let dims = pwrel::data::Dims::d1(600);
+    let data: Vec<f32> = sample(dims.len());
+    let codec_id = global().by_name("sz_t").unwrap().id();
+    let stream = server_stream(&mut client, codec_id, &data, dims, 1e-2, 200);
+    let _: Vec<f32> = client.decompress_elems(&stream).expect("decompress");
+    let text = client.metrics().expect("metrics");
+    let value = |name: &str| metric(&text, name).unwrap_or_else(|| panic!("{name}:\n{text}"));
+
+    assert_eq!(value("pwrp_responses_busy"), 1.0, "{text}");
+    assert_eq!(value("trace_serve_responses_busy"), 1.0, "{text}");
+    assert_eq!(value("pwrp_connections_refused"), 1.0, "{text}");
+    assert_eq!(value("pwrp_requests_total"), 4.0, "{text}");
+    assert_eq!(
+        value("pwrp_requests_total"),
+        value("trace_serve_requests"),
+        "{text}"
+    );
+    assert_eq!(
+        value("pwrp_latency_count"),
+        value("trace_obs_serve_request_us_count"),
+        "{text}"
+    );
 }
 
 #[test]
