@@ -30,15 +30,13 @@
 //! ubiquitous constructor-shaped names excluded; their misses are
 //! covered dynamically by the fuzz targets.
 //!
-//! With `--cache <dir>` the audit keeps an incremental on-disk cache
-//! (see [`cache`]) so warm runs re-lex only changed files and skip the
-//! lints entirely when nothing changed at all.
+//! [`run`] is one pass: every covered file is read and analyzed afresh,
+//! and nothing is kept on disk between runs (see `DESIGN.md` §16).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod allowlist;
-pub mod cache;
 pub mod dataflow;
 pub mod lexer;
 pub mod lints;
@@ -62,8 +60,6 @@ pub struct Config {
     pub update_allowlist: bool,
     /// Itemize allowed/waived findings too.
     pub verbose: bool,
-    /// Incremental cache directory (`--cache`), if enabled.
-    pub cache: Option<PathBuf>,
 }
 
 impl Config {
@@ -76,31 +72,22 @@ impl Config {
             json: None,
             update_allowlist: false,
             verbose: false,
-            cache: None,
         }
     }
 }
 
-/// Wall-clock and cache counters for one audit run (reported in the
-/// `--json` output so CI logs show the warm-run speedup).
+/// Wall-clock timings for one audit run, reported only in the `--json`
+/// output so CI logs show where a slow audit spends its time.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
     /// File discovery walk, milliseconds.
     pub collect_ms: f64,
-    /// Lex + model + flow extraction (or cache load), milliseconds.
+    /// Read + lex + model + flow extraction of every file, milliseconds.
     pub analyze_ms: f64,
     /// Per-lint wall clock, milliseconds, in execution order.
     pub lint_ms: Vec<(&'static str, f64)>,
     /// Whole `run()`, milliseconds.
     pub total_ms: f64,
-    /// True when a cache directory was configured.
-    pub cache_enabled: bool,
-    /// Files served from the model cache.
-    pub file_hits: usize,
-    /// Files that had to be (re-)analyzed.
-    pub file_misses: usize,
-    /// True when the full-result record short-circuited the lints.
-    pub full_result_hit: bool,
 }
 
 /// Everything `run` produces.
@@ -111,8 +98,6 @@ pub struct RunOutput {
     /// Allowlist keys that matched no finding (stale — the file only
     /// shrinks, so these must be deleted).
     pub stale: Vec<String>,
-    /// Timing and cache counters.
-    pub stats: RunStats,
 }
 
 /// Collects every `.rs` file the audit covers, as repo-relative paths.
@@ -150,140 +135,23 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// The run key folds everything a cached result depends on: file content
-/// hashes, the allowlist, the codec list (L4), the fixtures listing
-/// (L4), and the lint revision.
-fn run_key(
-    hashes: &[(String, u64)],
-    allowlist_bytes: &[u8],
-    codecs: &[String],
-    fixtures_dir: &Path,
-) -> u64 {
-    let mut buf = String::new();
-    for (p, h) in hashes {
-        buf.push_str(p);
-        buf.push_str(&format!(":{h:016x}\n"));
-    }
-    buf.push_str(cache::LINT_REV);
-    buf.push('\n');
-    for c in codecs {
-        buf.push_str(c);
-        buf.push(',');
-    }
-    buf.push('\n');
-    let mut fixtures: Vec<String> = std::fs::read_dir(fixtures_dir)
-        .map(|rd| {
-            rd.filter_map(|e| e.ok().map(|e| e.file_name().to_string_lossy().into_owned()))
-                .collect()
-        })
-        .unwrap_or_default();
-    fixtures.sort();
-    for f in fixtures {
-        buf.push_str(&f);
-        buf.push(',');
-    }
-    let mut h = cache::fnv1a(buf.as_bytes());
-    h ^= cache::fnv1a(allowlist_bytes).rotate_left(17);
-    h
-}
-
-/// One scanned file: repo-relative path, content hash, lazily read
-/// source (`None` on a manifest stat hit), and the `(mtime, size)`
-/// stat key that vouched for the hash.
-type FileEntry = (String, u64, Option<String>, (u128, u64));
-
 /// Runs the full audit.
 pub fn run(cfg: &Config, registered_codecs: &[String]) -> std::io::Result<RunOutput> {
     let t_run = Instant::now();
-    let mut stats = RunStats {
-        cache_enabled: cfg.cache.is_some(),
-        ..RunStats::default()
-    };
+    let mut stats = RunStats::default();
 
     let t = Instant::now();
     let rels = collect_files(&cfg.root)?;
     stats.collect_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    let mut cache = match &cfg.cache {
-        Some(dir) => Some(cache::Cache::open(dir)?),
-        None => None,
-    };
-    let allowlist_bytes = std::fs::read(&cfg.allowlist).unwrap_or_default();
-    let fixtures_dir = cfg.root.join("tests/fixtures");
-
     let t = Instant::now();
-    // Per-file content hash, trusting manifest mtime+size where possible.
-    // `src` is read lazily: a manifest hit never touches the file bytes.
-    let mut entries: Vec<FileEntry> = Vec::new();
+    let mut files = Vec::new();
     for rel in &rels {
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        let abs = cfg.root.join(rel);
-        let (mtime, size) = cache::stat_key(&abs)?;
-        let known = cache
-            .as_ref()
-            .and_then(|c| c.stat_hash(&rel_str, mtime, size));
-        match known {
-            Some(h) => entries.push((rel_str, h, None, (mtime, size))),
-            None => {
-                let src = std::fs::read_to_string(&abs)?;
-                let h = cache::fnv1a(src.as_bytes());
-                entries.push((rel_str, h, Some(src), (mtime, size)));
-            }
-        }
-    }
-    let hashes: Vec<(String, u64)> = entries.iter().map(|e| (e.0.clone(), e.1)).collect();
-    let key = run_key(&hashes, &allowlist_bytes, registered_codecs, &fixtures_dir);
-
-    // Full-result fast path: nothing changed since the stored run.
-    if let Some(c) = &cache {
-        if let Some((findings, stale)) = c.load_result(key) {
-            stats.full_result_hit = true;
-            stats.file_hits = entries.len();
-            stats.analyze_ms = t.elapsed().as_secs_f64() * 1e3;
-            stats.total_ms = t_run.elapsed().as_secs_f64() * 1e3;
-            if let Some(json) = &cfg.json {
-                std::fs::write(json, report::render_json(&findings, &stale, Some(&stats)))?;
-            }
-            return Ok(RunOutput {
-                findings,
-                stale,
-                stats,
-            });
-        }
-    }
-
-    // Per-file models: cache by content hash, analyze on miss.
-    let mut files = Vec::new();
-    for (rel_str, hash, src, (mtime, size)) in entries {
+        let src = std::fs::read_to_string(cfg.root.join(rel))?;
         let class = classify(&rel_str);
-        // The model cache is keyed by content hash; the stored path must
-        // match too (identical bytes at two paths classify differently).
-        let cached = cache
-            .as_ref()
-            .and_then(|c| c.load_model(hash).filter(|m| m.path == rel_str));
-        let model = match cached {
-            Some(m) => {
-                stats.file_hits += 1;
-                m
-            }
-            None => {
-                let src = match src {
-                    Some(s) => s,
-                    None => std::fs::read_to_string(cfg.root.join(&rel_str))?,
-                };
-                let force_test = class == lints::FileClass::TestOnly;
-                let m = model::analyze_source(&rel_str, &src, force_test);
-                if let Some(c) = &cache {
-                    c.store_model(hash, &m)?;
-                }
-                stats.file_misses += 1;
-                m
-            }
-        };
-        if let Some(c) = &mut cache {
-            c.note_file(&rel_str, mtime, size, hash);
-        }
-        files.push((model, class));
+        let force_test = class == lints::FileClass::TestOnly;
+        files.push((model::analyze_source(&rel_str, &src, force_test), class));
     }
     stats.analyze_ms = t.elapsed().as_secs_f64() * 1e3;
 
@@ -301,7 +169,7 @@ pub fn run(cfg: &Config, registered_codecs: &[String]) -> std::io::Result<RunOut
     let t0 = Instant::now();
     findings.extend(timed(
         "L4",
-        lints::lint_l4(registered_codecs, &fixtures_dir),
+        lints::lint_l4(registered_codecs, &cfg.root.join("tests/fixtures")),
         &mut stats,
         t0,
     ));
@@ -323,17 +191,9 @@ pub fn run(cfg: &Config, registered_codecs: &[String]) -> std::io::Result<RunOut
     if cfg.update_allowlist {
         std::fs::write(&cfg.allowlist, Allowlist::render(&findings))?;
     }
-    if let Some(c) = &cache {
-        c.store_result(key, &findings, &stale)?;
-        c.save()?;
-    }
     stats.total_ms = t_run.elapsed().as_secs_f64() * 1e3;
     if let Some(json) = &cfg.json {
         std::fs::write(json, report::render_json(&findings, &stale, Some(&stats)))?;
     }
-    Ok(RunOutput {
-        findings,
-        stale,
-        stats,
-    })
+    Ok(RunOutput { findings, stale })
 }

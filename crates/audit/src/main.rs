@@ -14,12 +14,8 @@ fn usage() -> ! {
          options:\n\
            --root <dir>          workspace root (default: auto-detected)\n\
            --json <file>         write the machine-readable report\n\
-           --cache <dir>         incremental cache (warm runs re-lex only\n\
-                                 changed files)\n\
            --stale               check only for stale allowlist keys; print\n\
                                  them and fail if any exist\n\
-           --bench-cache <n>     run cold then warm with --cache and fail\n\
-                                 unless warm is >= n times faster\n\
            --update-allowlist    rewrite audit.allow from current findings\n\
            --verbose             itemize allowlisted/waived findings too"
     );
@@ -39,7 +35,6 @@ fn main() -> ExitCode {
         .unwrap_or_else(|| PathBuf::from("."));
     let mut cfg = Config::new(default_root);
     let mut stale_only = false;
-    let mut bench_factor: Option<f64> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -55,15 +50,7 @@ fn main() -> ExitCode {
                 Some(j) => cfg.json = Some(PathBuf::from(j)),
                 None => usage(),
             },
-            "--cache" => match args.next() {
-                Some(c) => cfg.cache = Some(PathBuf::from(c)),
-                None => usage(),
-            },
             "--stale" => stale_only = true,
-            "--bench-cache" => match args.next().and_then(|n| n.parse::<f64>().ok()) {
-                Some(n) if n >= 1.0 => bench_factor = Some(n),
-                _ => usage(),
-            },
             "--update-allowlist" => cfg.update_allowlist = true,
             "--verbose" => cfg.verbose = true,
             _ => usage(),
@@ -77,15 +64,7 @@ fn main() -> ExitCode {
         .map(|c| c.name().to_string())
         .collect();
 
-    if let Some(factor) = bench_factor {
-        return bench_cache(&mut cfg, &codecs, factor);
-    }
-
-    let RunOutput {
-        findings,
-        stale,
-        stats,
-    } = match pwrel_audit::run(&cfg, &codecs) {
+    let RunOutput { findings, stale } = match pwrel_audit::run(&cfg, &codecs) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("audit: I/O error: {e}");
@@ -110,20 +89,6 @@ fn main() -> ExitCode {
     }
 
     print!("{}", report::render_text(&findings, cfg.verbose));
-    if stats.cache_enabled {
-        println!(
-            "audit: cache {} file hit(s), {} miss(es){}; analyze {:.1} ms, total {:.1} ms",
-            stats.file_hits,
-            stats.file_misses,
-            if stats.full_result_hit {
-                ", full-result hit"
-            } else {
-                ""
-            },
-            stats.analyze_ms,
-            stats.total_ms
-        );
-    }
     let (active, _, _) = report::counts(&findings);
     if !stale.is_empty() {
         eprintln!(
@@ -138,52 +103,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Cold-then-warm benchmark of the incremental cache: clears the cache
-/// dir, runs twice, prints both timings, and fails unless the warm run
-/// is at least `factor` times faster.
-fn bench_cache(cfg: &mut Config, codecs: &[String], factor: f64) -> ExitCode {
-    let dir = cfg
-        .cache
-        .clone()
-        .unwrap_or_else(|| cfg.root.join(".audit-cache"));
-    cfg.cache = Some(dir.clone());
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let cold = match pwrel_audit::run(cfg, codecs) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("audit: I/O error (cold run): {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let warm = match pwrel_audit::run(cfg, codecs) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("audit: I/O error (warm run): {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let speedup = cold.stats.total_ms / warm.stats.total_ms.max(1e-6);
-    println!(
-        "audit --bench-cache: cold {:.1} ms ({} misses), warm {:.1} ms ({} hits, \
-         full-result hit: {}), speedup {:.1}x (required ≥ {:.1}x)",
-        cold.stats.total_ms,
-        cold.stats.file_misses,
-        warm.stats.total_ms,
-        warm.stats.file_hits,
-        warm.stats.full_result_hit,
-        speedup,
-        factor
-    );
-    if !warm.stats.full_result_hit {
-        eprintln!("audit --bench-cache: warm run missed the full-result record");
-        return ExitCode::FAILURE;
-    }
-    if speedup < factor {
-        eprintln!("audit --bench-cache: speedup below the required factor");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }

@@ -49,8 +49,7 @@ pub fn counts(findings: &[Finding]) -> (usize, usize, usize) {
 }
 
 /// Renders the machine-readable JSON report: findings, stale allowlist
-/// keys, summary counts, and (when available) per-lint timings plus
-/// cache hit/miss counters so CI logs show the warm-run speedup.
+/// keys, summary counts, and (when available) per-lint timings.
 pub fn render_json(findings: &[Finding], stale: &[String], stats: Option<&RunStats>) -> String {
     let mut out = String::from("{\n  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
@@ -100,12 +99,6 @@ pub fn render_json(findings: &[Finding], stale: &[String], stats: Option<&RunSta
             let _ = write!(out, ", \"{lint}\": {ms:.3}");
         }
         let _ = write!(out, ", \"total\": {:.3}}}", s.total_ms);
-        let _ = write!(
-            out,
-            ",\n  \"cache\": {{\"enabled\": {}, \"file_hits\": {}, \"file_misses\": {}, \
-             \"full_result_hit\": {}}}",
-            s.cache_enabled, s.file_hits, s.file_misses, s.full_result_hit
-        );
     }
     out.push_str("\n}\n");
     out
@@ -184,10 +177,6 @@ mod tests {
             analyze_ms: 2.0,
             lint_ms: vec![("L1", 3.5), ("L5", 0.25)],
             total_ms: 7.0,
-            cache_enabled: true,
-            file_hits: 10,
-            file_misses: 2,
-            full_result_hit: false,
         };
         let j = render_json(&[], &["L1 a b index".into()], Some(&stats));
         assert!(
@@ -195,7 +184,6 @@ mod tests {
             "{j}"
         );
         assert!(j.contains("\"L5\": 0.250"), "{j}");
-        assert!(j.contains("\"file_hits\": 10"), "{j}");
-        assert!(j.contains("\"full_result_hit\": false"), "{j}");
+        assert!(j.contains("\"total\": 7.000}"), "{j}");
     }
 }

@@ -48,19 +48,23 @@ pub fn decode_raw(data: &[u8]) -> u32 {
 }
 "#;
 
-/// One live key (matches the `read_uvarint` index finding) and one stale
-/// key (its file does not exist) so both report sections are exercised.
-const ALLOWLIST: &str = "\
-L1 crates/lossless/src/decode.rs read_uvarint index
-L1 crates/lossless/src/removed.rs gone index
-";
+/// The allowlist key that matches the `read_uvarint` index finding.
+const LIVE_KEY: &str = "L1 crates/lossless/src/decode.rs read_uvarint index";
+
+/// An allowlist key whose file does not exist.
+const STALE_KEY: &str = "L1 crates/lossless/src/removed.rs gone index";
 
 fn materialize(root: &Path) {
     let src_dir = root.join("crates/lossless/src");
     fs::create_dir_all(&src_dir).unwrap();
     fs::create_dir_all(root.join("tests/fixtures")).unwrap();
     fs::write(src_dir.join("decode.rs"), DECODE_RS).unwrap();
-    fs::write(root.join("audit.allow"), ALLOWLIST).unwrap();
+    // One live and one stale key, so both report sections are exercised.
+    fs::write(
+        root.join("audit.allow"),
+        format!("{LIVE_KEY}\n{STALE_KEY}\n"),
+    )
+    .unwrap();
 }
 
 #[test]
@@ -111,11 +115,36 @@ fn fixture_tree_exercises_the_lint_families() {
         out.findings.iter().any(|f| f.allowed),
         "allowlisted finding missing"
     );
-    assert_eq!(out.stale, ["L1 crates/lossless/src/removed.rs gone index"]);
+    assert_eq!(out.stale, [STALE_KEY]);
     assert!(
         !out.findings
             .iter()
             .any(|f| f.func == "decode_bounded" && f.lint == "L5"),
         "validated path must stay clean"
     );
+}
+
+/// `--update-allowlist` rewrites the allowlist from the current findings:
+/// the stale key is gone afterwards, the live one stays, and the next run
+/// reports nothing stale.
+#[test]
+fn update_allowlist_drops_stale_keys() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("audit-golden-update");
+    if root.exists() {
+        fs::remove_dir_all(&root).unwrap();
+    }
+    materialize(&root);
+    let mut cfg = Config::new(root.clone());
+    cfg.update_allowlist = true;
+    let out = run(&cfg, &[]).unwrap();
+    assert_eq!(out.stale, [STALE_KEY], "the rewriting run still reports it");
+
+    let rewritten = fs::read_to_string(root.join("audit.allow")).unwrap();
+    let keys: Vec<&str> = rewritten.lines().filter(|l| !l.starts_with('#')).collect();
+    assert!(!keys.contains(&STALE_KEY), "{rewritten}");
+    assert!(keys.contains(&LIVE_KEY), "{rewritten}");
+
+    cfg.update_allowlist = false;
+    let again = run(&cfg, &[]).unwrap();
+    assert!(again.stale.is_empty(), "{:?}", again.stale);
 }

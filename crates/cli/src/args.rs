@@ -149,7 +149,7 @@ pub enum Command {
         /// elements, clamped to the field).
         chunk_elems: Option<usize>,
         /// Worker thread count for the streaming path (default: one per
-        /// CPU).
+        /// CPU), clamped to the chunk count.
         workers: Option<usize>,
         /// In-flight chunk window for the streaming path (default: two
         /// per worker).

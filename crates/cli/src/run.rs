@@ -502,18 +502,16 @@ fn streaming_run<F: Float + PipelineElem>(
         .chunk_elems
         .unwrap_or((4 << 20) / F::NBYTES)
         .min(dims.len());
-    // Default workers: one per CPU, clamped to the chunk count — extra
-    // threads on a short stream would only sit idle in the window.
+    // Workers: `--workers` or one per CPU, clamped to the chunk count —
+    // the pool's threads persist, and extra ones on a short stream would
+    // only sit idle in the window.
     let chunks = dims.len().div_ceil(chunk_elems.max(1)).max(1);
-    let pool = match tuning.workers {
-        Some(w) => WorkerPool::new(w),
-        None => WorkerPool::new(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(chunks),
-        ),
-    };
+    let workers = tuning.workers.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    });
+    let pool = WorkerPool::new(workers.min(chunks));
     let mut chunked = ChunkedCodec::new(pool, chunk_elems);
     if let Some(w) = tuning.window {
         chunked.window = w;
@@ -815,6 +813,18 @@ mod tests {
                 "{want} missing from trace JSON"
             );
         }
+    }
+
+    #[test]
+    fn run_stream_clamps_explicit_workers_to_the_chunk_count() {
+        let raw = tmp("stream_clamp.f32");
+        io::write_f32(&raw, &sample_data()).unwrap();
+        let msg = run_str(&format!(
+            "run -i {raw} --dims 2048 --bound 1e-2 --stream --chunk-elems 256 --workers 64"
+        ))
+        .unwrap();
+        assert!(msg.contains("in 8 chunks"), "{msg}");
+        assert!(msg.contains("256 elems/chunk, 8 workers"), "{msg}");
     }
 
     #[test]

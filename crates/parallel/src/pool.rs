@@ -1,26 +1,26 @@
 //! A persistent ordered-result worker pool on `std` primitives.
 //!
-//! Built from scratch (no rayon, no channels): `new` spawns the worker
-//! threads once and every [`WorkerPool::map`] call reuses them, instead of
-//! paying a thread spawn/join plus two unbounded-channel round trips per
-//! call like the original scoped design. A `map` publishes one type-erased
-//! *job*: workers claim task indices from a shared atomic cursor and write
-//! results straight into a pre-sized slot vector, so task distribution and
-//! result reassembly are allocation-free and input order is preserved by
-//! construction. The submitting thread participates in execution, which
-//! keeps a 1-worker pool fully functional and lets small pools finish
-//! tail tasks without idling the caller.
+//! `new` spawns the worker threads once and every [`WorkerPool::map`]
+//! call reuses them. That bounds resident memory, not spawn cost: a
+//! prototype on per-call `std::thread::scope` threads kept the streamed
+//! zfp_t throughput (2-core Xeon VM, glibc 2.36) but raised peak RSS by
+//! 18–27%, because each exited worker leaves a glibc malloc arena holding
+//! its freed memory for a later thread to take over (with
+//! `MALLOC_ARENA_MAX=1` both designs read the same).
 //!
-//! Workers inherit panics: a panicking task poisons the job and the `map`
-//! call panics, rather than silently dropping a result.
+//! A `map` publishes one type-erased *job*: workers claim task indices
+//! from a shared atomic cursor and write results into a pre-sized slot
+//! vector, so distribution and reassembly are allocation-free and input
+//! order holds by construction. The submitting thread works too, so a
+//! 1-worker pool is fully functional and small pools finish tail tasks
+//! without idling the caller. A panicking task poisons the job and `map`
+//! panics, rather than silently dropping a result.
 //!
-//! A second primitive, [`WorkerPool::pipeline`], streams an unbounded
-//! sequence of items through the same threads with a bounded in-flight
-//! window: the producer and the in-order consumer stay on the submitting
-//! thread while workers overlap `f` across items, so stages of
-//! *different* chunks execute concurrently without the whole stream ever
-//! being resident (backpressure pauses the producer when the window is
-//! full).
+//! [`WorkerPool::pipeline`] streams an unbounded sequence through the same
+//! threads with a bounded in-flight window: the producer and the in-order
+//! consumer stay on the submitting thread while workers overlap `f` across
+//! items, and backpressure pauses the producer when the window is full, so
+//! the whole stream is never resident.
 
 use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, VecDeque};
