@@ -8,17 +8,19 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: cargo run -p pwrel-audit [--] [options]\n\
-         \n\
-         options:\n\
-           --root <dir>          workspace root (default: auto-detected)\n\
-           --json <file>         write the machine-readable report\n\
-           --stale               check only for stale allowlist keys; print\n\
-                                 them and fail if any exist\n\
-           --update-allowlist    rewrite audit.allow from current findings\n\
-           --verbose             itemize allowlisted/waived findings too"
-    );
+    // One literal per line: a `\` line continuation would also strip the
+    // next line's indentation.
+    eprint!(concat!(
+        "usage: cargo run -p pwrel-audit [--] [options]\n",
+        "\n",
+        "options:\n",
+        "  --root <dir>          workspace root (default: auto-detected)\n",
+        "  --json <file>         write the machine-readable report\n",
+        "  --stale               check only for stale allowlist keys; print\n",
+        "                        them and fail if any exist\n",
+        "  --update-allowlist    rewrite audit.allow from current findings\n",
+        "  --verbose             itemize allowlisted/waived findings too\n",
+    ));
     std::process::exit(2);
 }
 

@@ -21,7 +21,9 @@
 //!   streams. Target ≥ 2×.
 //!
 //! Honours `PWREL_SCALE` (`small|medium|large`, default `medium`) and a
-//! `--reps N` flag (default 15; CI smoke passes `--reps 3`).
+//! `--reps N` flag (default 15; CI smoke passes `--reps 3`). Every timing
+//! is reported as the best rep (`*_s`, which the speedups use) and the
+//! median rep (`*_median_s`), beside the host's core count.
 //!
 //! `--gate` switches to regression-gate mode: nothing is written and the
 //! process exits non-zero unless the live engine at least matches the
@@ -72,25 +74,44 @@ fn negabinary_blocks(data: &[f32]) -> Vec<[u64; 64]> {
         .collect()
 }
 
-struct HuffTimes {
-    live_enc_s: f64,
-    live_s: f64,
-    seed_enc_s: f64,
-    seed_s: f64,
+/// One timing's per-rep seconds.
+#[derive(Default)]
+struct Reps(Vec<f64>);
+
+impl Reps {
+    fn push(&mut self, s: f64) {
+        self.0.push(s);
+    }
+
+    fn best(&self) -> f64 {
+        self.0.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    fn median(&self) -> f64 {
+        let mut v = self.0.clone();
+        v.sort_by(f64::total_cmp);
+        match v.len() {
+            0 => f64::NAN,
+            n => (v[(n - 1) / 2] + v[n / 2]) / 2.0,
+        }
+    }
 }
 
-/// Best-of-`reps` Huffman encode+decode timings. The engines no longer
-/// share one buffer: the live engine encodes and decodes the 4-way
-/// interleaved format, the frozen seed engine its legacy single-stream
-/// format (`encode_symbols_single` is the live encoder's compatibility
-/// path, so the seed input is still a valid legacy stream).
+#[derive(Default)]
+struct HuffTimes {
+    live_enc: Reps,
+    live: Reps,
+    seed_enc: Reps,
+    seed: Reps,
+}
+
+/// Per-rep Huffman encode+decode timings. The engines do not share one
+/// buffer: the live engine encodes and decodes the 4-way interleaved
+/// format, the frozen seed engine its legacy single-stream format
+/// (`encode_symbols_single` is the live encoder's compatibility path, so
+/// the seed input is still a valid legacy stream).
 fn bench_huffman(syms: &[u32], reps: usize) -> HuffTimes {
-    let mut t = HuffTimes {
-        live_enc_s: f64::INFINITY,
-        live_s: f64::INFINITY,
-        seed_enc_s: f64::INFINITY,
-        seed_s: f64::INFINITY,
-    };
+    let mut t = HuffTimes::default();
     for _ in 0..reps {
         let (live_buf, live_enc_s) = timed(|| huffman::encode_symbols(syms, 1 << 16));
         let (seed_buf, seed_enc_s) = timed(|| huffman::encode_symbols_single(syms, 1 << 16));
@@ -104,31 +125,26 @@ fn bench_huffman(syms: &[u32], reps: usize) -> HuffTimes {
         });
         assert_eq!(live, syms, "live decode diverged");
         assert_eq!(seed, syms, "seed decode diverged");
-        t.live_enc_s = t.live_enc_s.min(live_enc_s);
-        t.live_s = t.live_s.min(live_s);
-        t.seed_enc_s = t.seed_enc_s.min(seed_enc_s);
-        t.seed_s = t.seed_s.min(seed_s);
+        t.live_enc.push(live_enc_s);
+        t.live.push(live_s);
+        t.seed_enc.push(seed_enc_s);
+        t.seed.push(seed_s);
     }
     t
 }
 
+#[derive(Default)]
 struct PlaneTimes {
-    live_enc_s: f64,
-    live_dec_s: f64,
-    seed_enc_s: f64,
-    seed_dec_s: f64,
+    live_enc: Reps,
+    live_dec: Reps,
+    seed_enc: Reps,
+    seed_dec: Reps,
     stream_bytes: usize,
 }
 
-/// Best-of-`reps` plane encode+decode timings, live/seed interleaved.
+/// Per-rep plane encode+decode timings, live/seed interleaved.
 fn bench_planes(blocks: &[[u64; 64]], reps: usize) -> PlaneTimes {
-    let mut t = PlaneTimes {
-        live_enc_s: f64::INFINITY,
-        live_dec_s: f64::INFINITY,
-        seed_enc_s: f64::INFINITY,
-        seed_dec_s: f64::INFINITY,
-        stream_bytes: 0,
-    };
+    let mut t = PlaneTimes::default();
     for _ in 0..reps {
         let (live_bytes, live_enc_s) = timed(|| {
             let mut w = BitWriter::new();
@@ -164,29 +180,26 @@ fn bench_planes(blocks: &[[u64; 64]], reps: usize) -> PlaneTimes {
         });
         assert_eq!(live_out, seed_out, "decoders diverged");
 
-        t.live_enc_s = t.live_enc_s.min(live_enc_s);
-        t.live_dec_s = t.live_dec_s.min(live_dec_s);
-        t.seed_enc_s = t.seed_enc_s.min(seed_enc_s);
-        t.seed_dec_s = t.seed_dec_s.min(seed_dec_s);
+        t.live_enc.push(live_enc_s);
+        t.live_dec.push(live_dec_s);
+        t.seed_enc.push(seed_enc_s);
+        t.seed_dec.push(seed_dec_s);
         t.stream_bytes = live_bytes.len();
     }
     t
 }
 
+#[derive(Default)]
 struct LzTimes {
-    live_s: f64,
-    seed_s: f64,
+    live: Reps,
+    seed: Reps,
     output_bytes: usize,
 }
 
-/// Best-of-`reps` LZ encode timings over all `payloads`, live/seed
-/// interleaved; the two encoders' outputs must be byte-identical.
+/// Per-rep LZ encode timings over all `payloads`, live/seed interleaved;
+/// the two encoders' outputs must be byte-identical.
 fn bench_lz(payloads: &[Vec<u8>], reps: usize) -> LzTimes {
-    let mut t = LzTimes {
-        live_s: f64::INFINITY,
-        seed_s: f64::INFINITY,
-        output_bytes: 0,
-    };
+    let mut t = LzTimes::default();
     for _ in 0..reps {
         let (live, live_s) = timed(|| payloads.iter().map(|p| lz::compress(p)).collect::<Vec<_>>());
         let (seed, seed_s) = timed(|| {
@@ -196,8 +209,8 @@ fn bench_lz(payloads: &[Vec<u8>], reps: usize) -> LzTimes {
                 .collect::<Vec<_>>()
         });
         assert_eq!(live, seed, "live LZ encoder diverged from the seed encoder");
-        t.live_s = t.live_s.min(live_s);
-        t.seed_s = t.seed_s.min(seed_s);
+        t.live.push(live_s);
+        t.seed.push(seed_s);
         t.output_bytes = live.iter().map(Vec::len).sum();
     }
     t
@@ -237,10 +250,12 @@ fn main() {
     let z = bench_lz(&lz_inputs, reps);
 
     let msym = |s: f64| syms.len() as f64 / s / 1e6;
-    let huff_speedup = h.seed_s / h.live_s;
-    let plane_speedup = (p.seed_enc_s + p.seed_dec_s) / (p.live_enc_s + p.live_dec_s);
-    let lz_speedup = z.seed_s / z.live_s;
+    let huff_speedup = h.seed.best() / h.live.best();
+    let plane_speedup =
+        (p.seed_enc.best() + p.seed_dec.best()) / (p.live_enc.best() + p.live_dec.best());
+    let lz_speedup = z.seed.best() / z.live.best();
     let mib_s = |s: f64| lz_bytes as f64 / s / (1024.0 * 1024.0);
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     if gate {
         let mut failed = false;
@@ -269,22 +284,28 @@ fn main() {
             "  \"dataset\": \"{}\",\n",
             "  \"scale\": \"{:?}\",\n",
             "  \"elements\": {},\n",
+            "  \"host_cpus\": {},\n",
             "  \"reps\": {},\n",
             "  \"huffman\": {{\"symbols\": {}, \"stream_bytes\": {}, ",
-            "\"seed_encode_s\": {:.6}, \"live_encode_s\": {:.6}, ",
-            "\"seed_decode_s\": {:.6}, \"live_decode_s\": {:.6}, ",
+            "\"seed_encode_s\": {:.6}, \"seed_encode_median_s\": {:.6}, ",
+            "\"live_encode_s\": {:.6}, \"live_encode_median_s\": {:.6}, ",
+            "\"seed_decode_s\": {:.6}, \"seed_decode_median_s\": {:.6}, ",
+            "\"live_decode_s\": {:.6}, \"live_decode_median_s\": {:.6}, ",
             "\"seed_msym_s\": {:.1}, \"live_msym_s\": {:.1}, ",
             "\"speedup_encode\": {:.3}, \"speedup_decode\": {:.3}, ",
             "\"speedup_encode_plus_decode\": {:.3}}},\n",
             "  \"zfp_planes\": {{\"blocks\": {}, \"stream_bytes\": {}, ",
             "\"intprec\": {}, \"kmin\": {}, ",
-            "\"seed_encode_s\": {:.6}, \"seed_decode_s\": {:.6}, ",
-            "\"live_encode_s\": {:.6}, \"live_decode_s\": {:.6}, ",
+            "\"seed_encode_s\": {:.6}, \"seed_encode_median_s\": {:.6}, ",
+            "\"seed_decode_s\": {:.6}, \"seed_decode_median_s\": {:.6}, ",
+            "\"live_encode_s\": {:.6}, \"live_encode_median_s\": {:.6}, ",
+            "\"live_decode_s\": {:.6}, \"live_decode_median_s\": {:.6}, ",
             "\"speedup_encode\": {:.3}, \"speedup_decode\": {:.3}, ",
             "\"speedup_encode_plus_decode\": {:.3}}},\n",
             "  \"lz\": {{\"dataset_scale\": \"Medium\", \"chunks\": {}, ",
             "\"input_bytes\": {}, \"output_bytes\": {}, ",
-            "\"seed_encode_s\": {:.6}, \"live_encode_s\": {:.6}, ",
+            "\"seed_encode_s\": {:.6}, \"seed_encode_median_s\": {:.6}, ",
+            "\"live_encode_s\": {:.6}, \"live_encode_median_s\": {:.6}, ",
             "\"seed_mib_s\": {:.1}, \"live_mib_s\": {:.1}, ",
             "\"speedup_encode\": {:.3}}},\n",
             "  \"target_huffman_decode\": 1.5,\n",
@@ -295,36 +316,47 @@ fn main() {
         field.name,
         scale,
         field.data.len(),
+        host_cpus,
         reps,
         syms.len(),
         buf.len(),
-        h.seed_enc_s,
-        h.live_enc_s,
-        h.seed_s,
-        h.live_s,
-        msym(h.seed_s),
-        msym(h.live_s),
-        h.seed_enc_s / h.live_enc_s,
+        h.seed_enc.best(),
+        h.seed_enc.median(),
+        h.live_enc.best(),
+        h.live_enc.median(),
+        h.seed.best(),
+        h.seed.median(),
+        h.live.best(),
+        h.live.median(),
+        msym(h.seed.best()),
+        msym(h.live.best()),
+        h.seed_enc.best() / h.live_enc.best(),
         huff_speedup,
-        (h.seed_enc_s + h.seed_s) / (h.live_enc_s + h.live_s),
+        (h.seed_enc.best() + h.seed.best()) / (h.live_enc.best() + h.live.best()),
         blocks.len(),
         p.stream_bytes,
         INTPREC,
         KMIN,
-        p.seed_enc_s,
-        p.seed_dec_s,
-        p.live_enc_s,
-        p.live_dec_s,
-        p.seed_enc_s / p.live_enc_s,
-        p.seed_dec_s / p.live_dec_s,
+        p.seed_enc.best(),
+        p.seed_enc.median(),
+        p.seed_dec.best(),
+        p.seed_dec.median(),
+        p.live_enc.best(),
+        p.live_enc.median(),
+        p.live_dec.best(),
+        p.live_dec.median(),
+        p.seed_enc.best() / p.live_enc.best(),
+        p.seed_dec.best() / p.live_dec.best(),
         plane_speedup,
         LZ_CHUNKS,
         lz_bytes,
         z.output_bytes,
-        z.seed_s,
-        z.live_s,
-        mib_s(z.seed_s),
-        mib_s(z.live_s),
+        z.seed.best(),
+        z.seed.median(),
+        z.live.best(),
+        z.live.median(),
+        mib_s(z.seed.best()),
+        mib_s(z.live.best()),
         lz_speedup,
     );
     print!("{json}");

@@ -33,7 +33,7 @@
 //! rows, which is why sinks must be index-addressed (see [`sweep`]).
 
 use crate::cast;
-use pwrel_data::{CodecError, Dims, Float};
+use pwrel_data::{Dims, Float};
 
 /// SZ 1.4's linear-scaling quantizer (paper Sec. IV-A), both directions:
 /// residuals bin into `capacity` intervals of width `2·eb` centred on the
@@ -85,16 +85,18 @@ impl QuantKernel {
         None
     }
 
-    /// Decoder side of [`QuantKernel::quantize`]: the value for a non-zero
-    /// `code` given the prediction and bound the encoder saw. Codes
-    /// outside the alphabet (`code >= capacity`) are corrupt.
+    /// Decoder side of [`QuantKernel::quantize`]: the value for a
+    /// predictable `code` given the prediction and bound the encoder saw.
+    /// `None` for the escape code 0 and for codes outside the alphabet
+    /// (`code >= capacity`); the caller resolves both off its hot path.
     #[inline]
-    pub fn reconstruct<F: Float>(&self, code: u32, pred: f64, eb: f64) -> Result<F, CodecError> {
-        if code >= self.capacity {
-            return Err(CodecError::Corrupt("quantization code out of range"));
+    pub fn reconstruct<F: Float>(&self, code: u32, pred: f64, eb: f64) -> Option<F> {
+        // One unsigned compare tests both: code 0 wraps to u32::MAX.
+        if code.wrapping_sub(1) >= self.capacity.saturating_sub(1) {
+            return None;
         }
-        let q = i64::from(code) - i64::from(self.capacity / 2);
-        Ok(F::from_f64(pred + 2.0 * eb * cast::f64_from_quant(q)))
+        let q = i64::from(code) - self.radius;
+        Some(F::from_f64(pred + 2.0 * eb * cast::f64_from_quant(q)))
     }
 }
 
@@ -645,8 +647,9 @@ mod tests {
     #[test]
     fn reconstruct_rejects_out_of_alphabet_codes() {
         let q = QuantKernel::new(8);
-        assert!(q.reconstruct::<f32>(8, 0.0, 0.1).is_err());
-        assert!(q.reconstruct::<f32>(7, 0.0, 0.1).is_ok());
+        assert!(q.reconstruct::<f32>(8, 0.0, 0.1).is_none());
+        assert!(q.reconstruct::<f32>(0, 0.0, 0.1).is_none());
+        assert!(q.reconstruct::<f32>(7, 0.0, 0.1).is_some());
     }
 
     #[test]

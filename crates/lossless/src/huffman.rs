@@ -167,11 +167,18 @@ fn tree_depths(pairs: &[(u32, u64)], alphabet: usize) -> Vec<(u32, u32)> {
 }
 
 /// Width of the decode lookup table: codes up to this length decode with a
-/// single peek instead of a canonical walk. 11 bits (16 KiB of entries)
+/// single peek instead of a canonical walk. 11 bits (8 KiB of entries)
 /// covers the overwhelming frequency mass of SZ's residual distributions
 /// while leaving L1 room for the four lanes' hot state — 12 bits measured
 /// slower for exactly that reason.
 const LUT_BITS: u32 = 11;
+
+/// Bits of a packed LUT entry that hold the code length. Entries are
+/// `symbol << LEN_BITS | len`: LUT codes are at most `LUT_BITS` = 11 bits
+/// long, and [`CanonicalCode::deserialize`] caps alphabets at 2^28, so
+/// both fields fit one `u32`.
+const LEN_BITS: u32 = 4;
+const LEN_MASK: u32 = (1 << LEN_BITS) - 1;
 
 /// A canonical Huffman code: encode and decode tables plus a compact
 /// serialized form (sorted sparse `(symbol, length)` pairs).
@@ -193,9 +200,11 @@ pub struct CanonicalCode {
     first_code: Vec<u64>,
     /// `offset[l]` = index into `sorted_symbols` of the first length-`l` code.
     offsets: Vec<u32>,
-    /// `lut[prefix]` = (symbol, len) for codes of length ≤ LUT_BITS;
-    /// len == 0 marks prefixes belonging to longer codes.
-    lut: Vec<(u32, u8)>,
+    /// `lut[prefix]` = `symbol << LEN_BITS | len` for codes of length
+    /// ≤ LUT_BITS; len == 0 marks prefixes belonging to longer codes. A
+    /// fixed-size array, so a lookup by a `LUT_BITS`-bit prefix compiles
+    /// without a bounds check.
+    lut: Box<[u32; 1 << LUT_BITS]>,
 }
 
 impl CanonicalCode {
@@ -212,10 +221,12 @@ impl CanonicalCode {
     }
 
     /// Builds the canonical code from ascending sparse `(symbol, length)`
-    /// pairs (lengths > 0, symbols < `alphabet`) — the hot-path
-    /// constructor. Only the dense encode table itself scales with the
-    /// nominal alphabet (one zeroed allocation); every scan and sort runs
-    /// over the used symbols. Canonical assignment depends only on the
+    /// pairs (lengths > 0, symbols < `alphabet`, and `alphabet <= 1 << 28`,
+    /// the cap [`CanonicalCode::deserialize`] enforces, so every symbol
+    /// packs into a LUT entry) — the hot-path constructor. Only the dense
+    /// encode table itself scales with the nominal alphabet (one zeroed
+    /// allocation); every scan and sort runs over the used symbols.
+    /// Canonical assignment depends only on the
     /// `(length, symbol)` order, so the resulting code — and every encoded
     /// byte — is identical to the dense [`CanonicalCode::from_lengths`]
     /// path's.
@@ -225,6 +236,7 @@ impl CanonicalCode {
     // `deserialize` rejects `symbol >= alphabet` and zero/oversized
     // lengths before `encode_table[s]` can be reached.
     pub fn from_pairs(pairs: &[(u32, u32)], alphabet: usize) -> Self {
+        debug_assert!(alphabet <= 1 << (32 - LEN_BITS), "alphabet too large");
         let max_len = pairs.iter().map(|&(_, l)| l).max().unwrap_or(0) as usize;
         let mut counts = vec![0u32; max_len + 1];
         for &(_, l) in pairs {
@@ -248,7 +260,7 @@ impl CanonicalCode {
         }
 
         let mut encode_table = vec![0u64; alphabet];
-        let mut lut = vec![(0u32, 0u8); 1usize << LUT_BITS];
+        let mut lut = Box::new([0u32; 1 << LUT_BITS]);
         let mut next = first_code.clone();
         for &(l, s) in &by_len {
             let code = next[l as usize];
@@ -260,7 +272,7 @@ impl CanonicalCode {
                 let lo = (code << (LUT_BITS - l)) as usize;
                 let hi = ((code + 1) << (LUT_BITS - l)) as usize;
                 for entry in lut.iter_mut().take(hi).skip(lo) {
-                    *entry = (s, l as u8);
+                    *entry = s << LEN_BITS | l;
                 }
             }
         }
@@ -359,76 +371,108 @@ impl CanonicalCode {
         // keeps stream-derived bits out of any unchecked index.
         if r.bits_remaining() >= LUT_BITS as u64 {
             let prefix = r.peek_bits(LUT_BITS)?;
-            if let Some(&(sym, len)) = self.lut.get(prefix as usize) {
-                if len > 0 {
-                    r.skip_bits(len as u32)?;
-                    return Ok(sym);
+            if let Some(&e) = self.lut.get(prefix as usize) {
+                if e & LEN_MASK != 0 {
+                    r.skip_bits(e & LEN_MASK)?;
+                    return Ok(e >> LEN_BITS);
                 }
             }
         }
         self.decode_slow(r)
     }
 
-    /// Decodes a left-aligned bit window (next stream bit at bit 63) that
-    /// is known to hold at least one whole code. Returns the symbol and
-    /// its length in bits; `None` if no code matches.
-    #[inline]
-    fn decode_from_word(&self, word: u64) -> Option<(u32, u32)> {
-        let prefix = (word >> (64 - LUT_BITS)) as usize;
-        let (sym, len) = self.lut[prefix];
-        if len > 0 {
-            return Some((sym, len as u32));
+    /// Decodes one symbol off `r`'s buffered window, which the caller
+    /// guarantees holds at least one whole code, and consumes it. A LUT
+    /// hit is the whole job; anything longer takes the canonical walk in
+    /// [`CanonicalCode::decode_long`]. A window no code matches (a corrupt
+    /// stream) sets `*miss` and drains the window, so the caller's next
+    /// bit check sends it to a refill, where it tests the flag: the hot
+    /// loops carry no `Result`.
+    #[inline(always)]
+    fn step(&self, r: &mut BitReader, miss: &mut bool) -> u32 {
+        let word = r.peek_word();
+        // A `LUT_BITS`-bit prefix always indexes the fixed-size table, so
+        // the compiler drops the `get` check and the fallback.
+        let e = self
+            .lut
+            .get((word >> (64 - LUT_BITS)) as usize)
+            .copied()
+            .unwrap_or(0);
+        if e & LEN_MASK != 0 {
+            // Consumed here rather than after a merge with the walk's
+            // result: the masked length is visibly below 64, so the shift
+            // needs no full-word guard.
+            r.consume(e & LEN_MASK);
+            return e >> LEN_BITS;
         }
-        // Long code: canonical walk on the window, no per-bit reads. A LUT
-        // miss proves the code is longer than LUT_BITS, so the walk starts
-        // past every length the LUT already covers.
-        for l in LUT_BITS as usize + 1..self.counts.len() {
-            let n = self.counts[l] as u64;
-            if n > 0 {
-                let code = word >> (64 - l as u32);
-                let first = self.first_code[l];
-                if code < first + n {
-                    let idx = self.offsets[l] as u64 + (code - first);
-                    return Some((self.sorted_symbols[idx as usize], l as u32));
-                }
+        match self.decode_long(word) {
+            Some((sym, len)) => {
+                r.consume(len);
+                sym
+            }
+            None => {
+                *miss = true;
+                r.consume(r.buffered_bits());
+                0
+            }
+        }
+    }
+
+    /// The canonical walk for codes longer than `LUT_BITS`, on the bit
+    /// window, with no per-bit reads. A LUT miss proves the code is longer
+    /// than LUT_BITS, so the walk starts past every length the LUT already
+    /// covers. Inline: with the loop's other per-symbol costs gone, an
+    /// out-of-line `#[cold]` walk measured no faster on SZ_T's codes (2%
+    /// long) and 10–20% slower on alphabets where many codes are long
+    /// (SZ_PWR's, for one), which pay a call per symbol.
+    #[inline(always)]
+    fn decode_long(&self, word: u64) -> Option<(u32, u32)> {
+        let lens = self.counts.iter().zip(&self.first_code).zip(&self.offsets);
+        for (l, ((&n, &first), &off)) in lens.enumerate().skip(LUT_BITS as usize + 1) {
+            let code = word >> (64 - l as u32);
+            if n > 0 && code >= first && code - first < n as u64 {
+                let idx = off as usize + (code - first) as usize;
+                return self.sorted_symbols.get(idx).map(|&sym| (sym, l as u32));
             }
         }
         None
     }
 
-    /// Appends `n` decoded symbols to `out` — the bulk counterpart of
+    /// Decodes `n` symbols into `out` — the bulk counterpart of
     /// [`CanonicalCode::decode`].
     ///
     /// The hot loop hoists every per-symbol check out: one
     /// [`BitReader::refill`] buffers ≥ 57 bits (≥ one whole code, since
     /// `MAX_CODE_LEN` is 48), then symbols decode straight off the
-    /// buffered word with a LUT hit or a canonical walk until the window
-    /// runs low. Near the stream tail — fewer buffered bits than the
-    /// longest code — it falls back to the checked per-symbol path, so a
-    /// truncated payload still surfaces as [`Error::UnexpectedEof`], never
-    /// an over-consume.
+    /// buffered word until the window runs low. Near the stream tail —
+    /// fewer buffered bits than the longest code — it falls back to the
+    /// checked per-symbol path, so a truncated payload still surfaces as
+    /// [`Error::UnexpectedEof`], never an over-consume. On an error the
+    /// `n` slots appended to `out` hold no meaningful values.
     pub fn decode_all(&self, r: &mut BitReader, n: usize, out: &mut Vec<u32>) -> Result<()> {
         let max_len = self.max_code_len().max(1);
-        out.reserve(n);
-        let mut remaining = n;
-        while remaining > 0 {
+        let start = out.len();
+        out.resize(start + n, 0);
+        let mut slots = out.iter_mut().skip(start);
+        let mut miss = false;
+        'refill: loop {
             r.refill();
-            let mut buffered = r.buffered_bits();
-            if buffered < max_len {
+            if r.buffered_bits() < max_len || miss {
                 break; // tail: per-symbol checked path below
             }
-            while remaining > 0 && buffered >= max_len {
-                let (sym, len) = self
-                    .decode_from_word(r.peek_word())
-                    .ok_or(Error::InvalidValue("huffman code not in table"))?;
-                r.consume(len);
-                buffered -= len;
-                out.push(sym);
-                remaining -= 1;
+            for slot in slots.by_ref() {
+                *slot = self.step(r, &mut miss);
+                if r.buffered_bits() < max_len {
+                    continue 'refill;
+                }
             }
+            break;
         }
-        for _ in 0..remaining {
-            out.push(self.decode(r)?);
+        if miss {
+            return Err(Error::InvalidValue("huffman code not in table"));
+        }
+        for slot in slots {
+            *slot = self.decode(r)?;
         }
         Ok(())
     }
@@ -502,73 +546,65 @@ impl CanonicalCode {
 
     /// Decodes `n` round-robin interleaved symbols from [`LANES`]
     /// sub-stream slices in one fused loop: per round, [`LANES`]
-    /// independent `decode_from_word` + `consume` chains whose refill and
-    /// table-lookup latencies overlap. Each lane's buffered-bit window is
-    /// tracked exactly (decremented by the decoded length), so rounds run
-    /// until some lane actually drops below one whole worst-case code —
-    /// typically many more rounds per refill than the conservative
-    /// `min_buffered / max_len` bound would allow, since real codes
-    /// average far shorter than the longest one. The stream tail (or any
-    /// lane too short for the bulk guarantee) falls back to the checked
-    /// per-symbol path, surfacing truncation as [`Error::UnexpectedEof`].
-    /// One fused-loop step: decode a symbol off a lane's buffered window
-    /// and consume it. The caller guarantees ≥ one whole code is buffered.
-    #[inline(always)]
-    fn step(&self, r: &mut BitReader) -> Result<(u32, u32)> {
-        let (sym, len) = self
-            .decode_from_word(r.peek_word())
-            .ok_or(Error::InvalidValue("huffman code not in table"))?;
-        r.consume(len);
-        Ok((sym, len))
-    }
-
+    /// independent [`CanonicalCode::step`] chains whose refill and
+    /// table-lookup latencies overlap, written straight into one quad of
+    /// the preallocated output (the caller's per-lane bit check bounds
+    /// `n`). Rounds run until some lane's buffered window actually drops
+    /// below one whole worst-case code — typically many more rounds per
+    /// refill than the conservative `min_buffered / max_len` bound would
+    /// allow, since real codes average far shorter than the longest one.
+    /// The stream tail (or any lane too short for the bulk guarantee)
+    /// falls back to the checked per-symbol path, surfacing truncation as
+    /// [`Error::UnexpectedEof`].
     fn decode_interleaved_fused(&self, lanes: &[&[u8]; LANES], n: usize) -> Result<Vec<u32>> {
         let max_len = self.max_code_len().max(1);
-        // Scalar per-lane readers and bit counts (not arrays) keep the four
-        // decode chains in registers so their latencies actually overlap.
+        // Scalar per-lane readers (not an array) keep the four decode
+        // chains in registers so their latencies actually overlap.
         let [mut r0, mut r1, mut r2, mut r3]: [BitReader; LANES] =
             std::array::from_fn(|j| BitReader::new(lanes[j]));
-        let mut out = Vec::with_capacity(n);
-        let rounds = n / LANES;
-        let mut t = 0usize;
-        'refill: while t < rounds {
+        let mut out = vec![0u32; n];
+        let (quads, _) = out.as_chunks_mut::<LANES>();
+        let mut quads = quads.iter_mut();
+        let mut miss = false;
+        let low = |r0: &BitReader, r1: &BitReader, r2: &BitReader, r3: &BitReader| {
+            r0.buffered_bits()
+                .min(r1.buffered_bits())
+                .min(r2.buffered_bits())
+                .min(r3.buffered_bits())
+                < max_len
+        };
+        'refill: loop {
             r0.refill();
             r1.refill();
             r2.refill();
             r3.refill();
-            let mut a0 = r0.buffered_bits();
-            let mut a1 = r1.buffered_bits();
-            let mut a2 = r2.buffered_bits();
-            let mut a3 = r3.buffered_bits();
-            if a0.min(a1).min(a2).min(a3) < max_len {
+            if low(&r0, &r1, &r2, &r3) || miss {
                 break;
             }
             // Every lane holds ≥ max_len buffered bits at the top of each
             // round, so the in-round decodes can never over-consume.
-            while t < rounds {
-                let (s0, l0) = self.step(&mut r0)?;
-                let (s1, l1) = self.step(&mut r1)?;
-                let (s2, l2) = self.step(&mut r2)?;
-                let (s3, l3) = self.step(&mut r3)?;
-                a0 -= l0;
-                a1 -= l1;
-                a2 -= l2;
-                a3 -= l3;
-                out.push(s0);
-                out.push(s1);
-                out.push(s2);
-                out.push(s3);
-                t += 1;
-                if a0 < max_len || a1 < max_len || a2 < max_len || a3 < max_len {
+            for quad in quads.by_ref() {
+                *quad = [
+                    self.step(&mut r0, &mut miss),
+                    self.step(&mut r1, &mut miss),
+                    self.step(&mut r2, &mut miss),
+                    self.step(&mut r3, &mut miss),
+                ];
+                if low(&r0, &r1, &r2, &r3) {
                     continue 'refill;
                 }
             }
+            break;
         }
-        // Each lane has decoded exactly `t` symbols; finish in global
-        // order through the checked per-symbol decoder.
+        if miss {
+            return Err(Error::InvalidValue("huffman code not in table"));
+        }
+        // Each lane has decoded the same number of symbols; finish in
+        // global order through the checked per-symbol decoder.
+        let done = LANES * (n / LANES - quads.len());
         let mut rs = [r0, r1, r2, r3];
-        for idx in LANES * t..n {
-            out.push(self.decode(&mut rs[idx % LANES])?);
+        for (idx, slot) in out.iter_mut().enumerate().skip(done) {
+            *slot = self.decode(&mut rs[idx % LANES])?;
         }
         Ok(out)
     }
@@ -1000,6 +1036,35 @@ mod tests {
             .map(|_| code.decode(&mut r).unwrap())
             .collect();
         assert_eq!(one, syms);
+    }
+
+    #[test]
+    fn windows_no_code_matches_are_invalid_in_both_loops() {
+        // Two 2-bit codes, 00 and 01: each 0x1F byte decodes 0, 1, then
+        // reaches a window starting 11 that matches nothing.
+        let code = CanonicalCode::from_pairs(&[(0, 2), (1, 2)], 2);
+        let bad = Error::InvalidValue("huffman code not in table");
+        let payload = [0x1Fu8; 32];
+        let mut out = Vec::new();
+        let got = code.decode_all(&mut BitReader::new(&payload), 100, &mut out);
+        assert_eq!(got, Err(bad.clone()));
+
+        let n = 400;
+        let mut buf = Vec::new();
+        varint::write_uvarint(&mut buf, INTERLEAVED_MARKER);
+        code.serialize(&mut buf);
+        varint::write_uvarint(&mut buf, n as u64);
+        varint::write_uvarint(&mut buf, (LANES * payload.len()) as u64);
+        for lane in 0..LANES {
+            varint::write_uvarint(&mut buf, lane_count(n, lane) as u64);
+        }
+        for _ in 0..LANES {
+            varint::write_uvarint(&mut buf, payload.len() as u64);
+        }
+        for _ in 0..LANES {
+            buf.extend_from_slice(&payload);
+        }
+        assert_eq!(decode_symbols(&buf, &mut 0), Err(bad));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! Token format (before the Huffman pass), repeated until the input ends:
 //! `uvarint literal_run_len`, that many literal bytes, then — unless the
 //! input is exhausted — `uvarint (match_len - MIN_MATCH)` and
-//! `uvarint (distance - 1)`.
+//! `uvarint (distance - 1)`. No encoder has emitted a match longer than
+//! `MAX_MATCH`, and the decoder rejects one: it would let a few token
+//! bytes demand up to the header's whole raw length in output.
 //!
 //! # Match finder
 //!
@@ -291,7 +293,7 @@ fn detokenize(tokens: &[u8], expected_len: usize) -> Result<Vec<u8>> {
         let match_len =
             (varint::read_uvarint(tokens, &mut pos)? as usize).saturating_add(MIN_MATCH);
         let dist = (varint::read_uvarint(tokens, &mut pos)? as usize).saturating_add(1);
-        if dist > out.len() || match_len > expected_len - out.len() {
+        if dist > out.len() || match_len > MAX_MATCH || match_len > expected_len - out.len() {
             return Err(Error::InvalidValue("lz match out of range"));
         }
         let start = out.len() - dist;
@@ -353,7 +355,13 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
         MODE_TOKENS => detokenize(data.get(pos..).ok_or(Error::UnexpectedEof)?, raw_len),
         MODE_TOKENS_HUFF => {
             let syms = huffman::decode_symbols(data, &mut pos)?;
-            let tokens: Vec<u8> = syms.into_iter().map(|s| s as u8).collect();
+            // A forged table can declare symbols past the byte alphabet;
+            // truncating them would smuggle a different token in.
+            let tokens = syms
+                .into_iter()
+                .map(u8::try_from)
+                .collect::<std::result::Result<Vec<u8>, _>>()
+                .map_err(|_| Error::InvalidValue("lz token symbol out of byte range"))?;
             detokenize(&tokens, raw_len)
         }
         _ => Err(Error::InvalidValue("unknown lz container mode")),

@@ -166,7 +166,10 @@ impl<F: Float> EscapeLog<F> {
 
     /// Writes the raster-ordered unpredictable stream: entries sorted by
     /// index (the wavefront emits them nearly sorted), re-encoded with the
-    /// per-point bound. Returns the writer and the escape count.
+    /// per-point bound. Returns the writer and the escape count. Inline
+    /// for the reason [`compress_fused`] is: it stays in its caller's
+    /// codegen unit.
+    #[inline]
     fn into_stream(mut self, eb_at: impl Fn(usize) -> f64) -> (BitWriter, u64) {
         self.entries.sort_unstable_by_key(|&(idx, _)| idx);
         let mut w = BitWriter::new();
@@ -299,6 +302,12 @@ pub(crate) fn compress<F: Float>(
 /// (as a [`StageTimer`] aggregate, since it interleaves with the sweep)
 /// and the surrounding sweep to [`stage::PREDICT_QUANTIZE`]; the
 /// predict/quantize span therefore *contains* the transform total.
+///
+/// Pinned inline into its one caller, `<SzCompressor as LogFusedCodec>`:
+/// left to the partitioner, it can land in another codegen unit than the
+/// caller, and a trial build with the out-of-line call measured oneshot
+/// compress about 5% slower.
+#[inline(always)]
 pub(crate) fn compress_fused<F: Float>(
     data: &[F],
     dims: Dims,
@@ -460,33 +469,77 @@ pub(crate) fn decompress<F: Float>(
     // order, reading exactly the bits the encoder wrote) and looked up by
     // index during the sweep.
     let mut unpred_r = BitReader::new(&stream.unpred_bytes);
-    let mut esc_pos: Vec<usize> = Vec::new();
-    let mut esc_val: Vec<F> = Vec::new();
+    let mut escapes = Escapes(Vec::new());
     for (idx, &code) in codes.iter().enumerate() {
         if code == 0 {
-            esc_pos.push(idx);
-            esc_val.push(unpred::read::<F>(&mut unpred_r, ebs.at(idx))?);
+            escapes
+                .0
+                .push((idx, unpred::read::<F>(&mut unpred_r, ebs.at(idx))?));
         }
     }
 
-    // audit:allow-fn(L1): `codes.len() == n` is checked above and `dec` is
-    // allocated with n elements; the sweep hands the sink idx < n only,
-    // so the hot-loop indexing cannot go out of bounds.
-    predict::sweep(dims, &mut dec, |idx, pred| {
-        let code = codes[idx];
-        if code == 0 {
-            // `esc_pos` holds every zero-code index in ascending order, so
-            // the search can only miss if the sweep revisits an index —
-            // surface that as corruption rather than panicking.
-            match esc_pos.binary_search(&idx) {
-                Ok(r) => Ok(esc_val[r]),
-                Err(_) => Err(CodecError::Corrupt("escape index missing")),
-            }
-        } else {
-            quant.reconstruct(code, pred, ebs.at(idx))
-        }
-    })?;
+    // One bound for the whole field (SZ_T, SZ_ABS) gets its own sink with
+    // the bound in a register. The sweep is compiled once per sink; the
+    // second sink measured 6.6% more SZ_T decode throughput end to end
+    // than `Ebs::at` alone (DESIGN.md §13).
+    if ebs.block_ebs.is_empty() {
+        let eb = ebs.abs;
+        reconstruct(dims, &mut dec, &codes, quant, &escapes, move |_| eb)?;
+    } else {
+        reconstruct(dims, &mut dec, &codes, quant, &escapes, |idx| ebs.at(idx))?;
+    }
     Ok((dec, dims))
+}
+
+/// A stream's escapes, decoded up front: `(index, stored value)` pairs in
+/// ascending index order.
+struct Escapes<F>(Vec<(usize, F)>);
+
+impl<F: Float> Escapes<F> {
+    /// The reconstruction sink's slow path, for every code
+    /// [`predict::QuantKernel::reconstruct`] declines: the stored value of
+    /// an escape (code 0), or `Corrupt` for a code outside the alphabet.
+    /// Every zero-code index is listed, so the search can only miss if
+    /// the sweep revisits an index — that is corruption too, never a
+    /// panic.
+    #[cold]
+    #[inline(never)]
+    fn resolve(&self, code: u32, idx: usize) -> Result<F, CodecError> {
+        if code != 0 {
+            return Err(CodecError::Corrupt("quantization code out of range"));
+        }
+        self.0
+            .binary_search_by_key(&idx, |&(pos, _)| pos)
+            .ok()
+            .and_then(|r| self.0.get(r))
+            .map(|&(_, val)| val)
+            .ok_or(CodecError::Corrupt("escape index missing"))
+    }
+}
+
+/// The decode-side Lorenzo sweep: every point's value from its code, its
+/// prediction and its bound. The sink is small enough to inline at each of
+/// the sweep's call sites, so the decoded value stays in registers through
+/// the prediction feedback chain; escapes and corrupt codes go to the
+/// out-of-line [`Escapes::resolve`]. (The compress sweeps keep their sinks
+/// out of line: inlining them measured slower — see DESIGN.md §13.)
+fn reconstruct<F: Float>(
+    dims: Dims,
+    dec: &mut [F],
+    codes: &[u32],
+    quant: predict::QuantKernel,
+    escapes: &Escapes<F>,
+    eb_at: impl Fn(usize) -> f64,
+) -> Result<(), CodecError> {
+    predict::sweep(dims, dec, move |idx, pred| {
+        // One code per point, so the fallback (an out-of-range code) is
+        // unreachable; it keeps the lookup panic-free.
+        let code = codes.get(idx).copied().unwrap_or(u32::MAX);
+        match quant.reconstruct(code, pred, eb_at(idx)) {
+            Some(v) => Ok(v),
+            None => escapes.resolve(code, idx),
+        }
+    })
 }
 
 #[cfg(test)]

@@ -252,7 +252,8 @@ impl SzStream {
         let nz = varint::read_uvarint(p, &mut pos)?;
         let dims =
             Dims::from_header(rank, nx, ny, nz).ok_or(CodecError::Corrupt("bad dims header"))?;
-        let capacity = varint::read_uvarint(p, &mut pos)? as u32;
+        let capacity = u32::try_from(varint::read_uvarint(p, &mut pos)?)
+            .map_err(|_| CodecError::Corrupt("bad capacity"))?;
         if capacity < 4 || !capacity.is_multiple_of(2) {
             return Err(CodecError::Corrupt("bad capacity"));
         }

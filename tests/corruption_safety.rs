@@ -312,6 +312,66 @@ mod forged {
         }
     }
 
+    /// An SZ header whose capacity uvarint exceeds `u32`: 2^32 + 65536
+    /// once truncated to 65536, the stream's real capacity, and decoded
+    /// as if it were valid. It must be `Corrupt`.
+    #[test]
+    fn sz_capacity_past_u32_is_corrupt() {
+        let (data, dims) = sample_field();
+        let cfg = SzCompressor {
+            lossless_pass: false,
+            ..SzCompressor::default()
+        };
+        let stream = cfg.compress_abs(&data, dims, 0.01, noop()).unwrap();
+        assert!(cfg.decompress::<f32>(&stream, noop()).is_ok());
+        // wrapper byte, magic, float width, mode, rank, then nx, ny, nz.
+        let mut pos = 1 + 4 + 3;
+        for _ in 0..3 {
+            read_uvarint(&stream, &mut pos);
+        }
+        let cap_at = pos;
+        assert_eq!(read_uvarint(&stream, &mut pos), 65536);
+        let mut forged = stream[..cap_at].to_vec();
+        write_uvarint(&mut forged, (1 << 32) + 65536);
+        forged.extend_from_slice(&stream[pos..]);
+        match cfg.decompress::<f32>(&forged, noop()) {
+            Err(CodecError::Corrupt(_)) => {}
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// An LZ Huffman-token container whose table codes symbols past the
+    /// byte alphabet: every token symbol re-coded as `s + 256`, which a
+    /// truncating cast maps back onto the original token bytes. It must
+    /// be rejected, not decoded.
+    #[test]
+    fn lz_token_symbols_past_a_byte_are_rejected() {
+        let mut x = 0x2545_F491u32;
+        let input: Vec<u8> = (0..20_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                b'a' + (x % 16) as u8
+            })
+            .collect();
+        let packed = lz::compress(&input);
+        assert_eq!(packed[0], 2, "input takes the Huffman-token mode");
+        assert_eq!(lz::decompress(&packed).unwrap(), input);
+        // mode byte, raw length, then the Huffman buffer of token bytes.
+        let mut pos = 1;
+        read_uvarint(&packed, &mut pos);
+        let header_end = pos;
+        let wide: Vec<u32> = huffman::decode_symbols(&packed, &mut pos)
+            .unwrap()
+            .into_iter()
+            .map(|s| s + 256)
+            .collect();
+        let mut forged = packed[..header_end].to_vec();
+        forged.extend_from_slice(&huffman::encode_symbols(&wide, 512));
+        assert!(lz::decompress(&forged).is_err());
+    }
+
     /// An SZ stream with a forged mode byte that no decoder routes:
     /// previously an `unreachable!` in the plain decoder, now `Corrupt`.
     #[test]
@@ -380,6 +440,23 @@ mod allocation_bombs {
         let mut forged = vec![0u8];
         write_uvarint(&mut forged, 1 << 60);
         forged.extend_from_slice(b"abcd");
+        assert!(lz::decompress(&forged).is_err());
+    }
+
+    /// A match token longer than any encoder emits (`MAX_MATCH` = 64 KiB):
+    /// a handful of token bytes used to expand to the header's whole raw
+    /// length, up to gigabytes. A 16 MiB claim keeps the old decoder's
+    /// output bearable; it must now be rejected.
+    #[test]
+    fn lz_match_longer_than_any_encoder_emits_is_rejected() {
+        let raw_len = 1u64 << 24;
+        // MODE_TOKENS (tag 1): one literal, then one match repeating it.
+        let mut forged = vec![1u8];
+        write_uvarint(&mut forged, raw_len);
+        write_uvarint(&mut forged, 1);
+        forged.push(b'a');
+        write_uvarint(&mut forged, raw_len - 1 - 4); // match_len - MIN_MATCH
+        write_uvarint(&mut forged, 0); // distance - 1
         assert!(lz::decompress(&forged).is_err());
     }
 
