@@ -75,12 +75,18 @@ impl Dims {
         (self.rank, self.nx as u64, self.ny as u64, self.nz as u64)
     }
 
-    /// Rebuilds from header fields; returns `None` for invalid ranks.
+    /// Rebuilds from header fields; returns `None` for invalid ranks and
+    /// for extents whose point count does not fit `usize`, so that
+    /// [`Dims::len`] cannot wrap on a forged header.
     pub fn from_header(rank: u8, nx: u64, ny: u64, nz: u64) -> Option<Self> {
+        let nx = usize::try_from(nx).ok()?;
+        let ny = usize::try_from(ny).ok()?;
+        let nz = usize::try_from(nz).ok()?;
+        nx.checked_mul(ny)?.checked_mul(nz)?;
         match rank {
-            1 if ny == 1 && nz == 1 => Some(Self::d1(nx as usize)),
-            2 if nz == 1 => Some(Self::d2(ny as usize, nx as usize)),
-            3 => Some(Self::d3(nz as usize, ny as usize, nx as usize)),
+            1 if ny == 1 && nz == 1 => Some(Self::d1(nx)),
+            2 if nz == 1 => Some(Self::d2(ny, nx)),
+            3 => Some(Self::d3(nz, ny, nx)),
             _ => None,
         }
     }
@@ -128,6 +134,9 @@ mod tests {
         }
         assert_eq!(Dims::from_header(4, 1, 1, 1), None);
         assert_eq!(Dims::from_header(1, 5, 2, 1), None);
+        // 2^63 + 8 rows of 2 would wrap `len()` to 16.
+        assert_eq!(Dims::from_header(2, (1 << 63) + 8, 2, 1), None);
+        assert_eq!(Dims::from_header(3, 1 << 32, 1 << 32, 1), None);
     }
 
     #[test]

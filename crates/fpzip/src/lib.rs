@@ -213,6 +213,11 @@ pub fn decompress<F: Float>(bytes: &[u8]) -> Result<(Vec<F>, Dims), CodecError> 
     if classes.len() != dims.len() {
         return Err(CodecError::Corrupt("class count != point count"));
     }
+    // The class table's alphabet is whatever the stream declares;
+    // `residual::decode` handles bit lengths 0..=64 and the raw escape.
+    if classes.iter().any(|&c| c > residual::RAW_CLASS) {
+        return Err(CodecError::Corrupt("class out of range"));
+    }
     let raw_len = varint::read_uvarint(bytes, &mut pos)? as usize;
     let raw_end = pos.checked_add(raw_len).ok_or(CodecError::Corrupt("eof"))?;
     if raw_end > bytes.len() {

@@ -57,10 +57,6 @@ pub fn fuzz_zfp_planes(data: &[u8]) {
         let mut r = BitReader::new(rest);
         let _ = nb::decode_planes(&mut r, &mut coeffs[..size], intprec, kmin);
         coeffs.fill(0);
-        let mut r = BitReader::new(rest);
-        let budget = u64::from(a) * 8;
-        let _ = nb::decode_planes_budget(&mut r, &mut coeffs[..size], intprec, kmin, budget);
-        coeffs.fill(0);
     }
 }
 

@@ -667,12 +667,17 @@ impl CanonicalCode {
         }
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(n_used);
         let mut sym = 0u64;
+        let bad = || Error::InvalidValue("bad huffman table entry");
         for i in 0..n_used {
             let delta = varint::read_uvarint(data, pos)?;
-            sym = if i == 0 { delta } else { sym + delta };
-            let len = varint::read_uvarint(data, pos)? as u32;
+            sym = if i == 0 {
+                delta
+            } else {
+                sym.checked_add(delta).ok_or_else(bad)?
+            };
+            let len = u32::try_from(varint::read_uvarint(data, pos)?).map_err(|_| bad())?;
             if sym as usize >= alphabet || len == 0 || len > MAX_CODE_LEN {
-                return Err(Error::InvalidValue("bad huffman table entry"));
+                return Err(bad());
             }
             match pairs.last_mut() {
                 Some(last) if last.0 as u64 == sym => last.1 = len,

@@ -58,10 +58,6 @@ pub enum Mode {
     Accuracy(f64),
     /// Fixed number of bit planes per block.
     Precision(u32),
-    /// Fixed bits per value: every block spends exactly `rate × 4^d` bits
-    /// (ZFP's original headline mode — constant-size blocks enable random
-    /// access; the error is whatever the budget buys).
-    FixedRate(u32),
 }
 
 /// Heuristic mapping from a point-wise relative bound to a ZFP `-p`
@@ -70,6 +66,13 @@ pub enum Mode {
 pub fn precision_for_rel_bound(rel_bound: f64) -> u32 {
     assert!(rel_bound > 0.0 && rel_bound.is_finite());
     ((-rel_bound.log2()).ceil() as i64 + 16).clamp(1, 64) as u32
+}
+
+/// The precisions a stream of `F` may carry: 1 ..= F::BITS + 2 bit planes
+/// (ZFP's `-p`). The encoder refuses any other request and the decoder
+/// any other header.
+pub(crate) fn precision_in_range<F: Float>(p: u32) -> bool {
+    (1..=F::BITS + 2).contains(&p)
 }
 
 /// Plane count / negabinary width per element type.
@@ -128,111 +131,7 @@ fn kmin_for(mode: Mode, emax: i32, rank: u8, ip: u32, g: i32) -> u32 {
             ip - maxprec
         }
         Mode::Precision(p) => ip.saturating_sub(p.min(ip)),
-        Mode::FixedRate(_) => 0,
     }
-}
-
-/// Per-block bit budget in fixed-rate mode (tag + exponent + planes).
-fn rate_budget(rate: u32, bs: usize) -> u64 {
-    (rate as u64 * bs as u64).max(18)
-}
-
-/// Zero-pads the writer so the current block spans exactly `budget` bits.
-fn pad_to(w: &mut BitWriter, block_start: u64, budget: u64) {
-    let used = w.bit_len() - block_start;
-    debug_assert!(used <= budget, "block overran its rate budget");
-    let mut pad = budget - used;
-    while pad > 0 {
-        let chunk = pad.min(64) as u32;
-        w.write_bits(0, chunk);
-        pad -= chunk as u64;
-    }
-}
-
-/// Advances the reader so the current block spans exactly `budget` bits.
-fn skip_to(r: &mut BitReader, block_start: u64, budget: u64) -> Result<(), CodecError> {
-    let used = r.bits_read() - block_start;
-    if used > budget {
-        return Err(CodecError::Corrupt("block overran its rate budget"));
-    }
-    // Whole-byte jump via skip_bits, chunked only because block offsets
-    // (random access) can exceed u32 bits.
-    let mut remaining = budget - used;
-    while remaining > 0 {
-        let chunk = remaining.min(u32::MAX as u64) as u32;
-        r.skip_bits(chunk)?;
-        remaining -= chunk as u64;
-    }
-    Ok(())
-}
-
-/// Decodes one block's samples from `r` into `fblock` (length 4^rank).
-/// `block_start` is the reader position at the block's first bit.
-// audit:allow-fn(L1): `fblock`, `iblock` and `coeffs` are the caller's
-// fixed 4^rank scratch buffers and `order` is the compile-time
-// coefficient permutation over 0..4^rank, so every index is in range
-// regardless of stream contents.
-#[allow(clippy::too_many_arguments)]
-fn decode_one_block(
-    r: &mut BitReader,
-    block_start: u64,
-    mode: Mode,
-    rank: u8,
-    ip: u32,
-    g: i32,
-    order: &[usize],
-    iblock: &mut [i64],
-    coeffs: &mut [u64],
-    fblock: &mut [f64],
-    clocks: &mut StageClocks<'_>,
-) -> Result<(), CodecError> {
-    let bs = fblock.len();
-    if !r.read_bit()? {
-        // Zero block.
-        fblock.iter_mut().for_each(|v| *v = 0.0);
-        if let Mode::FixedRate(rate) = mode {
-            skip_to(r, block_start, rate_budget(rate, bs))?;
-        }
-        return Ok(());
-    }
-    if r.read_bit()? {
-        // Raw escape block (never produced in fixed-rate mode).
-        for v in fblock.iter_mut() {
-            let bits = r.read_bits(if ip == 34 { 32 } else { 64 })?;
-            *v = if ip == 34 {
-                f32::from_bits(bits as u32) as f64
-            } else {
-                f64::from_bits(bits)
-            };
-        }
-        return Ok(());
-    }
-    let emax = r.read_bits(16)? as i32 - EMAX_BIAS;
-    let kmin = kmin_for(mode, emax, rank, ip, g);
-    coeffs.iter_mut().for_each(|c| *c = 0);
-    if let Mode::FixedRate(rate) = mode {
-        let budget = rate_budget(rate, bs) - 18;
-        clocks
-            .plane
-            .time(|| nb::decode_planes_budget(r, coeffs, ip, kmin, budget))?;
-        skip_to(r, block_start, rate_budget(rate, bs))?;
-    } else {
-        clocks
-            .plane
-            .time(|| nb::decode_planes(r, coeffs, ip, kmin))?;
-    }
-    clocks.lift.time(|| {
-        for (slot, &dst) in order.iter().enumerate() {
-            iblock[dst] = nb::nb_decode(coeffs[slot], ip);
-        }
-        lift::inv_xform(iblock, rank);
-        let s = (ip as i32 - g) - emax;
-        let inv_scale = exp2_clamped(-s);
-        for (i, &q) in iblock.iter().enumerate() {
-            fblock[i] = q as f64 * inv_scale;
-        }
-    });
-    Ok(())
 }
 
 /// Blocks per pipeline chunk: the bulk paths classify, lift, and
@@ -264,13 +163,7 @@ enum BlockClass {
 /// 2^(emax - (ip-g) + rank + 3) in value space. A block whose tolerance
 /// sits below that floor cannot be transform-coded within bound — store
 /// it verbatim (real ZFP simply misses such tolerances).
-fn classify(
-    fblock: &[f64],
-    mode: Mode,
-    rank: u8,
-    ip: u32,
-    g: i32,
-) -> Result<BlockClass, CodecError> {
+fn classify(fblock: &[f64], mode: Mode, rank: u8, ip: u32, g: i32) -> BlockClass {
     let nonfinite = fblock.iter().any(|v| !v.is_finite());
     let needs_raw = nonfinite
         || if let Mode::Accuracy(tol) = mode {
@@ -284,20 +177,15 @@ fn classify(
             false
         };
     if needs_raw {
-        if matches!(mode, Mode::FixedRate(_)) {
-            return Err(CodecError::InvalidArgument(
-                "fixed-rate mode requires finite input",
-            ));
-        }
-        return Ok(BlockClass::Raw);
+        return BlockClass::Raw;
     }
     let max_mag = fblock.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
     if max_mag == 0.0 {
-        return Ok(BlockClass::Zero);
+        return BlockClass::Zero;
     }
-    Ok(BlockClass::Coded {
+    BlockClass::Coded {
         emax: frexp_exp(max_mag),
-    })
+    }
 }
 
 /// Lift phase over one chunk: block-floating-point scaling (so
@@ -335,11 +223,10 @@ fn lift_chunk(
     }
 }
 
-/// Write phase over one chunk: tags, exponents, embedded planes, raw
-/// bits, and fixed-rate padding, in block order — the emitted stream is
-/// bit-identical to the reference per-block loop because every write
-/// happens in the same sequence. Runs under a single `plane_code` timer
-/// tick.
+/// Write phase over one chunk: tags, exponents, embedded planes and raw
+/// bits, in block order — the emitted stream is bit-identical to the
+/// reference per-block loop because every write happens in the same
+/// sequence. Runs under a single `plane_code` timer tick.
 #[allow(clippy::too_many_arguments)]
 fn write_chunk<F: Float>(
     w: &mut BitWriter,
@@ -364,7 +251,6 @@ fn write_chunk<F: Float>(
             let hi = ((slot + group) * bs).min(classes.len() * bs);
             batch = Some(nb::PlaneBatch::gather(&coeffs_chunk[lo..hi], bs));
         }
-        let block_start = w.bit_len();
         match *class {
             BlockClass::Raw => {
                 w.write_bits(0b11, 2);
@@ -372,29 +258,17 @@ fn write_chunk<F: Float>(
                     w.write_bits(F::from_f64(v).to_bits_u64(), F::BITS);
                 }
             }
-            BlockClass::Zero => {
-                w.write_bit(false); // tag 0 = all-zero block
-                if let Mode::FixedRate(rate) = mode {
-                    pad_to(w, block_start, rate_budget(rate, bs));
-                }
-            }
+            BlockClass::Zero => w.write_bit(false), // tag 0 = all-zero block
             BlockClass::Coded { emax } => {
                 w.write_bits(0b10, 2); // tag 10 = transform-coded block
                 w.write_bits((emax + EMAX_BIAS) as u64, 16);
                 let kmin = kmin_for(mode, emax, rank, ip, g);
-                let budget = match mode {
-                    Mode::FixedRate(rate) => rate_budget(rate, bs) - 18, // tag + exponent
-                    _ => u64::MAX,
-                };
                 if let Some(b) = &batch {
                     let words = b.block_planes(slot % group);
-                    nb::encode_plane_words(w, &words, bs, ip, kmin, budget);
+                    nb::encode_plane_words(w, &words, bs, ip, kmin);
                 } else {
                     let coeffs = &coeffs_chunk[slot * bs..(slot + 1) * bs];
-                    nb::encode_planes_budget(w, coeffs, ip, kmin, budget);
-                }
-                if let Mode::FixedRate(rate) = mode {
-                    pad_to(w, block_start, rate_budget(rate, bs));
+                    nb::encode_planes(w, coeffs, ip, kmin);
                 }
             }
         }
@@ -408,43 +282,49 @@ fn block_coords(t: usize, gx: usize, gy: usize) -> (usize, usize, usize) {
     (t % gx, (t / gx) % gy, t / (gx * gy))
 }
 
-/// Compresses `data` into a self-contained ZFP stream. The recorder gets
-/// per-block lift and plane-code aggregates; output bytes are unchanged.
-pub(crate) fn compress<F: Float>(
-    data: &[F],
+/// The encode loop both entry points share. For each chunk of up to
+/// [`CHUNK_BLOCKS`] blocks, `load` fills the chunk's f64 samples (one
+/// 4^d block per `bs`-sample slot, for the grid coordinates it is given),
+/// then every block is classified, lifted and written. The recorder gets
+/// the lift and plane-code aggregates; output bytes do not depend on it.
+fn encode<F: Float>(
     dims: Dims,
     mode: Mode,
     rec: &dyn Recorder,
-) -> Result<Vec<u8>, CodecError> {
+    mut load: impl FnMut(&[(usize, usize, usize)], &mut [f64]),
+) -> Vec<u8> {
     let rank = dims.rank();
     let bs = lift::block_size(rank);
     let order = lift::sequency_order(rank);
     let ip = intprec::<F>();
     let g = guard::<F>();
 
-    let mut w = BitWriter::with_capacity(data.len());
+    let mut w = BitWriter::with_capacity(dims.len());
     let mut clocks = StageClocks::new(rec);
     if !dims.is_empty() {
         let (gx, gy, gz) = blocks::block_grid(dims);
         let total = gx * gy * gz;
+        let mut coords = Vec::with_capacity(CHUNK_BLOCKS);
         let mut fchunk = vec![0.0f64; CHUNK_BLOCKS * bs];
         let mut coeffs_chunk = vec![0u64; CHUNK_BLOCKS * bs];
         let mut iblock = vec![0i64; bs];
         let mut classes = Vec::with_capacity(CHUNK_BLOCKS);
-        let mut start = 0;
-        while start < total {
+        for start in (0..total).step_by(CHUNK_BLOCKS) {
             let end = (start + CHUNK_BLOCKS).min(total);
+            coords.clear();
+            coords.extend((start..end).map(|t| block_coords(t, gx, gy)));
+            let fchunk = &mut fchunk[..coords.len() * bs];
+            load(&coords, fchunk);
             classes.clear();
-            for (slot, t) in (start..end).enumerate() {
-                let (bx, by, bz) = block_coords(t, gx, gy);
-                let fblock = &mut fchunk[slot * bs..(slot + 1) * bs];
-                blocks::gather(data, dims, bx, by, bz, fblock);
-                classes.push(classify(fblock, mode, rank, ip, g)?);
-            }
+            classes.extend(
+                fchunk
+                    .chunks_exact(bs)
+                    .map(|fblock| classify(fblock, mode, rank, ip, g)),
+            );
             clocks.lift.time(|| {
                 lift_chunk(
                     &classes,
-                    &fchunk,
+                    fchunk,
                     bs,
                     rank,
                     ip,
@@ -458,7 +338,7 @@ pub(crate) fn compress<F: Float>(
                 write_chunk::<F>(
                     &mut w,
                     &classes,
-                    &fchunk,
+                    fchunk,
                     bs,
                     mode,
                     rank,
@@ -467,11 +347,25 @@ pub(crate) fn compress<F: Float>(
                     &coeffs_chunk,
                 )
             });
-            start = end;
         }
     }
     clocks.finish();
-    Ok(finish::<F>(w.into_bytes(), dims, mode))
+    finish::<F>(w.into_bytes(), dims, mode)
+}
+
+/// Compresses `data` into a self-contained ZFP stream.
+pub(crate) fn compress<F: Float>(
+    data: &[F],
+    dims: Dims,
+    mode: Mode,
+    rec: &dyn Recorder,
+) -> Vec<u8> {
+    let bs = lift::block_size(dims.rank());
+    encode::<F>(dims, mode, rec, |coords, fchunk| {
+        for (&(bx, by, bz), fblock) in coords.iter().zip(fchunk.chunks_exact_mut(bs)) {
+            blocks::gather(data, dims, bx, by, bz, fblock);
+        }
+    })
 }
 
 /// Fused transform + compression: gathers each 4^d block from the
@@ -489,13 +383,8 @@ pub(crate) fn compress_fused<F: Float>(
     plan: &LogPlan,
     mode: Mode,
     rec: &dyn Recorder,
-) -> Result<(Vec<u8>, Option<Vec<bool>>), CodecError> {
-    let rank = dims.rank();
-    let bs = lift::block_size(rank);
-    let order = lift::sequency_order(rank);
-    let ip = intprec::<F>();
-    let g = guard::<F>();
-
+) -> (Vec<u8>, Option<Vec<bool>>) {
+    let bs = lift::block_size(dims.rank());
     // Sign collection is the plan's job only in linear sweeps; block
     // gathers replicate elements, so disable it and sweep separately.
     let block_plan = LogPlan {
@@ -506,86 +395,26 @@ pub(crate) fn compress_fused<F: Float>(
         .any_negative
         .then(|| data.iter().map(|x| x.to_f64() < 0.0).collect::<Vec<bool>>());
 
-    let mut w = BitWriter::with_capacity(data.len());
-    let mut clocks = StageClocks::new(rec);
+    let mut raw_chunk = vec![F::zero(); CHUNK_BLOCKS * bs];
+    let mut mapped = vec![F::zero(); bs];
+    let mut scratch = vec![0.0f64; bs];
+    let mut no_signs = Vec::new();
     let mut map_timer = StageTimer::new(rec, stage::TRANSFORM);
-    if !dims.is_empty() {
-        let (gx, gy, gz) = blocks::block_grid(dims);
-        let total = gx * gy * gz;
-        let mut raw_chunk = vec![F::zero(); CHUNK_BLOCKS * bs];
-        let mut mapped = vec![F::zero(); bs];
-        let mut scratch = vec![0.0f64; bs];
-        let mut fchunk = vec![0.0f64; CHUNK_BLOCKS * bs];
-        let mut coeffs_chunk = vec![0u64; CHUNK_BLOCKS * bs];
-        let mut iblock = vec![0i64; bs];
-        let mut classes = Vec::with_capacity(CHUNK_BLOCKS);
-        let mut no_signs = Vec::new();
-        let mut start = 0;
-        while start < total {
-            let end = (start + CHUNK_BLOCKS).min(total);
-            let cn = end - start;
-            for (slot, t) in (start..end).enumerate() {
-                let (bx, by, bz) = block_coords(t, gx, gy);
-                blocks::gather_raw(
-                    data,
-                    dims,
-                    bx,
-                    by,
-                    bz,
-                    &mut raw_chunk[slot * bs..(slot + 1) * bs],
-                );
-            }
-            map_timer.time(|| {
-                for slot in 0..cn {
-                    let raw = &raw_chunk[slot * bs..(slot + 1) * bs];
-                    block_plan.map_chunk(raw, &mut mapped, &mut scratch, &mut no_signs);
-                    for (f, m) in fchunk[slot * bs..(slot + 1) * bs].iter_mut().zip(&mapped) {
-                        *f = m.to_f64();
-                    }
-                }
-            });
-            classes.clear();
-            for slot in 0..cn {
-                classes.push(classify(
-                    &fchunk[slot * bs..(slot + 1) * bs],
-                    mode,
-                    rank,
-                    ip,
-                    g,
-                )?);
-            }
-            clocks.lift.time(|| {
-                lift_chunk(
-                    &classes,
-                    &fchunk,
-                    bs,
-                    rank,
-                    ip,
-                    g,
-                    &order,
-                    &mut iblock,
-                    &mut coeffs_chunk,
-                )
-            });
-            clocks.plane.time(|| {
-                write_chunk::<F>(
-                    &mut w,
-                    &classes,
-                    &fchunk,
-                    bs,
-                    mode,
-                    rank,
-                    ip,
-                    g,
-                    &coeffs_chunk,
-                )
-            });
-            start = end;
+    let stream = encode::<F>(dims, mode, rec, |coords, fchunk| {
+        for (&(bx, by, bz), raw) in coords.iter().zip(raw_chunk.chunks_exact_mut(bs)) {
+            blocks::gather_raw(data, dims, bx, by, bz, raw);
         }
-    }
+        map_timer.time(|| {
+            for (raw, fblock) in raw_chunk.chunks_exact(bs).zip(fchunk.chunks_exact_mut(bs)) {
+                block_plan.map_chunk(raw, &mut mapped, &mut scratch, &mut no_signs);
+                for (f, m) in fblock.iter_mut().zip(&mapped) {
+                    *f = m.to_f64();
+                }
+            }
+        });
+    });
     map_timer.finish();
-    clocks.finish();
-    Ok((finish::<F>(w.into_bytes(), dims, mode), signs))
+    (stream, signs)
 }
 
 /// Wraps an encoded payload in the self-describing container header.
@@ -593,32 +422,18 @@ fn finish<F: Float>(payload: Vec<u8>, dims: Dims, mode: Mode) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 48);
     out.extend_from_slice(MAGIC);
     out.push(F::BITS as u8);
+    out.push(match mode {
+        Mode::Accuracy(_) => 0,
+        Mode::Precision(_) => 1,
+    });
     let (rank, nx, ny, nz) = dims.to_header();
+    out.push(rank);
+    for n in [nx, ny, nz] {
+        varint::write_uvarint(&mut out, n);
+    }
     match mode {
-        Mode::Accuracy(tol) => {
-            out.push(0);
-            out.push(rank);
-            varint::write_uvarint(&mut out, nx);
-            varint::write_uvarint(&mut out, ny);
-            varint::write_uvarint(&mut out, nz);
-            bytesio::put_f64(&mut out, tol);
-        }
-        Mode::Precision(p) => {
-            out.push(1);
-            out.push(rank);
-            varint::write_uvarint(&mut out, nx);
-            varint::write_uvarint(&mut out, ny);
-            varint::write_uvarint(&mut out, nz);
-            varint::write_uvarint(&mut out, p as u64);
-        }
-        Mode::FixedRate(rate) => {
-            out.push(2);
-            out.push(rank);
-            varint::write_uvarint(&mut out, nx);
-            varint::write_uvarint(&mut out, ny);
-            varint::write_uvarint(&mut out, nz);
-            varint::write_uvarint(&mut out, rate as u64);
-        }
+        Mode::Accuracy(tol) => bytesio::put_f64(&mut out, tol),
+        Mode::Precision(p) => varint::write_uvarint(&mut out, u64::from(p)),
     }
     varint::write_uvarint(&mut out, payload.len() as u64);
     out.extend_from_slice(&payload);
@@ -654,8 +469,10 @@ pub(crate) fn decompress<F: Float>(
     let dims = Dims::from_header(rank, nx, ny, nz).ok_or(CodecError::Corrupt("bad dims"))?;
     let mode = match mode_byte {
         0 => Mode::Accuracy(bytesio::get_f64(bytes, &mut pos)?),
-        1 => Mode::Precision(varint::read_uvarint(bytes, &mut pos)? as u32),
-        2 => Mode::FixedRate(varint::read_uvarint(bytes, &mut pos)? as u32),
+        1 => match u32::try_from(varint::read_uvarint(bytes, &mut pos)?) {
+            Ok(p) if precision_in_range::<F>(p) => Mode::Precision(p),
+            _ => return Err(CodecError::Corrupt("bad precision")),
+        },
         _ => return Err(CodecError::Corrupt("unknown zfp mode")),
     };
     if let Mode::Accuracy(t) = mode {
@@ -693,8 +510,7 @@ pub(crate) fn decompress<F: Float>(
     let mut iblock = vec![0i64; bs];
     let mut classes: Vec<BlockClass> = Vec::with_capacity(CHUNK_BLOCKS);
     let mut clocks = StageClocks::new(rec);
-    let mut start = 0;
-    while start < total {
+    for start in (0..total).step_by(CHUNK_BLOCKS) {
         let end = (start + CHUNK_BLOCKS).min(total);
         let cn = end - start;
         classes.clear();
@@ -711,14 +527,10 @@ pub(crate) fn decompress<F: Float>(
                 if small && slot % group == 0 {
                     batch = Some(nb::PlaneBatch::collect(bs));
                 }
-                let block_start = r.bits_read();
                 if !r.read_bit()? {
                     classes.push(BlockClass::Zero);
-                    if let Mode::FixedRate(rate) = mode {
-                        skip_to(&mut r, block_start, rate_budget(rate, bs))?;
-                    }
                 } else if r.read_bit()? {
-                    // Raw escape block (never produced in fixed-rate mode).
+                    // Raw escape block.
                     for v in fchunk[slot * bs..(slot + 1) * bs].iter_mut() {
                         let bits = r.read_bits(if ip == 34 { 32 } else { 64 })?;
                         *v = if ip == 34 {
@@ -731,21 +543,14 @@ pub(crate) fn decompress<F: Float>(
                 } else {
                     let emax = r.read_bits(16)? as i32 - EMAX_BIAS;
                     let kmin = kmin_for(mode, emax, rank, ip, g);
-                    let budget = match mode {
-                        Mode::FixedRate(rate) => rate_budget(rate, bs) - 18,
-                        _ => u64::MAX,
-                    };
                     if let Some(b) = batch.as_mut() {
                         let mut words = [0u64; 64];
-                        nb::decode_plane_words(&mut r, &mut words, bs, ip, kmin, budget)?;
+                        nb::decode_plane_words(&mut r, &mut words, bs, ip, kmin)?;
                         b.set_block_planes(slot % group, &words);
                     } else {
                         let coeffs = &mut coeffs_chunk[slot * bs..(slot + 1) * bs];
                         coeffs.iter_mut().for_each(|c| *c = 0);
-                        nb::decode_planes_budget(&mut r, coeffs, ip, kmin, budget)?;
-                    }
-                    if let Mode::FixedRate(rate) = mode {
-                        skip_to(&mut r, block_start, rate_budget(rate, bs))?;
+                        nb::decode_planes(&mut r, coeffs, ip, kmin)?;
                     }
                     classes.push(BlockClass::Coded { emax });
                 }
@@ -792,104 +597,9 @@ pub(crate) fn decompress<F: Float>(
                 &fchunk[slot * bs..(slot + 1) * bs],
             );
         }
-        start = end;
     }
     clocks.finish();
     Ok((out, dims))
-}
-
-/// A randomly-accessed block: samples in block raster order (padded
-/// positions included) and the in-grid extent along each axis.
-pub type BlockSamples<F> = (Vec<F>, (usize, usize, usize));
-
-/// Randomly accesses one 4^d block of a **fixed-rate** stream without
-/// decoding anything else — the feature constant-size blocks buy.
-pub(crate) fn decompress_block<F: Float>(
-    bytes: &[u8],
-    bx: usize,
-    by: usize,
-    bz: usize,
-) -> Result<BlockSamples<F>, CodecError> {
-    if !bytes.starts_with(MAGIC) {
-        return Err(CodecError::Mismatch("bad ZFP magic"));
-    }
-    let mut pos = 4usize;
-    let float_bits = *bytes.get(pos).ok_or(CodecError::Corrupt("eof in header"))?;
-    pos += 1;
-    if float_bits as u32 != F::BITS {
-        return Err(CodecError::Mismatch("element type differs from stream"));
-    }
-    let mode_byte = *bytes.get(pos).ok_or(CodecError::Corrupt("eof in header"))?;
-    pos += 1;
-    let rank_byte = *bytes.get(pos).ok_or(CodecError::Corrupt("eof in header"))?;
-    pos += 1;
-    let nx = varint::read_uvarint(bytes, &mut pos)?;
-    let ny = varint::read_uvarint(bytes, &mut pos)?;
-    let nz = varint::read_uvarint(bytes, &mut pos)?;
-    let dims = Dims::from_header(rank_byte, nx, ny, nz).ok_or(CodecError::Corrupt("bad dims"))?;
-    let rate = match mode_byte {
-        2 => varint::read_uvarint(bytes, &mut pos)? as u32,
-        _ => {
-            return Err(CodecError::InvalidArgument(
-                "random access requires a fixed-rate stream",
-            ))
-        }
-    };
-    let payload_len = varint::read_uvarint(bytes, &mut pos)? as usize;
-    let payload = bytesio::get_bytes(bytes, &mut pos, payload_len)?;
-
-    let rank = dims.rank();
-    // `Dims::from_header` only constructs rank 1..=3, bounding
-    // `block_size(rank)` to at most 64 before the scratch allocations.
-    debug_assert!((1..=3).contains(&rank));
-    let bs = lift::block_size(rank);
-    let order = lift::sequency_order(rank);
-    let ip = intprec::<F>();
-    let g = guard::<F>();
-    let (gx, gy, gz) = blocks::block_grid(dims);
-    if bx >= gx || by >= gy || bz >= gz {
-        return Err(CodecError::InvalidArgument("block index out of range"));
-    }
-
-    let index = ((bz * gy) + by) * gx + bx;
-    let offset = index as u64 * rate_budget(rate, bs);
-    let mut r = BitReader::new(payload);
-    skip_to(&mut r, 0, offset)?;
-    let block_start = r.bits_read();
-
-    let mut fblock = vec![0.0f64; bs];
-    let mut iblock = vec![0i64; bs];
-    let mut coeffs = vec![0u64; bs];
-    // Random access decodes a single block; not worth tracing.
-    let mut clocks = StageClocks::new(pwrel_trace::noop());
-    decode_one_block(
-        &mut r,
-        block_start,
-        Mode::FixedRate(rate),
-        rank,
-        ip,
-        g,
-        &order,
-        &mut iblock,
-        &mut coeffs,
-        &mut fblock,
-        &mut clocks,
-    )?;
-    clocks.finish();
-    let extent = (
-        (dims.nx - 4 * bx).min(4),
-        if rank >= 2 {
-            (dims.ny - 4 * by).min(4)
-        } else {
-            1
-        },
-        if rank >= 3 {
-            (dims.nz - 4 * bz).min(4)
-        } else {
-            1
-        },
-    );
-    Ok((fblock.into_iter().map(F::from_f64).collect(), extent))
 }
 
 #[cfg(test)]
@@ -1065,112 +775,6 @@ mod tests {
             .compress_accuracy(&data, Dims::d1(8), 0.1, noop())
             .unwrap();
         assert!(zfp().decompress::<f64>(&bytes, noop()).is_err());
-    }
-
-    #[test]
-    fn fixed_rate_stream_size_is_exact() {
-        // rate × points (plus the fixed container header) regardless of
-        // content: compressible and incompressible fields produce
-        // identically-sized streams.
-        let dims = Dims::d2(32, 32);
-        let smooth = grf::gaussian_field(dims, 51, 4, 3);
-        let noise = grf::white_noise(dims.len(), 52);
-        for rate in [2u32, 8, 16] {
-            let a = zfp().compress_rate(&smooth, dims, rate, noop()).unwrap();
-            let b = zfp().compress_rate(&noise, dims, rate, noop()).unwrap();
-            assert_eq!(a.len(), b.len(), "rate {rate}");
-            let payload_bits = (rate as usize) * dims.len();
-            assert!(a.len() * 8 >= payload_bits);
-            assert!(a.len() * 8 < payload_bits + 512, "rate {rate}: {}", a.len());
-        }
-    }
-
-    #[test]
-    fn fixed_rate_error_decreases_with_rate() {
-        let dims = Dims::d3(8, 8, 8);
-        let data = grf::gaussian_field(dims, 53, 2, 2);
-        let mut last = f64::INFINITY;
-        for rate in [2u32, 6, 12, 24] {
-            let s = zfp().compress_rate(&data, dims, rate, noop()).unwrap();
-            let (dec, _) = zfp().decompress::<f32>(&s, noop()).unwrap();
-            let err = data
-                .iter()
-                .zip(&dec)
-                .map(|(&a, &b)| (a as f64 - b as f64).abs())
-                .fold(0.0f64, f64::max);
-            assert!(err <= last, "rate {rate}: {err} > {last}");
-            last = err;
-        }
-        assert!(last < 1e-4, "high rate must be near-lossless, err {last}");
-    }
-
-    #[test]
-    fn fixed_rate_round_trips_with_zero_blocks_and_edges() {
-        let dims = Dims::d2(10, 13); // unaligned
-        let mut data = vec![0.0f32; dims.len()];
-        for (i, v) in data.iter_mut().enumerate() {
-            if i % 3 == 0 {
-                *v = (i as f32).sin();
-            }
-        }
-        let s = zfp().compress_rate(&data, dims, 12, noop()).unwrap();
-        let (dec, d) = zfp().decompress::<f32>(&s, noop()).unwrap();
-        assert_eq!(d, dims);
-        assert_eq!(dec.len(), data.len());
-    }
-
-    #[test]
-    fn random_access_matches_full_decode() {
-        let dims = Dims::d3(9, 10, 11); // unaligned on every axis
-        let data = grf::gaussian_field(dims, 71, 1, 2);
-        let rate = 14u32;
-        let stream = zfp().compress_rate(&data, dims, rate, noop()).unwrap();
-        let (full, _) = zfp().decompress::<f32>(&stream, noop()).unwrap();
-        let (gx, gy, gz) = crate::blocks::block_grid(dims);
-        for bz in 0..gz {
-            for by in 0..gy {
-                for bx in 0..gx {
-                    let (block, (ex, ey, ez)) =
-                        zfp().decompress_block::<f32>(&stream, bx, by, bz).unwrap();
-                    assert_eq!(block.len(), 64);
-                    for dk in 0..ez {
-                        for dj in 0..ey {
-                            for di in 0..ex {
-                                let got = block[16 * dk + 4 * dj + di];
-                                let want = full[dims.index(4 * bx + di, 4 * by + dj, 4 * bz + dk)];
-                                assert_eq!(
-                                    got.to_bits(),
-                                    want.to_bits(),
-                                    "block ({bx},{by},{bz}) local ({di},{dj},{dk})"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn random_access_rejects_wrong_mode_and_range() {
-        let dims = Dims::d2(8, 8);
-        let data = grf::gaussian_field(dims, 72, 1, 1);
-        let acc = zfp().compress_accuracy(&data, dims, 1e-3, noop()).unwrap();
-        assert!(zfp().decompress_block::<f32>(&acc, 0, 0, 0).is_err());
-        let fixed = zfp().compress_rate(&data, dims, 8, noop()).unwrap();
-        assert!(zfp().decompress_block::<f32>(&fixed, 0, 0, 0).is_ok());
-        assert!(zfp().decompress_block::<f32>(&fixed, 2, 0, 0).is_err());
-        assert!(zfp().decompress_block::<f32>(&fixed, 0, 0, 1).is_err());
-    }
-
-    #[test]
-    fn fixed_rate_rejects_nonfinite_and_bad_rate() {
-        let dims = Dims::d1(4);
-        assert!(zfp()
-            .compress_rate(&[1.0f32, f32::NAN, 0.0, 0.0], dims, 8, noop())
-            .is_err());
-        assert!(zfp().compress_rate(&[1.0f32; 4], dims, 0, noop()).is_err());
-        assert!(zfp().compress_rate(&[1.0f32; 4], dims, 99, noop()).is_err());
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod codec;
 pub mod lift;
 pub mod nb;
 
-pub use codec::{precision_for_rel_bound, BlockSamples};
+pub use codec::precision_for_rel_bound;
 
 use pwrel_data::{AbsErrorCodec, CodecError, Dims, Float};
 use pwrel_kernels::{FusedOutput, LogFusedCodec, LogPlan};
@@ -90,7 +90,8 @@ impl ZfpCompressor {
         rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
         check_accuracy(data, dims, tolerance)?;
-        codec::compress(data, dims, codec::Mode::Accuracy(tolerance), rec)
+        let mode = codec::Mode::Accuracy(tolerance);
+        Ok(codec::compress(data, dims, mode, rec))
     }
 
     /// Fixed-precision compression: keep `precision` bit planes per block
@@ -102,56 +103,23 @@ impl ZfpCompressor {
         precision: u32,
         rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
-        if precision == 0 || precision > F::BITS + 2 {
+        if !codec::precision_in_range::<F>(precision) {
             return Err(CodecError::InvalidArgument("precision out of range"));
         }
         if data.len() != dims.len() {
             return Err(CodecError::InvalidArgument("data length != dims"));
         }
-        codec::compress(data, dims, codec::Mode::Precision(precision), rec)
+        let mode = codec::Mode::Precision(precision);
+        Ok(codec::compress(data, dims, mode, rec))
     }
 
-    /// Fixed-rate compression: every 4^d block spends exactly
-    /// `rate` bits per value (1 ..= F::BITS+2), giving constant-size,
-    /// randomly-accessible blocks — ZFP's original mode. Error is not
-    /// bounded; it is whatever the budget buys. Rejects non-finite input.
-    pub fn compress_rate<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        rate: u32,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError> {
-        if rate == 0 || rate > F::BITS + 2 {
-            return Err(CodecError::InvalidArgument("rate out of range"));
-        }
-        if data.len() != dims.len() {
-            return Err(CodecError::InvalidArgument("data length != dims"));
-        }
-        codec::compress(data, dims, codec::Mode::FixedRate(rate), rec)
-    }
-
-    /// Decompresses any ZFP stream (any mode).
+    /// Decompresses any ZFP stream (either mode).
     pub fn decompress<F: Float>(
         &self,
         bytes: &[u8],
         rec: &dyn Recorder,
     ) -> Result<(Vec<F>, Dims), CodecError> {
         codec::decompress(bytes, rec)
-    }
-
-    /// Randomly accesses one 4^d block of a **fixed-rate** stream — the
-    /// capability constant-size blocks exist for. Returns the block's
-    /// samples in block raster order (padded positions included) and the
-    /// in-grid extent along each axis. Errors on non-fixed-rate streams.
-    pub fn decompress_block<F: Float>(
-        &self,
-        bytes: &[u8],
-        bx: usize,
-        by: usize,
-        bz: usize,
-    ) -> Result<BlockSamples<F>, CodecError> {
-        codec::decompress_block(bytes, bx, by, bz)
     }
 }
 
@@ -169,7 +137,7 @@ impl<F: Float> LogFusedCodec<F> for ZfpCompressor {
     ) -> Result<FusedOutput, CodecError> {
         check_accuracy(data, dims, plan.abs_bound)?;
         let (stream, signs) =
-            codec::compress_fused(data, dims, plan, codec::Mode::Accuracy(plan.abs_bound), rec)?;
+            codec::compress_fused(data, dims, plan, codec::Mode::Accuracy(plan.abs_bound), rec);
         Ok(FusedOutput { stream, signs })
     }
 }

@@ -148,18 +148,6 @@ impl PlaneBatch {
 /// Encodes bit planes `intprec-1 .. kmin` of `coeffs` (negabinary, one u64
 /// per coefficient, `coeffs.len() <= 64`).
 pub fn encode_planes(w: &mut BitWriter, coeffs: &[u64], intprec: u32, kmin: u32) {
-    encode_planes_budget(w, coeffs, intprec, kmin, u64::MAX);
-}
-
-/// Budgeted variant of [`encode_planes`]: stops after `maxbits` emitted
-/// bits (ZFP's fixed-rate mode). Returns the number of bits written.
-pub fn encode_planes_budget(
-    w: &mut BitWriter,
-    coeffs: &[u64],
-    intprec: u32,
-    kmin: u32,
-    maxbits: u64,
-) -> u64 {
     let size = coeffs.len();
     debug_assert!(size <= 64);
     // Full 3D blocks: gather every plane up front with one bit transpose.
@@ -179,7 +167,7 @@ pub fn encode_planes_budget(
             planes[k as usize] = x;
         }
     }
-    encode_plane_words(w, &planes, size, intprec, kmin, maxbits)
+    encode_plane_words(w, &planes, size, intprec, kmin);
 }
 
 /// Group-test encodes pre-gathered plane words (bit `i` of `planes[k]` =
@@ -192,114 +180,71 @@ pub fn encode_plane_words(
     size: usize,
     intprec: u32,
     kmin: u32,
-    maxbits: u64,
-) -> u64 {
-    let mut bits = maxbits;
+) {
+    // The first `n` coefficients are already significant.
     let mut n: usize = 0;
     let mut k = intprec;
     while k > kmin {
-        if bits == 0 {
-            break;
-        }
         k -= 1;
         // While no coefficient is significant yet, an empty plane costs
         // exactly one 0 control bit. Those planes dominate scaled blocks
         // (~40 of 48 on the Nyx field), so emit the whole run as a single
         // multi-bit write instead of per-plane write_bit calls.
         if n == 0 && planes[k as usize] == 0 {
-            let mut j: u64 = 1;
-            while k > kmin && planes[(k - 1) as usize] == 0 && j < bits.min(64) {
+            let mut j = 1;
+            while k > kmin && planes[(k - 1) as usize] == 0 && j < 64 {
                 k -= 1;
                 j += 1;
             }
-            w.write_bits(0, j as u32);
-            bits -= j;
+            w.write_bits(0, j);
             continue;
         }
         let mut x = planes[k as usize];
-        // First n coefficients are already significant: verbatim bits
-        // (truncated to the remaining budget).
-        let m = (n as u64).min(bits) as u32;
-        bits -= m as u64;
-        w.write_bits_lsb(x, m);
-        x = if m >= 64 { 0 } else { x >> m };
-        // Group-test the rest. If the budget died mid-verbatim (m < n) the
-        // plane is over and the outer loop exits on bits == 0.
-        let mut n_cur = if (m as usize) < n { size } else { n };
-        if bits >= 192 {
-            // A plane's group test emits at most 129 bits, so the budget
-            // cannot expire mid-plane: emit whole unary runs in bulk.
-            // `z` is the next significant coefficient's offset; `z == d`
-            // means it sits in the final slot and its 1 is implicit.
-            while n_cur < size {
-                if x == 0 {
-                    w.write_bit(false);
-                    bits -= 1;
-                    break;
-                }
-                let d = size - 1 - n_cur;
-                let z = x.trailing_zeros() as usize;
-                if z < d {
-                    // Control 1, z zeros, then the explicit terminating 1 —
-                    // one MSB-first write (z ≤ 62, so z + 2 ≤ 64 bits).
-                    w.write_bits((1 << (z + 1)) | 1, z as u32 + 2);
-                    bits -= z as u64 + 2;
-                    x >>= z + 1;
-                    n_cur += z + 1;
-                } else {
-                    // Control 1 then d zeros; the final slot's 1 is implicit
-                    // (d ≤ 63, so d + 1 ≤ 64 bits).
-                    w.write_bits(1 << d, d as u32 + 1);
-                    bits -= d as u64 + 1;
-                    n_cur = size;
-                }
+        // Significant coefficients: verbatim bits.
+        w.write_bits_lsb(x, n as u32);
+        x = if n >= 64 { 0 } else { x >> n };
+        // Group-test the rest, emitting whole unary runs in bulk. `z` is
+        // the next significant coefficient's offset; `z == d` means it
+        // sits in the final slot and its 1 is implicit.
+        while n < size {
+            if x == 0 {
+                w.write_bit(false);
+                break;
             }
-        } else {
-            while n_cur < size && bits > 0 {
-                bits -= 1;
-                let more = x != 0;
-                w.write_bit(more);
-                if !more {
-                    break;
-                }
-                while n_cur < size - 1 && bits > 0 {
-                    bits -= 1;
-                    let bit = x & 1 == 1;
-                    w.write_bit(bit);
-                    if bit {
-                        break;
-                    }
-                    x >>= 1;
-                    n_cur += 1;
-                }
-                if bits == 0 && n_cur < size - 1 {
-                    break;
-                }
-                x >>= 1;
-                n_cur += 1;
+            let d = size - 1 - n;
+            let z = x.trailing_zeros() as usize;
+            if z < d {
+                // Control 1, z zeros, then the explicit terminating 1 —
+                // one MSB-first write (z ≤ 62, so z + 2 ≤ 64 bits).
+                w.write_bits((1 << (z + 1)) | 1, z as u32 + 2);
+                x >>= z + 1;
+                n += z + 1;
+            } else {
+                // Control 1 then d zeros; the final slot's 1 is implicit
+                // (d ≤ 63, so d + 1 ≤ 64 bits).
+                w.write_bits(1 << d, d as u32 + 1);
+                n = size;
             }
         }
-        n = if (m as usize) < n { n } else { n_cur };
     }
-    maxbits - bits
 }
 
 /// Reads one group-test unary run: up to `d` zeros terminated by an
 /// explicit 1, or exactly `d` zeros with the terminator implicit (the
 /// significant coefficient is the block's last slot). Returns the zero
-/// count and whether the explicit 1 was consumed.
+/// count.
 ///
 /// Runs are scanned a buffered word at a time — `refill` + `peek_word` +
 /// `leading_zeros` — instead of bit-by-bit; a run of `z` zeros costs
 /// ~`z/57` refills rather than `z` reader calls.
 #[inline]
-fn read_unary_capped(r: &mut BitReader, d: usize) -> Result<(usize, bool)> {
+fn read_unary_capped(r: &mut BitReader, d: usize) -> Result<usize> {
     // Cap of zero: the significant coefficient is already known to sit in
     // the final slot, its 1 is implicit and no bits are consumed. This must
     // be answered before probing the stream — the run may be the very last
     // thing in the payload, with nothing left to refill.
     if d == 0 {
-        return Ok((0, false));
+        return Ok(0);
     }
     let mut zeros = 0usize;
     loop {
@@ -313,11 +258,11 @@ fn read_unary_capped(r: &mut BitReader, d: usize) -> Result<(usize, bool)> {
         let lz = (r.peek_word().leading_zeros().min(avail)) as usize;
         if zeros + lz >= d {
             r.consume((d - zeros) as u32);
-            return Ok((d, false));
+            return Ok(d);
         }
         if lz < avail as usize {
             r.consume(lz as u32 + 1);
-            return Ok((zeros + lz, true));
+            return Ok(zeros + lz);
         }
         r.consume(avail);
         zeros += lz;
@@ -326,29 +271,17 @@ fn read_unary_capped(r: &mut BitReader, d: usize) -> Result<(usize, bool)> {
 
 /// Decodes bit planes written by [`encode_planes`] into `coeffs`
 /// (must be zero-initialized, length = block size).
-pub fn decode_planes(r: &mut BitReader, coeffs: &mut [u64], intprec: u32, kmin: u32) -> Result<()> {
-    decode_planes_budget(r, coeffs, intprec, kmin, u64::MAX).map(|_| ())
-}
-
-/// Budgeted variant of [`decode_planes`] (mirror of
-/// [`encode_planes_budget`]). Returns the number of bits consumed.
 // audit:allow-fn(L1): `planes` is a fixed [u64; 64] and the plane index
 // `k` iterates downward from `intprec <= 64`, so `planes[k as usize]`
 // stays in range for any stream.
-pub fn decode_planes_budget(
-    r: &mut BitReader,
-    coeffs: &mut [u64],
-    intprec: u32,
-    kmin: u32,
-    maxbits: u64,
-) -> Result<u64> {
+pub fn decode_planes(r: &mut BitReader, coeffs: &mut [u64], intprec: u32, kmin: u32) -> Result<()> {
     let size = coeffs.len();
     debug_assert!(size <= 64);
     // Mirror of the encoder's gather: plane words accumulate in a local
     // matrix and scatter into coefficients once at the end (full blocks
     // via one transpose, small blocks via the short per-plane loop).
     let mut planes = [0u64; 64];
-    let used = decode_plane_words(r, &mut planes, size, intprec, kmin, maxbits)?;
+    decode_plane_words(r, &mut planes, size, intprec, kmin)?;
     if size == 64 {
         transpose64(&mut planes);
         for (c, p) in coeffs.iter_mut().zip(&planes) {
@@ -365,7 +298,7 @@ pub fn decode_planes_budget(
             }
         }
     }
-    Ok(used)
+    Ok(())
 }
 
 /// Group-test decodes one block's planes into pre-zeroed plane words
@@ -378,15 +311,11 @@ pub fn decode_plane_words(
     size: usize,
     intprec: u32,
     kmin: u32,
-    maxbits: u64,
-) -> Result<u64> {
-    let mut bits = maxbits;
+) -> Result<()> {
+    // The first `n` coefficients are already significant.
     let mut n: usize = 0;
     let mut k = intprec;
     'outer: while k > kmin {
-        if bits == 0 {
-            break;
-        }
         k -= 1;
         // Mirror of the encoder's zero-plane batch: while nothing is
         // significant yet, each empty plane is a lone 0 control bit, so a
@@ -400,13 +329,12 @@ pub fn decode_plane_words(
                     return Err(pwrel_bitstream::Error::UnexpectedEof);
                 }
                 let lz = r.peek_word().leading_zeros().min(avail);
-                let take = (lz as u64).min((k - kmin + 1) as u64).min(bits) as u32;
+                let take = lz.min(k - kmin + 1);
                 if take == 0 {
                     break; // plane k's control bit is a 1
                 }
                 r.consume(take);
-                bits -= take as u64;
-                if take == k - kmin + 1 || bits == 0 {
+                if take == k - kmin + 1 {
                     break 'outer; // every remaining plane was empty
                 }
                 k -= take;
@@ -416,94 +344,57 @@ pub fn decode_plane_words(
                 // The window held nothing but zeros — refill and rescan.
             }
         }
-        let m = (n as u64).min(bits) as u32;
-        bits -= m as u64;
-        let mut x: u64 = r.read_bits_lsb(m)?;
-        let mut n_cur = if (m as usize) < n { size } else { n };
-        if bits >= 192 {
-            // Mirror of the encoder's bulk path: the budget cannot expire
-            // mid-plane, so control bit + unary run are parsed together
-            // from the peeked window ("1", z zeros, "1" — terminator
-            // implicit when the run reaches the last slot). `avail` tracks
-            // the window locally so several short runs share one refill.
-            let mut avail = r.buffered_bits();
-            while n_cur < size {
-                if avail < 34 {
-                    r.refill();
-                    avail = r.buffered_bits();
-                    if avail == 0 {
-                        return Err(pwrel_bitstream::Error::UnexpectedEof);
-                    }
-                }
-                let wd = r.peek_word();
-                if wd >> 63 == 0 {
-                    r.consume(1);
-                    bits -= 1;
-                    break; // control 0: plane over
-                }
-                let d = size - 1 - n_cur;
-                if d == 0 {
-                    // Last slot: its terminating 1 is implicit.
-                    r.consume(1);
-                    bits -= 1;
-                    x += 1u64 << n_cur;
-                    n_cur += 1;
-                    continue;
-                }
-                let lz = ((wd << 1).leading_zeros()).min(avail - 1) as usize;
-                if lz >= d {
-                    // d buffered zeros: the run caps out, terminator implicit.
-                    r.consume(d as u32 + 1);
-                    avail -= d as u32 + 1;
-                    bits -= d as u64 + 1;
-                    n_cur += d;
-                    x += 1u64 << n_cur;
-                    n_cur += 1;
-                } else if (lz as u32) < avail - 1 {
-                    // Explicit terminating 1 inside the window.
-                    r.consume(lz as u32 + 2);
-                    avail -= lz as u32 + 2;
-                    bits -= lz as u64 + 2;
-                    n_cur += lz;
-                    x += 1u64 << n_cur;
-                    n_cur += 1;
-                } else {
-                    // The zero run outlives the window: fall back to the
-                    // multi-refill scan for this (rare) case.
-                    r.consume(1);
-                    bits -= 1;
-                    let (z, explicit) = read_unary_capped(r, d)?;
-                    bits -= z as u64 + explicit as u64;
-                    n_cur += z;
-                    x += 1u64 << n_cur;
-                    n_cur += 1;
-                    avail = r.buffered_bits();
+        let mut x: u64 = r.read_bits_lsb(n as u32)?;
+        // Mirror of the encoder's bulk runs: control bit + unary run are
+        // parsed together from the peeked window ("1", z zeros, "1" —
+        // terminator implicit when the run reaches the last slot). `avail`
+        // tracks the window locally so several short runs share one refill.
+        let mut avail = r.buffered_bits();
+        while n < size {
+            if avail < 34 {
+                r.refill();
+                avail = r.buffered_bits();
+                if avail == 0 {
+                    return Err(pwrel_bitstream::Error::UnexpectedEof);
                 }
             }
-        } else {
-            while n_cur < size && bits > 0 {
-                bits -= 1;
-                if !r.read_bit()? {
-                    break;
-                }
-                while n_cur < size - 1 && bits > 0 {
-                    bits -= 1;
-                    if r.read_bit()? {
-                        break;
-                    }
-                    n_cur += 1;
-                }
-                if bits == 0 && n_cur < size - 1 {
-                    break;
-                }
-                x += 1u64 << n_cur;
-                n_cur += 1;
+            let wd = r.peek_word();
+            if wd >> 63 == 0 {
+                r.consume(1);
+                break; // control 0: plane over
             }
+            let d = size - 1 - n;
+            if d == 0 {
+                // Last slot: its terminating 1 is implicit.
+                r.consume(1);
+                x += 1u64 << n;
+                n += 1;
+                continue;
+            }
+            let lz = ((wd << 1).leading_zeros()).min(avail - 1) as usize;
+            if lz >= d {
+                // d buffered zeros: the run caps out, terminator implicit.
+                r.consume(d as u32 + 1);
+                avail -= d as u32 + 1;
+                n += d;
+            } else if (lz as u32) < avail - 1 {
+                // Explicit terminating 1 inside the window.
+                r.consume(lz as u32 + 2);
+                avail -= lz as u32 + 2;
+                n += lz;
+            } else {
+                // The zero run outlives the window: fall back to the
+                // multi-refill scan for this (rare) case.
+                r.consume(1);
+                n += read_unary_capped(r, d)?;
+                avail = r.buffered_bits();
+            }
+            x += 1u64 << n;
+            n += 1;
         }
         planes[k as usize] = x;
-        n = if (m as usize) < n { n } else { n_cur };
     }
-    Ok(maxbits - bits)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -619,59 +510,6 @@ mod tests {
         let bits = w.bit_len();
         assert!(bits < 300, "bits = {bits}");
         assert_eq!(plane_round_trip(&vals, 64, 0), vals);
-    }
-
-    #[test]
-    fn budgeted_encoder_matches_unbudgeted_with_infinite_budget() {
-        let vals: Vec<i64> = (0..16).map(|i| (i as i64 * 7919) % 10007 - 5000).collect();
-        let coeffs: Vec<u64> = vals.iter().map(|&v| nb_encode(v, 64)).collect();
-        let mut a = BitWriter::new();
-        encode_planes(&mut a, &coeffs, 64, 0);
-        let mut b = BitWriter::new();
-        encode_planes_budget(&mut b, &coeffs, 64, 0, u64::MAX);
-        assert_eq!(a.into_bytes(), b.into_bytes());
-    }
-
-    #[test]
-    fn budgeted_round_trip_consumes_exactly_written_bits() {
-        let vals: Vec<i64> = (0..64)
-            .map(|i| ((i * 2654435761u64 as usize) as i64 % 100001) - 50000)
-            .collect();
-        let coeffs: Vec<u64> = vals.iter().map(|&v| nb_encode(v, 64)).collect();
-        for budget in [1u64, 7, 16, 33, 100, 500, 1000, 2500] {
-            let mut w = BitWriter::new();
-            let written = encode_planes_budget(&mut w, &coeffs, 64, 0, budget);
-            assert!(written <= budget);
-            let bytes = w.into_bytes();
-            let mut r = BitReader::new(&bytes);
-            let mut out = vec![0u64; 64];
-            let read = decode_planes_budget(&mut r, &mut out, 64, 0, budget).unwrap();
-            assert_eq!(read, written, "budget {budget}");
-        }
-    }
-
-    #[test]
-    fn error_shrinks_as_budget_grows() {
-        let vals: Vec<i64> = (0..16).map(|i| (i as i64 - 8) * 1_000_001).collect();
-        let coeffs: Vec<u64> = vals.iter().map(|&v| nb_encode(v, 64)).collect();
-        let mut last_err = i64::MAX;
-        for budget in [64u64, 192, 448, 960, 4096] {
-            let mut w = BitWriter::new();
-            encode_planes_budget(&mut w, &coeffs, 64, 0, budget);
-            let bytes = w.into_bytes();
-            let mut r = BitReader::new(&bytes);
-            let mut out = vec![0u64; 16];
-            decode_planes_budget(&mut r, &mut out, 64, 0, budget).unwrap();
-            let err: i64 = vals
-                .iter()
-                .zip(&out)
-                .map(|(&v, &u)| (v - nb_decode(u, 64)).abs())
-                .max()
-                .unwrap();
-            assert!(err <= last_err, "budget {budget}: {err} > {last_err}");
-            last_err = err;
-        }
-        assert_eq!(last_err, 0, "full budget must be lossless");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! transform wrapper without weakening any guarantee.
 
 use pwrel::core::{LogBase, PwRelCompressor};
-use pwrel::data::{nyx, Dims, Scale};
+use pwrel::data::{nyx, Scale};
 use pwrel::parallel::{ChunkedCodec, WorkerPool};
 use pwrel::pipeline::{global, CompressOpts, SliceSource, VecSink};
 use pwrel::sz::SzCompressor;
@@ -116,15 +116,4 @@ fn spatial_pwr_on_multidim_datasets_beats_nothing_but_stays_bounded() {
             }
         }
     }
-}
-
-#[test]
-fn fixed_rate_zfp_streams_decode_through_generic_decompress() {
-    let dims = Dims::d2(32, 48);
-    let data: Vec<f32> = (0..dims.len()).map(|i| (i as f32 * 0.05).cos()).collect();
-    let zfp = pwrel::zfp::ZfpCompressor;
-    let stream = zfp.compress_rate(&data, dims, 10, noop()).unwrap();
-    let (dec, d) = zfp.decompress::<f32>(&stream, noop()).unwrap();
-    assert_eq!(d, dims);
-    assert_eq!(dec.len(), data.len());
 }

@@ -227,7 +227,7 @@ mod forged {
     use super::*;
     use pwrel::data::CodecError;
     use pwrel::lossless::huffman;
-    use pwrel::pipeline::container;
+    use pwrel::pipeline::{container, global};
     use pwrel::sz::regression::LinearModel;
     use pwrel::sz::{SzMode, SzStream};
 
@@ -387,6 +387,165 @@ mod forged {
             let mut bad = stream.clone();
             bad[5] = tag;
             let _ = SzCompressor::default().decompress::<f32>(&bad, noop());
+        }
+    }
+
+    /// A 16-value FPZ1 stream whose header is rewritten to rank 2 with
+    /// nx = 2^63 + 8 and ny = 2: the point count wraps `usize` to 16, the
+    /// stream's real count, and the decoder then indexed past its class
+    /// table. `Dims::from_header` must refuse the header, both when fpzip
+    /// is called directly and when the registry routes the raw bytes.
+    #[test]
+    fn dims_whose_point_count_wraps_are_corrupt() {
+        let dims = Dims::d1(16);
+        let data: Vec<f32> = (0..16).map(|i| i as f32 * 0.75 + 1.0).collect();
+        let stream = FpzipCompressor::new(16).compress(&data, dims).unwrap();
+        assert!(pwrel::fpzip::decompress::<f32>(&stream).is_ok());
+        // magic, float width, precision, then rank and nx, ny, nz.
+        let rank_at = 4 + 2;
+        let mut pos = rank_at + 1;
+        for _ in 0..3 {
+            read_uvarint(&stream, &mut pos);
+        }
+        let mut forged = stream[..rank_at].to_vec();
+        forged.push(2);
+        for extent in [(1 << 63) + 8, 2, 1] {
+            write_uvarint(&mut forged, extent);
+        }
+        forged.extend_from_slice(&stream[pos..]);
+        let direct = pwrel::fpzip::decompress::<f32>(&forged).map(|_| ());
+        let routed = global().decompress::<f32>(&forged).map(|_| ());
+        for (path, result) in [("fpzip", direct), ("registry", routed)] {
+            match result {
+                Err(CodecError::Corrupt("bad dims")) => {}
+                other => panic!("{path}: expected Corrupt(bad dims), got {other:?}"),
+            }
+        }
+    }
+
+    /// An FPZ1 stream whose class table codes a class past the raw escape
+    /// (65): the residual decoder handles bit lengths up to 64 only.
+    #[test]
+    fn fpzip_class_past_the_raw_escape_is_corrupt() {
+        let dims = Dims::d1(16);
+        let data: Vec<f32> = (0..16).map(|i| i as f32 * 0.75 + 1.0).collect();
+        let stream = FpzipCompressor::new(16).compress(&data, dims).unwrap();
+        // magic, float width, precision, rank, then nx, ny, nz.
+        let mut pos = 4 + 3;
+        for _ in 0..3 {
+            read_uvarint(&stream, &mut pos);
+        }
+        let len_at = pos;
+        let classes_len = read_uvarint(&stream, &mut pos) as usize;
+        let classes_end = pos + classes_len;
+        let mut classes = huffman::decode_symbols(&stream, &mut pos).unwrap();
+        classes[0] = 70;
+        let table = huffman::encode_symbols(&classes, 128);
+        let mut forged = stream[..len_at].to_vec();
+        write_uvarint(&mut forged, table.len() as u64);
+        forged.extend_from_slice(&table);
+        forged.extend_from_slice(&stream[classes_end..]);
+        match pwrel::fpzip::decompress::<f32>(&forged) {
+            Err(CodecError::Corrupt(_)) => {}
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// Walks a Huffman buffer from `encode_symbols` to its first table
+    /// entry: past the interleaved marker, the alphabet and the used count.
+    fn first_table_entry(buf: &[u8]) -> usize {
+        assert!(buf.starts_with(&INTERLEAVED_MARKER_BYTES));
+        let mut pos = INTERLEAVED_MARKER_BYTES.len();
+        read_uvarint(buf, &mut pos);
+        read_uvarint(buf, &mut pos);
+        pos
+    }
+
+    /// A Huffman table entry of length 2^32 + 1 once truncated to length
+    /// 1, the entry's real length, and the buffer decoded as if valid.
+    #[test]
+    fn huffman_code_length_past_u32_is_rejected() {
+        let symbols: Vec<u32> = (0..64).map(|i| i % 2).collect();
+        let buf = huffman::encode_symbols(&symbols, 2);
+        let mut pos = first_table_entry(&buf);
+        assert_eq!(read_uvarint(&buf, &mut pos), 0, "first symbol");
+        let len_at = pos;
+        assert_eq!(read_uvarint(&buf, &mut pos), 1, "first length");
+        let mut forged = buf[..len_at].to_vec();
+        write_uvarint(&mut forged, (1 << 32) + 1);
+        forged.extend_from_slice(&buf[pos..]);
+        match huffman::decode_symbols(&forged, &mut 0) {
+            Err(pwrel::bitstream::Error::InvalidValue(_)) => {}
+            other => panic!("expected InvalidValue, got {other:?}"),
+        }
+    }
+
+    /// A Huffman table whose second symbol delta is u64::MAX: the running
+    /// symbol sum overflowed, and a wrapped sum built the table from
+    /// unsorted pairs.
+    #[test]
+    fn huffman_symbol_sum_overflow_is_rejected() {
+        let symbols: Vec<u32> = (0..64).map(|i| 1 + i % 2).collect();
+        let buf = huffman::encode_symbols(&symbols, 3);
+        let mut pos = first_table_entry(&buf);
+        assert_eq!(read_uvarint(&buf, &mut pos), 1, "first symbol");
+        assert_eq!(read_uvarint(&buf, &mut pos), 1, "first length");
+        let delta_at = pos;
+        assert_eq!(read_uvarint(&buf, &mut pos), 1, "second delta");
+        let mut forged = buf[..delta_at].to_vec();
+        write_uvarint(&mut forged, u64::MAX);
+        forged.extend_from_slice(&buf[pos..]);
+        match huffman::decode_symbols(&forged, &mut 0) {
+            Err(pwrel::bitstream::Error::InvalidValue(_)) => {}
+            other => panic!("expected InvalidValue, got {other:?}"),
+        }
+    }
+
+    /// A ZFP precision-mode stream (`-p 5`) with its precision field
+    /// rewritten to values the encoder refuses: 2^32 + 5, which a
+    /// truncating cast read as 5 and decoded as if valid, then 0 and
+    /// F::BITS + 3.
+    #[test]
+    fn zfp_precision_outside_the_encoder_range_is_corrupt() {
+        let (data, dims) = sample_field();
+        let stream = ZfpCompressor
+            .compress_precision(&data, dims, 5, noop())
+            .unwrap();
+        // magic, float width, mode, rank, then nx, ny, nz.
+        let mut pos = 4 + 3;
+        for _ in 0..3 {
+            read_uvarint(&stream, &mut pos);
+        }
+        let p_at = pos;
+        assert_eq!(read_uvarint(&stream, &mut pos), 5);
+        for p in [(1 << 32) + 5, 0, 35] {
+            let mut forged = stream[..p_at].to_vec();
+            write_uvarint(&mut forged, p);
+            forged.extend_from_slice(&stream[pos..]);
+            match ZfpCompressor.decompress::<f32>(&forged, noop()) {
+                Err(CodecError::Corrupt("bad precision")) => {}
+                other => panic!(
+                    "precision {p}: expected Corrupt, got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+        }
+    }
+
+    /// ZFP mode byte 2 was fixed-rate mode, which no encoder writes any
+    /// more: it is an unknown mode, not a stream to parse further.
+    #[test]
+    fn zfp_mode_byte_2_is_an_unknown_mode() {
+        let (data, dims) = sample_field();
+        let mut forged = ZfpCompressor
+            .compress_precision(&data, dims, 5, noop())
+            .unwrap();
+        // Byte 5, after magic + float width.
+        assert_eq!(forged[5], 1);
+        forged[5] = 2;
+        match ZfpCompressor.decompress::<f32>(&forged, noop()) {
+            Err(CodecError::Corrupt("unknown zfp mode")) => {}
+            other => panic!("expected unknown zfp mode, got {:?}", other.map(|_| ())),
         }
     }
 }
