@@ -24,7 +24,6 @@ fn sweep_once(data: &[f32], dims: pwrel_data::Dims, batched: bool) -> usize {
     // Index-addressed, per the sweep's visit-order contract (the wavefront
     // interleaves rows).
     let mut codes: Vec<u32> = vec![0u32; data.len()];
-    let mut dec = vec![0f32; data.len()];
     let mut sink = |idx: usize, pred: f64| -> Result<f32, std::convert::Infallible> {
         Ok(match quant.quantize(data[idx], pred, eb) {
             Some((code, val)) => {
@@ -35,9 +34,9 @@ fn sweep_once(data: &[f32], dims: pwrel_data::Dims, batched: bool) -> usize {
         })
     };
     let res = if batched {
-        predict::sweep(dims, &mut dec, &mut sink)
+        predict::sweep(dims, &mut sink)
     } else {
-        predict::sweep_reference(dims, &mut dec, &mut sink)
+        predict::sweep_reference(dims, &mut vec![0f32; data.len()], &mut sink)
     };
     match res {
         Ok(()) => codes.len(),

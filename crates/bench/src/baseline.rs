@@ -3,8 +3,9 @@
 //! `pwrel-bitstream` was rewritten around a 64-bit accumulator with
 //! unaligned word refills; this module preserves the engine it replaced —
 //! byte-at-a-time `read_bits`/`write_bits`, bit-by-bit LSB paths, the
-//! multi-byte `peek_bits` loop — together with the seed Huffman decoder and
-//! ZFP plane coder built on it. It also keeps the seed LZ encoder
+//! multi-byte `peek_bits` loop — together with the seed Huffman encoder
+//! and decoder and the ZFP plane coder built on it. It also keeps the seed
+//! LZ encoder
 //! ([`seed_lz_compress`]): a plain hash-chain walk at every position and a
 //! Huffman trial on every token stream. The live `pwrel_lossless::lz`
 //! encoder must emit exactly its bytes, and `tests/lz_identity.rs` holds
@@ -315,6 +316,65 @@ impl SeedCanonicalCode {
         }
         Err(Error::InvalidValue("huffman code not in table"))
     }
+}
+
+/// Seed `encode_symbols` in the single-stream format: a dense
+/// single-table count (saturating at `u32::MAX`, as the seed counter
+/// did), the live code-length builder, canonical codes assigned in
+/// `(length, symbol)` order as [`SeedCanonicalCode::from_lengths`] assigns
+/// them, and one [`SeedBitWriter::write_bits`] per symbol. Its bytes equal
+/// the live `huffman::encode_symbols_single`'s.
+pub fn seed_encode_symbols(symbols: &[u32], alphabet: usize) -> Vec<u8> {
+    let mut freqs = vec![0u32; alphabet];
+    for &s in symbols {
+        freqs[s as usize] = freqs[s as usize].saturating_add(1);
+    }
+    let freqs: Vec<u64> = freqs.into_iter().map(u64::from).collect();
+    let lens = huffman::code_lengths(&freqs);
+
+    let max_len = lens.iter().copied().max().unwrap_or(0) as usize;
+    let mut counts = vec![0u64; max_len + 1];
+    for &l in &lens {
+        if l > 0 {
+            counts[l as usize] += 1;
+        }
+    }
+    let mut next = vec![0u64; max_len + 1];
+    let mut code: u64 = 0;
+    for l in 1..=max_len {
+        code <<= 1;
+        next[l] = code;
+        code += counts[l];
+    }
+    let mut sorted: Vec<u32> = (0..lens.len() as u32)
+        .filter(|&s| lens[s as usize] > 0)
+        .collect();
+    sorted.sort_by_key(|&s| (lens[s as usize], s));
+    let mut codes = vec![0u64; alphabet];
+    for &s in &sorted {
+        let l = lens[s as usize] as usize;
+        codes[s as usize] = next[l];
+        next[l] += 1;
+    }
+
+    let mut out = Vec::new();
+    varint::write_uvarint(&mut out, alphabet as u64);
+    varint::write_uvarint(&mut out, sorted.len() as u64);
+    let mut prev = 0u32;
+    for s in (0..alphabet as u32).filter(|&s| lens[s as usize] > 0) {
+        varint::write_uvarint(&mut out, (s - prev) as u64);
+        varint::write_uvarint(&mut out, lens[s as usize] as u64);
+        prev = s;
+    }
+    varint::write_uvarint(&mut out, symbols.len() as u64);
+    let mut w = SeedBitWriter::with_capacity(symbols.len() / 2);
+    for &s in symbols {
+        w.write_bits(codes[s as usize], lens[s as usize]);
+    }
+    let payload = w.into_bytes();
+    varint::write_uvarint(&mut out, payload.len() as u64);
+    out.extend_from_slice(&payload);
+    out
 }
 
 /// Seed `decode_symbols`: parses the live serialized table format (which

@@ -9,6 +9,10 @@
 //!   prediction-residual quantization codes, decoded by the live bulk
 //!   `decode_symbols` (refill + LUT inner loop) and by the seed per-symbol
 //!   `bits_remaining`/`peek_bits`/`skip_bits` decoder. Target ≥ 1.5×.
+//!   The row also times the live `encode_symbols` against the frozen
+//!   `seed_encode_symbols`, which is checked once per run to emit the live
+//!   single-stream encoder's exact bytes. Encode is reported, not gated:
+//!   at Small scale fixed per-call costs dominate both encoders.
 //! * **ZFP bit-plane encode+decode** — the group-testing plane coder over
 //!   negabinary 4×4×4 blocks, through the live `write_bits_lsb`/
 //!   `read_bits_lsb` bulk paths and the seed bit-by-bit loops. Both
@@ -33,8 +37,8 @@
 //! because both engines share each rep's scheduler and frequency noise.
 
 use pwrel_bench::baseline::{
-    seed_decode_planes, seed_decode_symbols, seed_encode_planes, seed_lz_compress, SeedBitReader,
-    SeedBitWriter,
+    seed_decode_planes, seed_decode_symbols, seed_encode_planes, seed_encode_symbols,
+    seed_lz_compress, SeedBitReader, SeedBitWriter,
 };
 use pwrel_bench::{scale_from_env, sz_t_lz_inputs, timed};
 use pwrel_bitstream::{BitReader, BitWriter};
@@ -107,14 +111,12 @@ struct HuffTimes {
 
 /// Per-rep Huffman encode+decode timings. The engines do not share one
 /// buffer: the live engine encodes and decodes the 4-way interleaved
-/// format, the frozen seed engine its legacy single-stream format
-/// (`encode_symbols_single` is the live encoder's compatibility path, so
-/// the seed input is still a valid legacy stream).
+/// format, the frozen seed engine its legacy single-stream format.
 fn bench_huffman(syms: &[u32], reps: usize) -> HuffTimes {
     let mut t = HuffTimes::default();
     for _ in 0..reps {
         let (live_buf, live_enc_s) = timed(|| huffman::encode_symbols(syms, 1 << 16));
-        let (seed_buf, seed_enc_s) = timed(|| huffman::encode_symbols_single(syms, 1 << 16));
+        let (seed_buf, seed_enc_s) = timed(|| seed_encode_symbols(syms, 1 << 16));
         let (live, live_s) = timed(|| {
             let mut pos = 0;
             huffman::decode_symbols(&live_buf, &mut pos).expect("live decode")
@@ -234,6 +236,10 @@ fn main() {
     // interleaved, seed = legacy single stream).
     let syms = quantize_residuals(&field.data);
     let buf = huffman::encode_symbols(&syms, 1 << 16);
+    assert!(
+        seed_encode_symbols(&syms, 1 << 16) == huffman::encode_symbols_single(&syms, 1 << 16),
+        "seed Huffman encoder diverged from the live single-stream encoder"
+    );
     // Warm-up pass pages everything in before timing.
     let _ = bench_huffman(&syms, 1);
     let h = bench_huffman(&syms, reps);

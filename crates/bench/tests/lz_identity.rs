@@ -164,8 +164,8 @@ fn repeats_at_the_window_edge() {
     // A random stretch planted twice at distance WINDOW-1, WINDOW and
     // WINDOW+1 in otherwise unrepeated bytes. The first copy starts at
     // several offsets, so the second copy lands in the same, the next or
-    // the one-after-next window-aligned block; at 40 KB inputs the window
-    // filter is off, at 120 KB it is on.
+    // the one-after-next window-aligned block, in inputs of two and of
+    // four blocks.
     let mut noise = Noise(0xD15);
     for total in [40_000usize, 120_000] {
         for dist in [WINDOW - 1, WINDOW, WINDOW + 1] {
@@ -195,6 +195,37 @@ fn periods_around_the_window_over_several_blocks() {
             .copied()
             .collect();
         check(&data);
+    }
+}
+
+#[test]
+fn sizes_where_the_window_filter_changes_shape_match_the_seed() {
+    // The filter holds one bitset word pair per four positions of
+    // min(n, WINDOW), at least 64 and rounded up to a power of two; 48 Ki
+    // is where it used to start.
+    let mut noise = Noise(0x5123);
+    for size in [64usize, 256, 4 << 10, 16 << 10, WINDOW, 48 << 10] {
+        for n in [size - 1, size, size + 1] {
+            check(&noise.bytes(n, 4));
+            check(&noise.bytes(n, 256));
+        }
+    }
+}
+
+#[test]
+fn worth_lz_pass_samples_match_the_seed() {
+    // The head, middle and tail regions of 21,845 bytes that pwrel-sz's
+    // `worth_lz_pass` trial-compresses out of a one-shot SZ_T payload.
+    let payload = &sz_t_lz_inputs(&nyx::dark_matter_density(Scale::Medium), 1)[0];
+    let part = 64 * 1024 / 3;
+    assert!(payload.len() > 2 * 64 * 1024, "payload too short to sample");
+    let mid = payload.len() / 2 - part / 2;
+    for region in [
+        &payload[..part],
+        &payload[mid..mid + part],
+        &payload[payload.len() - part..],
+    ] {
+        check(region);
     }
 }
 

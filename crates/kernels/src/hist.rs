@@ -9,6 +9,12 @@
 //! dependence: consecutive equal symbols hit different cache lines and
 //! the four chains retire in parallel.
 //!
+//! The split is the interleaved Huffman coder's: its sub-stream `j` holds
+//! the symbols at positions `i % 4 == j`, so each table is one
+//! sub-stream's histogram, and the coder sizes every sub-stream exactly
+//! from the per-lane counts [`LaneHistogram::count`] returns beside the
+//! totals.
+//!
 //! The merge is exact, not approximate: per-symbol totals are the sum of
 //! the lane counts clamped to `u32::MAX`, which equals the reference
 //! path's per-increment `saturating_add` result for any input (if any
@@ -17,7 +23,8 @@
 //! are visited and re-zeroed, so the tables stay resident and all-zero
 //! between calls no matter how the nominal alphabet varies.
 
-/// Number of partial histogram tables (and the symbol-position stride).
+/// Number of partial histogram tables (and the symbol-position stride):
+/// the Huffman coder's sub-stream count.
 pub const HIST_LANES: usize = 4;
 
 /// Reusable lane-table storage for [`LaneHistogram::count`]. All slots are
@@ -39,8 +46,14 @@ impl LaneHistogram {
 
     /// Counts `symbols` (each `< alphabet`) and returns sparse
     /// `(symbol, frequency)` pairs in ascending symbol order — the exact
-    /// pairs a single dense saturating counter would produce.
-    pub fn count(&mut self, symbols: &[u32], alphabet: usize) -> Vec<(u32, u64)> {
+    /// pairs a single dense saturating counter would produce — and,
+    /// parallel to them, each symbol's count in every lane (saturating at
+    /// `u32::MAX`).
+    pub fn count(
+        &mut self,
+        symbols: &[u32],
+        alphabet: usize,
+    ) -> (Vec<(u32, u64)>, Vec<[u32; HIST_LANES]>) {
         if self.tables.len() < HIST_LANES * alphabet {
             self.tables.resize(HIST_LANES * alphabet, 0);
         }
@@ -70,21 +83,17 @@ impl LaneHistogram {
         }
         union.sort_unstable();
         union.dedup();
-        let pairs: Vec<(u32, u64)> = union
-            .iter()
-            .map(|&s| {
-                let total: u64 = (0..HIST_LANES)
-                    .map(|lane| tables[lane * alphabet + s as usize] as u64)
-                    .sum();
-                (s, total.min(u32::MAX as u64))
-            })
-            .collect();
-        for &s in &union {
-            for lane in 0..HIST_LANES {
-                tables[lane * alphabet + s as usize] = 0;
-            }
+        let mut pairs = Vec::with_capacity(union.len());
+        let mut lanes = Vec::with_capacity(union.len());
+        for s in union {
+            let per_lane: [u32; HIST_LANES] = std::array::from_fn(|lane| {
+                std::mem::take(&mut tables[lane * alphabet + s as usize])
+            });
+            let total: u64 = per_lane.iter().map(|&c| c as u64).sum();
+            pairs.push((s, total.min(u32::MAX as u64)));
+            lanes.push(per_lane);
         }
-        pairs
+        (pairs, lanes)
     }
 }
 
@@ -106,11 +115,27 @@ mod tests {
             .collect()
     }
 
+    /// Each lane's own dense count of the symbols `dense` lists.
+    fn dense_lanes(symbols: &[u32], alphabet: usize) -> Vec<[u32; HIST_LANES]> {
+        let mut per = vec![[0u32; HIST_LANES]; alphabet];
+        for (i, &s) in symbols.iter().enumerate() {
+            per[s as usize][i % HIST_LANES] += 1;
+        }
+        let used = dense(symbols, alphabet);
+        used.iter().map(|&(s, _)| per[s as usize]).collect()
+    }
+
+    /// `count` against both dense references.
+    fn check(h: &mut LaneHistogram, symbols: &[u32], alphabet: usize) {
+        let (pairs, lanes) = h.count(symbols, alphabet);
+        assert_eq!(pairs, dense(symbols, alphabet));
+        assert_eq!(lanes, dense_lanes(symbols, alphabet));
+    }
+
     #[test]
     fn matches_dense_reference() {
         let syms: Vec<u32> = (0..10_000u32).map(|i| (i * i + 3 * i) % 257).collect();
-        let mut h = LaneHistogram::new();
-        assert_eq!(h.count(&syms, 300), dense(&syms, 300));
+        check(&mut LaneHistogram::new(), &syms, 300);
     }
 
     #[test]
@@ -118,7 +143,11 @@ mod tests {
         let mut syms = vec![5u32; 1003];
         syms.extend(std::iter::repeat_n(2u32, 7));
         let mut h = LaneHistogram::new();
-        assert_eq!(h.count(&syms, 8), vec![(2, 7), (5, 1003)]);
+        let (pairs, lanes) = h.count(&syms, 8);
+        assert_eq!(pairs, vec![(2, 7), (5, 1003)]);
+        // 1003 fives fill lanes 0..=2 with 251 and lane 3 with 250; the
+        // seven twos start at position 1003, in lane 3.
+        assert_eq!(lanes, vec![[2, 2, 1, 2], [251, 251, 251, 250]]);
     }
 
     #[test]
@@ -126,17 +155,17 @@ mod tests {
         let mut h = LaneHistogram::new();
         let a: Vec<u32> = (0..100).map(|i| i % 10).collect();
         let b: Vec<u32> = (0..50).map(|i| i % 33).collect();
-        assert_eq!(h.count(&a, 16), dense(&a, 16));
+        check(&mut h, &a, 16);
         // Different alphabet re-layouts the tables; counts must not leak.
-        assert_eq!(h.count(&b, 40), dense(&b, 40));
-        assert_eq!(h.count(&a, 16), dense(&a, 16));
+        check(&mut h, &b, 40);
+        check(&mut h, &a, 16);
     }
 
     #[test]
     fn empty_and_short_inputs() {
         let mut h = LaneHistogram::new();
-        assert_eq!(h.count(&[], 4), Vec::new());
-        assert_eq!(h.count(&[3], 4), vec![(3, 1)]);
-        assert_eq!(h.count(&[1, 1, 1], 4), vec![(1, 3)]);
+        assert_eq!(h.count(&[], 4), (Vec::new(), Vec::new()));
+        assert_eq!(h.count(&[3], 4), (vec![(3, 1)], vec![[1, 0, 0, 0]]));
+        assert_eq!(h.count(&[1, 1, 1], 4), (vec![(1, 3)], vec![[1, 1, 1, 0]]));
     }
 }

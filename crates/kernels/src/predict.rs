@@ -21,9 +21,12 @@
 //! The decoder-visible dependency chain (each point's prediction reads the
 //! *reconstruction* of its left neighbour) is respected by pulling the
 //! reconstruction back from the sink each point; only the neighbour
-//! addressing is batched. The sink abstraction gives the four SZ engine
-//! loops (code extraction, compress, fused compress, decompress) a single
-//! integration point — see `pwrel-sz`'s engine.
+//! addressing is batched. The sweep predicts only from its own `f64` row
+//! and plane buffers, so it keeps no buffer of values: a sink that needs
+//! the reconstructed field (the decoder's) stores each value itself. The
+//! sink abstraction gives the four SZ engine loops (code extraction,
+//! compress, fused compress, decompress) a single integration point — see
+//! `pwrel-sz`'s engine.
 //!
 //! On top of the row restructuring, 2D/3D interiors run as a [`LANES`]-row
 //! *wavefront*: consecutive rows advance together with a one-column skew,
@@ -150,8 +153,8 @@ pub const LANES: usize = 4;
 /// Runs the Lorenzo sweep over `dims` with the batched wavefront kernels.
 /// For each point the sink receives `(linear index, prediction)` and must
 /// return the decoder-visible reconstruction (or an error, which aborts
-/// the sweep); the sweep writes it into `dec` before predicting any
-/// dependent point. `dec` must hold exactly `dims.len()` elements.
+/// the sweep); the sweep feeds it into the prediction of every dependent
+/// point, and keeps nothing else of it.
 ///
 /// Visit order: every index is visited exactly once, ascending *within*
 /// each row, but visits of up to [`LANES`] consecutive rows interleave
@@ -164,30 +167,26 @@ pub const LANES: usize = 4;
 ///
 /// Compress-side sinks are infallible (`E = Infallible`); the decompress
 /// sink surfaces corrupt-stream errors.
-// audit:allow-fn(L1): `dec` is allocated with `dims.len()` elements by
-// every caller (asserted below); all row slices are carved from it with
-// offsets derived from the same dims, so the indexing mirrors the
-// encoder-side sweep exactly.
-pub fn sweep<F, E, S>(dims: Dims, dec: &mut [F], mut sink: S) -> Result<(), E>
+pub fn sweep<F, E, S>(dims: Dims, mut sink: S) -> Result<(), E>
 where
     F: Float,
     S: FnMut(usize, f64) -> Result<F, E>,
 {
-    assert_eq!(dec.len(), dims.len(), "sweep buffer must match dims");
-    if dec.is_empty() {
+    if dims.is_empty() {
         return Ok(());
     }
     match dims.rank() {
-        1 => sweep_1d(dec, &mut sink),
-        2 => sweep_2d(dec, dims.nx, dims.ny, &mut sink),
-        _ => sweep_3d(dec, dims.nx, dims.ny, dims.nz, &mut sink),
+        1 => sweep_1d(dims.nx, &mut sink),
+        2 => sweep_2d(dims.nx, dims.ny, &mut sink),
+        _ => sweep_3d(dims.nx, dims.ny, dims.nz, &mut sink),
     }
 }
 
 /// The per-point reference sweep: identical per-point results and sink
 /// contract to [`sweep`] (strict raster visit order), with predictions
-/// from [`predict_point`]. Kept as the parity oracle for tests and the
-/// `batch_kernels` bench; the SZ engine calls [`sweep`].
+/// from [`predict_point`], which reads the reconstructions this sweep
+/// stores in `dec` (`dims.len()` elements). Kept as the parity oracle for
+/// tests and the `batch_kernels` bench; the SZ engine calls [`sweep`].
 // audit:allow-fn(L1): `dec` is asserted to hold `dims.len()` elements and
 // `idx` counts the raster loop over exactly that many points.
 pub fn sweep_reference<F, E, S>(dims: Dims, dec: &mut [F], mut sink: S) -> Result<(), E>
@@ -210,17 +209,15 @@ where
 }
 
 /// 1D: each prediction is the previous reconstruction, carried in a
-/// register instead of re-read through the buffer.
-fn sweep_1d<F, E, S>(dec: &mut [F], sink: &mut S) -> Result<(), E>
+/// register.
+fn sweep_1d<F, E, S>(n: usize, sink: &mut S) -> Result<(), E>
 where
     F: Float,
     S: FnMut(usize, f64) -> Result<F, E>,
 {
     let mut prev = 0.0f64;
-    for (idx, slot) in dec.iter_mut().enumerate() {
-        let v = sink(idx, prev)?;
-        *slot = v;
-        prev = v.to_f64();
+    for idx in 0..n {
+        prev = sink(idx, prev)?.to_f64();
     }
     Ok(())
 }
@@ -228,56 +225,44 @@ where
 /// 2D row kernel: prediction `(left + up) - upleft` with `left`/`upleft`
 /// carried in registers. Neighbour rows arrive as `f64` (`prev64` is the
 /// row above, or zeros for j = 0): each slot holds exactly the `to_f64`
-/// of the stored reconstruction, recorded into `cur64` as the row is
+/// of the sink's reconstruction, recorded into `cur64` as the row is
 /// produced, so no per-point element-type conversion happens on reads.
-// audit:allow-fn(L1): every buffer is re-sliced to `nx = cur.len()` up
-// front and the column loop runs `1..nx`, so all indexing is in bounds.
-fn row_2d<F, E, S>(
-    cur: &mut [F],
-    cur64: &mut [f64],
-    prev64: &[f64],
-    base: usize,
-    sink: &mut S,
-) -> Result<(), E>
+// audit:allow-fn(L1): both buffers are re-sliced to `nx = prev64.len()`
+// up front and the column loop runs `1..nx`, so all indexing is in
+// bounds.
+fn row_2d<F, E, S>(cur64: &mut [f64], prev64: &[f64], base: usize, sink: &mut S) -> Result<(), E>
 where
     F: Float,
     S: FnMut(usize, f64) -> Result<F, E>,
 {
-    let nx = cur.len();
-    let prev64 = &prev64[..nx];
+    let nx = prev64.len();
     let cur64 = &mut cur64[..nx];
     let up = prev64[0];
-    let v = sink(base, (0.0 + up) - 0.0)?;
-    cur[0] = v;
-    let mut left = v.to_f64();
+    let mut left = sink(base, (0.0 + up) - 0.0)?.to_f64();
     cur64[0] = left;
     let mut upleft = up;
     for c in 1..nx {
         let up = prev64[c];
         let pred = (left + up) - upleft;
-        let v = sink(base + c, pred)?;
-        cur[c] = v;
-        left = v.to_f64();
+        left = sink(base + c, pred)?.to_f64();
         cur64[c] = left;
         upleft = up;
     }
     Ok(())
 }
 
-/// One [`LANES`]-row 2D wavefront strip. Lane `l` sweeps `rows[l]` (grid
-/// row `j0 + l`) one column behind lane `l - 1`, so each step advances
+/// One [`LANES`]-row 2D wavefront strip. Lane `l` sweeps grid row
+/// `j0 + l` one column behind lane `l - 1`, so each step advances
 /// [`LANES`] independent quantizer feedback chains. The `up` neighbour of
 /// lane `l > 0` is lane `l - 1`'s `left` register *before* this step's
 /// update — no memory read; lane 0 reads `prev64` (the reconstructed row
 /// above the strip, zeros for j0 = 0) and lane `LANES - 1` records its
 /// reconstructions back into `prev64` for the next strip (always behind
 /// lane 0's reads, which are `LANES - 1` columns ahead).
-fn strip_2d<F, E, S>(
-    rows: [&mut [F]; LANES],
-    prev64: &mut [f64],
-    base: usize,
-    sink: &mut S,
-) -> Result<(), E>
+// audit:allow-fn(L1): every column index `c = t - l` lies in `0..nx` with
+// `nx = prev64.len()`: the prologue, main loop and epilogue bound `t` so
+// that each lane runs its own row's columns exactly once.
+fn strip_2d<F, E, S>(prev64: &mut [f64], base: usize, sink: &mut S) -> Result<(), E>
 where
     F: Float,
     S: FnMut(usize, f64) -> Result<F, E>,
@@ -296,9 +281,7 @@ where
             } else {
                 (left[$l] + up) - upleft[$l]
             };
-            let v = sink(base + $l * nx + $c, pred)?;
-            rows[$l][$c] = v;
-            let lf = v.to_f64();
+            let lf = sink(base + $l * nx + $c, pred)?.to_f64();
             if $l == LANES - 1 {
                 prev64[$c] = lf;
             }
@@ -333,9 +316,7 @@ where
     Ok(())
 }
 
-// audit:allow-fn(L1): row slices are carved from a `dims.len()` buffer at
-// offsets `j*nx`; the rolling f64 rows are allocated with nx elements.
-fn sweep_2d<F, E, S>(dec: &mut [F], nx: usize, ny: usize, sink: &mut S) -> Result<(), E>
+fn sweep_2d<F, E, S>(nx: usize, ny: usize, sink: &mut S) -> Result<(), E>
 where
     F: Float,
     S: FnMut(usize, f64) -> Result<F, E>,
@@ -349,18 +330,13 @@ where
     // enough for the skewed prologue/epilogue to make sense).
     if nx >= LANES {
         while j + LANES <= ny {
-            let base = j * nx;
-            let strip = &mut dec[base..base + LANES * nx];
-            let mut it = strip.chunks_exact_mut(nx);
-            let rows: [&mut [F]; LANES] = std::array::from_fn(|_| it.next().unwrap());
-            strip_2d(rows, &mut prev64, base, sink)?;
+            strip_2d(&mut prev64, j * nx, sink)?;
             j += LANES;
         }
     }
     // Remainder rows (and narrow grids): sequential row kernel.
     for j in j..ny {
-        let base = j * nx;
-        row_2d(&mut dec[base..base + nx], &mut cur64, &prev64, base, sink)?;
+        row_2d(&mut cur64, &prev64, j * nx, sink)?;
         std::mem::swap(&mut prev64, &mut cur64);
     }
     Ok(())
@@ -373,10 +349,9 @@ where
 /// reconstructions (zeros rows at the grid boundary, matching the
 /// reference's out-of-grid zeros); the row records its own `f64` copy
 /// into `cur64` for the rows that will neighbour it.
-// audit:allow-fn(L1): every buffer is re-sliced to `nx = cur.len()` up
+// audit:allow-fn(L1): every buffer is re-sliced to `nx = cur64.len()` up
 // front and the column loop runs `1..nx`, so all indexing is in bounds.
 fn row_3d<F, E, S>(
-    cur: &mut [F],
     cur64: &mut [f64],
     prev64: &[f64],
     pcur64: &[f64],
@@ -388,16 +363,13 @@ where
     F: Float,
     S: FnMut(usize, f64) -> Result<F, E>,
 {
-    let nx = cur.len();
-    let cur64 = &mut cur64[..nx];
+    let nx = cur64.len();
     let (prev64, pcur64, pprev64) = (&prev64[..nx], &pcur64[..nx], &pprev64[..nx]);
     let up = prev64[0];
     let back = pcur64[0];
     let backup = pprev64[0];
     let pred0 = ((((0.0 + up) + back) - 0.0) - 0.0) - backup + 0.0;
-    let v = sink(base, pred0)?;
-    cur[0] = v;
-    let mut left = v.to_f64();
+    let mut left = sink(base, pred0)?.to_f64();
     cur64[0] = left;
     let mut upleft = up;
     let mut backleft = back;
@@ -407,9 +379,7 @@ where
         let back = pcur64[c];
         let backup = pprev64[c];
         let pred = left + up + back - upleft - backleft - backup + corner;
-        let v = sink(base + c, pred)?;
-        cur[c] = v;
-        left = v.to_f64();
+        left = sink(base + c, pred)?.to_f64();
         cur64[c] = left;
         upleft = up;
         backleft = back;
@@ -424,9 +394,7 @@ where
 /// `j0 - 1` of the current plane, zeros for j0 = 0). `back`/`backup` come
 /// from the previous plane's f64 rows (`pcur`/`pprev`); every lane records
 /// its reconstructions into `cur64` for the next plane.
-#[allow(clippy::too_many_arguments)]
 fn strip_3d<F, E, S>(
-    rows: [&mut [F]; LANES],
     cur64: [&mut [f64]; LANES],
     prev64: &[f64],
     pcur: [&[f64]; LANES],
@@ -454,9 +422,7 @@ where
             } else {
                 left[$l] + up + back - upleft[$l] - backleft[$l] - backup + corner[$l]
             };
-            let v = sink(base + $l * nx + $c, pred)?;
-            rows[$l][$c] = v;
-            let lf = v.to_f64();
+            let lf = sink(base + $l * nx + $c, pred)?.to_f64();
             cur64[$l][$c] = lf;
             left[$l] = lf;
             upleft[$l] = up;
@@ -491,10 +457,9 @@ where
     Ok(())
 }
 
-// audit:allow-fn(L1): row slices are carved from a `dims.len()` buffer at
-// offsets `(k*ny + j)*nx`; the rolling f64 planes hold `nx*ny` elements
-// and are sliced at the same row offsets.
-fn sweep_3d<F, E, S>(dec: &mut [F], nx: usize, ny: usize, nz: usize, sink: &mut S) -> Result<(), E>
+// audit:allow-fn(L1): the rolling f64 planes hold `nx*ny` elements and
+// are sliced at row offsets `j*nx` with `j < ny`.
+fn sweep_3d<F, E, S>(nx: usize, ny: usize, nz: usize, sink: &mut S) -> Result<(), E>
 where
     F: Float,
     S: FnMut(usize, f64) -> Result<F, E>,
@@ -512,9 +477,6 @@ where
             while j + LANES <= ny {
                 let row0 = j * nx;
                 let base = k * nxy + row0;
-                let strip = &mut dec[base..base + LANES * nx];
-                let mut itf = strip.chunks_exact_mut(nx);
-                let rows: [&mut [F]; LANES] = std::array::from_fn(|_| itf.next().unwrap());
                 let (done, rest) = cur_plane.split_at_mut(row0);
                 let mut it64 = rest.chunks_exact_mut(nx);
                 let cur64: [&mut [f64]; LANES] = std::array::from_fn(|_| it64.next().unwrap());
@@ -530,7 +492,7 @@ where
                         &prev_plane[row0 - nx..row0]
                     }
                 });
-                strip_3d(rows, cur64, prev64, pcur, pprev, base, sink)?;
+                strip_3d(cur64, prev64, pcur, pprev, base, sink)?;
                 j += LANES;
             }
         }
@@ -538,7 +500,6 @@ where
         for j in j..ny {
             let row = j * nx;
             let base = k * nxy + row;
-            let cur = &mut dec[base..base + nx];
             let (done, rest) = cur_plane.split_at_mut(row);
             let cur64 = &mut rest[..nx];
             let prev64: &[f64] = if j == 0 { &zeros } else { &done[row - nx..] };
@@ -548,7 +509,7 @@ where
             } else {
                 &prev_plane[row - nx..row]
             };
-            row_3d(cur, cur64, prev64, pcur64, pprev64, base, sink)?;
+            row_3d(cur64, prev64, pcur64, pprev64, base, sink)?;
         }
         std::mem::swap(&mut prev_plane, &mut cur_plane);
     }
@@ -577,26 +538,28 @@ mod tests {
     fn assert_parity<F: Float>(dims: Dims, data: &[F], eb: f64) {
         let quant = QuantKernel::new(512);
         let run = |batched: bool| -> (Vec<u32>, Vec<u64>) {
-            let mut dec = vec![F::zero(); dims.len()];
             // Index-addressed (the sweep contract): the wavefront visits
             // rows interleaved, so push order would differ by design.
             let mut codes = vec![0u32; dims.len()];
+            let mut out = vec![0u64; dims.len()];
             let sink = |idx: usize, pred: f64| -> Result<F, Infallible> {
                 let x = data[idx];
-                Ok(match quant.quantize(x, pred, eb) {
+                let val = match quant.quantize(x, pred, eb) {
                     Some((code, val)) => {
                         codes[idx] = code;
                         val
                     }
                     None => x,
-                })
+                };
+                out[idx] = val.to_bits_u64();
+                Ok(val)
             };
             if batched {
-                sweep(dims, &mut dec, sink).unwrap();
+                sweep(dims, sink).unwrap();
             } else {
-                sweep_reference(dims, &mut dec, sink).unwrap();
+                sweep_reference(dims, &mut vec![F::zero(); dims.len()], sink).unwrap();
             }
-            (codes, dec.iter().map(|v| v.to_bits_u64()).collect())
+            (codes, out)
         };
         let (bc, bd) = run(true);
         let (rc, rd) = run(false);

@@ -11,6 +11,18 @@
 //! only. The bound over-estimates by at most 1 (in log2 units), and
 //! over-estimating only *shrinks* the corrected absolute bound, so using
 //! it keeps the point-wise guarantee intact.
+//!
+//! Every fact comes from four min/max reductions over the raw bits, kept
+//! as 16 independent lanes with no per-value branch, so the loop runs as
+//! vector min/max instructions:
+//!
+//! * the max of the raw bits exceeds the sign bit iff some value is
+//!   negative and nonzero (−0.0 is exactly the sign bit);
+//! * the max magnitude gives the max exponent, and the non-finite check;
+//! * the min magnitude is 0 iff the field holds a zero;
+//! * the min of `magnitude − 1` (wrapping) is one below the smallest
+//!   nonzero magnitude, which gives the min exponent and the subnormal
+//!   test; it stays `u64::MAX` iff every value is zero.
 
 use pwrel_data::{CodecError, Float};
 
@@ -34,36 +46,53 @@ impl FieldScan {
     }
 }
 
+/// Values per reduction step: each extremum is kept as this many
+/// independent lanes, so the loop body is a few vector min/max
+/// instructions.
+const SCAN_LANES: usize = 16;
+
 /// Scans `data`, rejecting non-finite values.
 pub fn scan<F: Float>(data: &[F]) -> Result<FieldScan, CodecError> {
-    let sign_shift = F::BITS - 1;
+    let sign = 1u64 << (F::BITS - 1);
     let mant_bits = F::MANT_BITS;
     let exp_all_ones = (1u64 << F::EXP_BITS) - 1;
     let bias = (1i64 << (F::EXP_BITS - 1)) - 1;
 
-    let mut any_negative = false;
-    let mut any_zero = false;
-    let mut any_subnormal = false;
-    let mut max_exp = 0u64;
-    let mut min_exp = u64::MAX;
-    for &x in data {
+    let mut max_bits = [0u64; SCAN_LANES];
+    let mut max_mag = [0u64; SCAN_LANES];
+    let mut min_mag = [u64::MAX; SCAN_LANES];
+    let mut min_nz = [u64::MAX; SCAN_LANES];
+    let mut fold = |lane: usize, x: F| {
         let bits = x.to_bits_u64();
-        let mag = bits & !(1u64 << sign_shift);
-        let is_zero = mag == 0;
-        let exp_field = mag >> mant_bits;
-        any_negative |= !is_zero && (bits >> sign_shift) != 0;
-        any_zero |= is_zero;
-        any_subnormal |= !is_zero && exp_field == 0;
-        // Zero slots contribute neutral values to the exponent extrema.
-        max_exp = max_exp.max(if is_zero { 0 } else { exp_field });
-        min_exp = min_exp.min(if is_zero { u64::MAX } else { exp_field });
+        let mag = bits & !sign;
+        max_bits[lane] = max_bits[lane].max(bits);
+        max_mag[lane] = max_mag[lane].max(mag);
+        min_mag[lane] = min_mag[lane].min(mag);
+        min_nz[lane] = min_nz[lane].min(mag.wrapping_sub(1));
+    };
+    let (chunks, tail) = data.as_chunks::<SCAN_LANES>();
+    for chunk in chunks {
+        for (lane, &x) in chunk.iter().enumerate() {
+            fold(lane, x);
+        }
     }
+    for (lane, &x) in tail.iter().enumerate() {
+        fold(lane, x);
+    }
+    let max = |v: [u64; SCAN_LANES]| v.into_iter().fold(0, u64::max);
+    let min = |v: [u64; SCAN_LANES]| v.into_iter().fold(u64::MAX, u64::min);
+    let (max_bits, max_mag, min_mag, min_nz) =
+        (max(max_bits), max(max_mag), min(min_mag), min(min_nz));
+
+    let max_exp = max_mag >> mant_bits;
     if max_exp == exp_all_ones {
         return Err(CodecError::InvalidArgument(
             "log transform requires finite input",
         ));
     }
-    if min_exp == u64::MAX {
+    let any_negative = max_bits > sign;
+    let any_zero = min_mag == 0;
+    if min_nz == u64::MAX {
         // All zeros (or empty): nothing gets mapped.
         return Ok(FieldScan {
             any_negative,
@@ -72,9 +101,11 @@ pub fn scan<F: Float>(data: &[F]) -> Result<FieldScan, CodecError> {
         });
     }
     // |log2 x| < e+1 from above; from below, −log2 x ≤ −e for normals and
-    // ≤ bias−1+mant_bits for subnormals (value ≥ smallest denormal).
+    // ≤ bias−1+mant_bits for subnormals (value ≥ smallest denormal). The
+    // smallest nonzero magnitude has the smallest exponent.
+    let min_exp = (min_nz + 1) >> mant_bits;
     let hi = max_exp as i64 - bias + 1;
-    let lo = if any_subnormal {
+    let lo = if min_exp == 0 {
         bias - 1 + mant_bits as i64
     } else {
         bias - min_exp as i64

@@ -65,27 +65,29 @@ fn check_parity<F: Float>(
 ) -> Result<(), TestCaseError> {
     let quant = QuantKernel::new(capacity);
     let run = |batched: bool| -> (Vec<u32>, Vec<u64>) {
-        let mut dec = vec![F::zero(); dims.len()];
         let mut codes = vec![0u32; dims.len()];
+        let mut out = vec![0u64; dims.len()];
         let mut sink = |idx: usize, pred: f64| -> Result<F, Infallible> {
-            Ok(match quant.quantize(data[idx], pred, eb) {
+            let val = match quant.quantize(data[idx], pred, eb) {
                 Some((code, val)) => {
                     codes[idx] = code;
                     val
                 }
                 None => data[idx],
-            })
+            };
+            out[idx] = val.to_bits_u64();
+            Ok(val)
         };
         let res = if batched {
-            predict::sweep(dims, &mut dec, &mut sink)
+            predict::sweep(dims, &mut sink)
         } else {
-            predict::sweep_reference(dims, &mut dec, &mut sink)
+            predict::sweep_reference(dims, &mut vec![F::zero(); dims.len()], &mut sink)
         };
         match res {
             Ok(()) => {}
             Err(e) => match e {},
         }
-        (codes, dec.iter().map(|v| v.to_bits_u64()).collect())
+        (codes, out)
     };
     let (bc, bd) = run(true);
     let (rc, rd) = run(false);

@@ -29,6 +29,9 @@ const MAX_CODE_LEN: u32 = 48;
 
 /// Number of round-robin sub-streams in the interleaved packed mode:
 /// symbol `i` of the original stream belongs to sub-stream `i % LANES`.
+/// The histogram splits its count the same way (`HIST_LANES`, which the
+/// per-lane count arrays tie to this constant by type), so its lanes are
+/// these sub-streams.
 pub const LANES: usize = 4;
 
 /// Leading uvarint of an interleaved buffer. A legacy buffer starts with
@@ -290,8 +293,8 @@ impl CanonicalCode {
 
     /// Unpacks a symbol's `(code, len)` from the packed encode table.
     // audit:allow-fn(L1): encode-side helper — `symbol` comes from the
-    // caller's own input slice, which `encode_all`/`encode_interleaved`
-    // require to be `< alphabet` (the table's length).
+    // caller's own input slice, which `encode_all`/`emit_lane` require to
+    // be `< alphabet` (the table's length).
     #[inline(always)]
     fn entry(&self, symbol: u32) -> (u64, u32) {
         let e = self.encode_table[symbol as usize];
@@ -477,71 +480,63 @@ impl CanonicalCode {
         Ok(())
     }
 
-    /// Encodes `symbols` split round-robin into [`LANES`] sub-streams,
-    /// each byte-stream produced exactly as [`CanonicalCode::encode_all`]
-    /// would over that lane's subsequence. One pass, [`LANES`] independent
-    /// accumulators — consecutive symbols feed different accumulator
-    /// chains, so the encode side gets the same ILP overlap the fused
-    /// decoder does.
-    /// Flushes every whole byte staged in a lane accumulator straight into
-    /// its byte vector, keeping `*n < 8` leftover bits left-aligned.
-    /// Byte-identical to routing the bits through [`BitWriter`]: flushing
-    /// whole bytes early never changes the bit sequence, only when it
-    /// reaches memory. The store is a fixed eight-byte write followed by a
-    /// truncate — a constant-size copy the compiler turns into one
-    /// unconditional store, instead of a variable-length `memcpy`.
-    #[inline(always)]
-    fn flush_lane(bytes: &mut Vec<u8>, acc: &mut u64, n: &mut u32) {
-        let nb = (*n / 8) as usize;
-        bytes.extend_from_slice(&acc.to_be_bytes());
-        bytes.truncate(bytes.len() - (8 - nb));
-        *acc = if nb == 8 { 0 } else { *acc << (8 * nb) };
-        *n -= 8 * nb as u32;
+    /// Payload bytes of each sub-stream: Σ count × code length over the
+    /// lane's symbols, from the histogram's per-lane `counts` (parallel to
+    /// `lens`, the code's ascending `(symbol, length)` pairs). A lane
+    /// count that saturated is not exact, so such a lane is summed symbol
+    /// by symbol instead.
+    fn lane_bytes(
+        &self,
+        symbols: &[u32],
+        lens: &[(u32, u32)],
+        counts: &[[u32; LANES]],
+    ) -> [usize; LANES] {
+        std::array::from_fn(|lane| {
+            let bits: u64 = if counts.iter().all(|c| c[lane] < u32::MAX) {
+                let per_symbol = lens.iter().zip(counts);
+                per_symbol
+                    .map(|(&(_, l), c)| u64::from(c[lane]) * u64::from(l))
+                    .sum()
+            } else {
+                let lane_syms = symbols.iter().skip(lane).step_by(LANES);
+                lane_syms.map(|&s| u64::from(self.entry(s).1)).sum()
+            };
+            bits.div_ceil(8) as usize
+        })
     }
 
-    /// One symbol through one lane's accumulator chain.
-    #[inline(always)]
-    fn put_lane(&self, s: u32, bytes: &mut Vec<u8>, acc: &mut u64, n: &mut u32) {
-        let (code, len) = self.entry(s);
-        debug_assert!(len > 0, "encoding symbol absent from the code");
-        if *n + len > 64 {
-            Self::flush_lane(bytes, acc, n);
-        }
-        *acc |= code << (64 - *n - len);
-        *n += len;
-    }
-
-    fn encode_interleaved(&self, symbols: &[u32]) -> [Vec<u8>; LANES] {
-        let cap = symbols.len() / (2 * LANES) + 16;
-        // Scalar per-lane state (not arrays): keeps the four accumulator
-        // chains in registers so their latencies actually overlap.
-        let [mut b0, mut b1, mut b2, mut b3]: [Vec<u8>; LANES] =
-            std::array::from_fn(|_| Vec::with_capacity(cap));
-        let (mut a0, mut a1, mut a2, mut a3) = (0u64, 0u64, 0u64, 0u64);
-        let (mut n0, mut n1, mut n2, mut n3) = (0u32, 0u32, 0u32, 0u32);
-        let mut quads = symbols.chunks_exact(LANES);
-        for quad in &mut quads {
-            self.put_lane(quad[0], &mut b0, &mut a0, &mut n0);
-            self.put_lane(quad[1], &mut b1, &mut a1, &mut n1);
-            self.put_lane(quad[2], &mut b2, &mut a2, &mut n2);
-            self.put_lane(quad[3], &mut b3, &mut a3, &mut n3);
-        }
-        {
-            let bufs = [&mut b0, &mut b1, &mut b2, &mut b3];
-            let accs = [&mut a0, &mut a1, &mut a2, &mut a3];
-            let ns = [&mut n0, &mut n1, &mut n2, &mut n3];
-            for (j, &s) in quads.remainder().iter().enumerate() {
-                self.put_lane(s, &mut *bufs[j], &mut *accs[j], &mut *ns[j]);
+    /// Writes sub-stream `lane` (every [`LANES`]-th symbol from `lane`)
+    /// into `out` from byte `pos`, exactly as [`CanonicalCode::encode_all`]
+    /// would write that subsequence, and returns the end of its bytes.
+    ///
+    /// Each step adds as many codes as fit in 56 bits to the accumulator,
+    /// stores all 64 bits big-endian at `pos` and advances by the whole
+    /// bytes. At most 7 bits stay pending, so at most 63 are ever staged:
+    /// there is no flush branch, and no shift reaches 64. A store reaches
+    /// up to 8 bytes past the lane's last byte; the caller leaves that
+    /// slack after the payload and emits the lanes in order, so each
+    /// lane overwrites what the one before it wrote past its end.
+    fn emit_lane(&self, symbols: &[u32], lane: usize, out: &mut [u8], mut pos: usize) -> usize {
+        let per_store = LANES * (56 / self.max_code_len().max(1)) as usize;
+        let mut acc = 0u64;
+        let mut n = 0u32;
+        for group in symbols.get(lane..).unwrap_or_default().chunks(per_store) {
+            for &s in group.iter().step_by(LANES) {
+                let (code, len) = self.entry(s);
+                debug_assert!(len > 0, "encoding symbol absent from the code");
+                acc |= code << (64 - n - len);
+                n += len;
             }
-            for j in 0..LANES {
-                // Tail: whole bytes, then one zero-padded partial byte —
-                // the same final alignment `BitWriter::into_bytes`
-                // produces.
-                let nb = (*ns[j]).div_ceil(8) as usize;
-                bufs[j].extend_from_slice(&accs[j].to_be_bytes()[..nb]);
-            }
+            out[pos..pos + 8].copy_from_slice(&acc.to_be_bytes());
+            let whole = n / 8;
+            pos += whole as usize;
+            acc <<= 8 * whole;
+            n -= 8 * whole;
         }
-        [b0, b1, b2, b3]
+        // The tail: whole bytes, then one zero-padded partial byte — the
+        // same final alignment `BitWriter::into_bytes` produces.
+        out[pos..pos + 8].copy_from_slice(&acc.to_be_bytes());
+        pos + n.div_ceil(8) as usize
     }
 
     /// Decodes `n` round-robin interleaved symbols from [`LANES`]
@@ -700,10 +695,11 @@ std::thread_local! {
 }
 
 /// Sparse ascending `(symbol, frequency)` pairs for `symbols`, from the
-/// lane-batched histogram. The pairs equal a dense single-table count
-/// (pinned by `histogram_kernels_agree_byte_for_byte`), so the tree and
-/// every encoded byte do not depend on how the symbols were counted.
-fn count_pairs(symbols: &[u32], alphabet: usize) -> Vec<(u32, u64)> {
+/// lane-batched histogram, and each symbol's count per sub-stream. The
+/// pairs equal a dense single-table count (pinned by
+/// `histogram_kernels_agree_byte_for_byte`), so the tree and every
+/// encoded byte do not depend on how the symbols were counted.
+fn count_pairs(symbols: &[u32], alphabet: usize) -> (Vec<(u32, u64)>, Vec<[u32; LANES]>) {
     LANE_FREQS.with(|cell| cell.borrow_mut().count(symbols, alphabet))
 }
 
@@ -723,15 +719,20 @@ fn count_pairs(symbols: &[u32], alphabet: usize) -> Vec<(u32, u64)> {
 /// The descriptor is fully redundant by design — counts must equal the
 /// round-robin split of `n` and lengths must sum to `payload_len` exactly —
 /// so every forged descriptor is rejected before any payload is touched.
+///
+/// The sub-stream lengths are known before any code is written — each is
+/// Σ count × code length over its symbols, from the histogram's per-lane
+/// counts — so the descriptor goes first and each sub-stream is emitted
+/// straight into its place in the one buffer.
 pub fn encode_symbols(symbols: &[u32], alphabet: usize) -> Vec<u8> {
-    let pairs = count_pairs(symbols, alphabet);
-    let code = CanonicalCode::from_pairs(&code_length_pairs(&pairs, alphabet), alphabet);
-    let payloads = code.encode_interleaved(symbols);
-    let total: usize = payloads.iter().map(Vec::len).sum();
-    // Exact-fit descriptor + payload assembly: one allocation, no
-    // realloc copies of the sub-streams (table ≤ 10 bytes per used
-    // symbol, descriptor ≤ 10 bytes per field).
-    let mut out = Vec::with_capacity(total + 10 * pairs.len() + 2 * LANES * 10 + 40);
+    let (pairs, counts) = count_pairs(symbols, alphabet);
+    let lens = code_length_pairs(&pairs, alphabet);
+    let code = CanonicalCode::from_pairs(&lens, alphabet);
+    let lane_bytes = code.lane_bytes(symbols, &lens, &counts);
+    let total: usize = lane_bytes.iter().sum();
+    // One allocation: table ≤ 10 bytes per used symbol, descriptor ≤ 10
+    // bytes per field, and the emit's 8 bytes of slack.
+    let mut out = Vec::with_capacity(total + 10 * pairs.len() + 2 * LANES * 10 + 48);
     varint::write_uvarint(&mut out, INTERLEAVED_MARKER);
     code.serialize(&mut out);
     varint::write_uvarint(&mut out, symbols.len() as u64);
@@ -739,12 +740,20 @@ pub fn encode_symbols(symbols: &[u32], alphabet: usize) -> Vec<u8> {
     for lane in 0..LANES {
         varint::write_uvarint(&mut out, lane_count(symbols.len(), lane) as u64);
     }
-    for p in &payloads {
-        varint::write_uvarint(&mut out, p.len() as u64);
+    for &len in &lane_bytes {
+        varint::write_uvarint(&mut out, len as u64);
     }
-    for p in &payloads {
-        out.extend_from_slice(p);
+    let mut pos = out.len();
+    let end = pos + total;
+    out.resize(end + 8, 0);
+    for lane in 0..LANES {
+        pos = code.emit_lane(symbols, lane, &mut out, pos);
     }
+    assert_eq!(
+        pos, end,
+        "sub-stream lengths disagree with the codes written"
+    );
+    out.truncate(end);
     out
 }
 
@@ -773,7 +782,7 @@ pub(crate) fn encoded_len_lower_bound(freqs: &[u64]) -> usize {
 /// the seed-engine benchmarks can still produce the format every
 /// pre-interleaving stream used; [`decode_symbols`] accepts both modes.
 pub fn encode_symbols_single(symbols: &[u32], alphabet: usize) -> Vec<u8> {
-    let pairs = count_pairs(symbols, alphabet);
+    let (pairs, _) = count_pairs(symbols, alphabet);
     let code = CanonicalCode::from_pairs(&code_length_pairs(&pairs, alphabet), alphabet);
     let mut out = Vec::new();
     code.serialize(&mut out);
@@ -1255,7 +1264,7 @@ mod tests {
     fn histogram_kernels_agree_byte_for_byte() {
         // Same pairs → same tree → same buffer, whichever kernel counted.
         let syms = mixed_symbols(10_000);
-        let batched = LANE_FREQS.with(|c| c.borrow_mut().count(&syms, 512));
+        let (batched, _) = count_pairs(&syms, 512);
         let mut dense = vec![0u64; 512];
         for &s in &syms {
             dense[s as usize] += 1;
@@ -1267,6 +1276,19 @@ mod tests {
             .map(|(s, &f)| (s as u32, f))
             .collect();
         assert_eq!(batched, expect);
+    }
+
+    #[test]
+    fn a_saturated_lane_count_is_summed_from_the_symbols() {
+        // A lane count of u32::MAX may have been clamped, so that lane's
+        // length comes from its symbols; here both ways must agree.
+        let syms = mixed_symbols(1000);
+        let (pairs, mut counts) = count_pairs(&syms, 512);
+        let lens = code_length_pairs(&pairs, 512);
+        let code = CanonicalCode::from_pairs(&lens, 512);
+        let exact = code.lane_bytes(&syms, &lens, &counts);
+        counts[0][2] = u32::MAX;
+        assert_eq!(code.lane_bytes(&syms, &lens, &counts), exact);
     }
 
     #[test]

@@ -43,9 +43,13 @@
 //!   candidate `c ≥ i − WINDOW`, and the slot it shares is next written by
 //!   position `c + WINDOW ≥ i`, which is not inserted yet.
 //!
-//! The filter is used only where its 128 KiB of bitsets fit in the memory
-//! the ring saves (inputs of 48 KiB and more), so an encode never needs
-//! more scratch than one `prev` slot per input byte would.
+//! The filter runs at every input size, because it is exact at any size:
+//! a false alarm only costs the walk the plain encoder would have made.
+//! Its bitsets hold one word pair per four positions of `min(n, WINDOW)`
+//! (at least 64 pairs), so short inputs, such as the samples SZ's
+//! `worth_lz_pass` trial-compresses, get it too, and an input of 32 KiB
+//! or more gets 8,192 pairs (128 KiB). The encode's scratch is then the
+//! chain heads, 8 bytes of ring and 4 of filter per window position.
 //!
 //! The Huffman pass over the tokens is skipped when it cannot win:
 //! `huffman::encoded_len_lower_bound` bounds its output from the token
@@ -61,9 +65,6 @@ const MAX_MATCH: usize = 1 << 16;
 /// Upper bound on hash-chain probes per position (gzip's "good" level).
 const MAX_CHAIN: usize = 64;
 const HASH_BITS: u32 = 15;
-/// Each window-filter bitset holds `2^FILTER_WORD_BITS` 64-bit words
-/// (64 KiB).
-const FILTER_WORD_BITS: u32 = 13;
 
 /// Container modes.
 const MODE_STORED: u8 = 0;
@@ -166,24 +167,27 @@ impl Chains {
 /// Which words the positions of the current `WINDOW`-aligned block and of
 /// the block before it hold, up to hash collisions (see the module doc).
 struct WindowFilter {
-    /// Bitset word pairs: slot `b % 2` of each pair belongs to block `b`.
+    /// Bitset word pairs, a power of two of them: slot `b % 2` of each
+    /// pair belongs to block `b`.
     bits: Vec<[u64; 2]>,
+    /// `64 − log2(bits.len())`: a hash shifted right by it picks a pair.
+    shift: u32,
     block: usize,
     /// First position past the current block.
     block_end: usize,
 }
 
 impl WindowFilter {
-    /// The filter for an `n`-byte input, if its bitsets fit in what the
-    /// chain ring saves over one link per input byte.
-    fn for_input(n: usize) -> Option<Self> {
-        let words = 1 << FILTER_WORD_BITS;
-        let saved = (n - n.min(WINDOW)) * std::mem::size_of::<usize>();
-        (saved >= words * std::mem::size_of::<[u64; 2]>()).then(|| Self {
-            bits: vec![[0; 2]; words],
+    /// The filter for an `n`-byte input: one word pair per four window
+    /// positions the input can fill, and at least 64.
+    fn for_input(n: usize) -> Self {
+        let pairs = (n.min(WINDOW) / 4).max(64).next_power_of_two();
+        Self {
+            bits: vec![[0; 2]; pairs],
+            shift: 64 - pairs.trailing_zeros(),
             block: 0,
             block_end: WINDOW,
-        })
+        }
     }
 
     /// Marks that position `p` holds `word`, and returns whether a
@@ -204,7 +208,7 @@ impl WindowFilter {
         // upper half the two bits.
         let x = (word as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mask = 1u64 << (x >> 32 & 63) | 1u64 << (x >> 38 & 63);
-        let pair = &mut self.bits[(x >> (64 - FILTER_WORD_BITS)) as usize];
+        let pair = &mut self.bits[(x >> self.shift) as usize];
         let seen = (pair[0] | pair[1]) & mask == mask;
         pair[self.block % 2] |= mask;
         seen
@@ -228,8 +232,7 @@ fn tokenize(input: &[u8]) -> Vec<u8> {
 
     while i + MIN_MATCH <= n {
         let word = word4(input, i);
-        let maybe = filter.as_mut().is_none_or(|f| f.mark(i, word));
-        let (best_len, best_dist) = if maybe {
+        let (best_len, best_dist) = if filter.mark(i, word) {
             chains.longest_match(input, i, word)
         } else {
             (0, 0)
@@ -252,9 +255,7 @@ fn tokenize(input: &[u8]) -> Vec<u8> {
         for p in i + 1..insert_end {
             let word = word4(input, p);
             chains.insert(p, word);
-            if let Some(f) = &mut filter {
-                f.mark(p, word);
-            }
+            filter.mark(p, word);
         }
         i = match_end;
         lit_start = i;

@@ -415,7 +415,7 @@ impl ZfpP {
         ZfpCompressor.compress_precision(
             data,
             dims,
-            pwrel_zfp::precision_for_rel_bound(opts.bound),
+            pwrel_zfp::precision_for_rel_bound::<F>(opts.bound),
             rec,
         )
     }

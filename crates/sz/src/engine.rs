@@ -121,8 +121,7 @@ pub fn quantization_codes<F: Float>(
     // Index-addressed (0 = escape) so the wavefront's cross-row visit
     // order lands every code in its raster slot.
     let mut codes = vec![0u32; data.len()];
-    let mut dec: Vec<F> = vec![F::zero(); data.len()];
-    infallible(predict::sweep(dims, &mut dec, |idx, pred| {
+    infallible(predict::sweep(dims, |idx, pred| {
         let x = data[idx];
         Ok(match quant.quantize(x, pred, bound) {
             Some((code, val)) => {
@@ -253,11 +252,10 @@ pub(crate) fn compress<F: Float>(
     let n = data.len();
     let mut codes: Vec<u32> = vec![0u32; n];
     let mut escapes = EscapeLog::new();
-    let mut dec: Vec<F> = vec![F::zero(); n];
 
     {
         let _pq = Span::enter(rec, stage::PREDICT_QUANTIZE);
-        infallible(predict::sweep(dims, &mut dec, |idx, pred| {
+        infallible(predict::sweep(dims, |idx, pred| {
             Ok(quantize_one(
                 data[idx],
                 ebs.at(idx),
@@ -322,7 +320,6 @@ pub(crate) fn compress_fused<F: Float>(
     let n = data.len();
     let mut codes: Vec<u32> = vec![0u32; n];
     let mut escapes = EscapeLog::new();
-    let mut dec: Vec<F> = vec![F::zero(); n];
     // Mapped-value ring: chunks are mapped on demand when the sweep first
     // touches them (same CHUNK-aligned boundaries as a raster cursor, so
     // mapped values and the sign bitmap are byte-identical). The wavefront
@@ -343,7 +340,7 @@ pub(crate) fn compress_fused<F: Float>(
     {
         let _pq = Span::enter(rec, stage::PREDICT_QUANTIZE);
         let mut map_timer = StageTimer::new(rec, stage::TRANSFORM);
-        infallible(predict::sweep(dims, &mut dec, |idx, pred| {
+        infallible(predict::sweep(dims, |idx, pred| {
             while idx >= mapped_end {
                 let end = (mapped_end + CHUNK).min(n);
                 let slot = mapped_end & (cap - 1);
@@ -518,11 +515,12 @@ impl<F: Float> Escapes<F> {
 }
 
 /// The decode-side Lorenzo sweep: every point's value from its code, its
-/// prediction and its bound. The sink is small enough to inline at each of
-/// the sweep's call sites, so the decoded value stays in registers through
-/// the prediction feedback chain; escapes and corrupt codes go to the
-/// out-of-line [`Escapes::resolve`]. (The compress sweeps keep their sinks
-/// out of line: inlining them measured slower — see DESIGN.md §13.)
+/// prediction and its bound, stored at its index in `dec`. The sink is
+/// small enough to inline at each of the sweep's call sites, so the
+/// decoded value stays in registers through the prediction feedback
+/// chain; escapes and corrupt codes go to the out-of-line
+/// [`Escapes::resolve`]. (The compress sweeps keep their sinks out of
+/// line: inlining them measured slower — see DESIGN.md §13.)
 fn reconstruct<F: Float>(
     dims: Dims,
     dec: &mut [F],
@@ -531,14 +529,19 @@ fn reconstruct<F: Float>(
     escapes: &Escapes<F>,
     eb_at: impl Fn(usize) -> f64,
 ) -> Result<(), CodecError> {
-    predict::sweep(dims, dec, move |idx, pred| {
-        // One code per point, so the fallback (an out-of-range code) is
-        // unreachable; it keeps the lookup panic-free.
+    predict::sweep(dims, move |idx, pred| {
+        // One code and one slot per point, so the fallbacks (an
+        // out-of-range code, a missing slot) are unreachable; they keep
+        // the lookup and the store panic-free.
         let code = codes.get(idx).copied().unwrap_or(u32::MAX);
-        match quant.reconstruct(code, pred, eb_at(idx)) {
-            Some(v) => Ok(v),
-            None => escapes.resolve(code, idx),
+        let v = match quant.reconstruct(code, pred, eb_at(idx)) {
+            Some(v) => v,
+            None => escapes.resolve(code, idx)?,
+        };
+        if let Some(slot) = dec.get_mut(idx) {
+            *slot = v;
         }
+        Ok(v)
     })
 }
 

@@ -62,10 +62,13 @@ pub enum Mode {
 
 /// Heuristic mapping from a point-wise relative bound to a ZFP `-p`
 /// precision, mirroring the parameter choices in the paper's Table IV
-/// (e.g. `b_r = 1e-3 → -p 26`, `1e-2 → -p 23`).
-pub fn precision_for_rel_bound(rel_bound: f64) -> u32 {
+/// (e.g. `b_r = 1e-3 → -p 26`, `1e-2 → -p 23`), clamped to the
+/// precisions a stream of `F` may carry (see `precision_in_range`) and,
+/// for f64, to at most 64.
+pub fn precision_for_rel_bound<F: Float>(rel_bound: f64) -> u32 {
     assert!(rel_bound > 0.0 && rel_bound.is_finite());
-    ((-rel_bound.log2()).ceil() as i64 + 16).clamp(1, 64) as u32
+    let max = i64::from((F::BITS + 2).min(64));
+    ((-rel_bound.log2()).ceil() as i64 + 16).clamp(1, max) as u32
 }
 
 /// The precisions a stream of `F` may carry: 1 ..= F::BITS + 2 bit planes
@@ -779,9 +782,12 @@ mod tests {
 
     #[test]
     fn precision_heuristic_matches_paper_settings() {
-        assert_eq!(precision_for_rel_bound(1e-3), 26);
-        assert_eq!(precision_for_rel_bound(1e-2), 23);
-        assert_eq!(precision_for_rel_bound(1e-1), 20);
+        assert_eq!(precision_for_rel_bound::<f32>(1e-3), 26);
+        assert_eq!(precision_for_rel_bound::<f32>(1e-2), 23);
+        assert_eq!(precision_for_rel_bound::<f64>(1e-1), 20);
+        // Clamped to what each element type's encoder accepts.
+        assert_eq!(precision_for_rel_bound::<f32>(1e-6), 34);
+        assert_eq!(precision_for_rel_bound::<f64>(1e-300), 64);
     }
 
     #[test]

@@ -172,6 +172,29 @@ fn wrong_codec_id_errors_not_panics() {
 }
 
 #[test]
+fn zfp_p_takes_f32_bounds_past_the_f32_precision_range() {
+    // Below about 3.8e-6 the paper's precision heuristic asks for more
+    // planes than an f32 stream carries; it is clamped to the 34 that fit.
+    // Fixed precision bounds the error by the block's largest value, not
+    // point-wise, so the check is against the field's largest magnitude.
+    let dims = Dims::d3(16, 16, 16);
+    let data: Vec<f32> = (0..dims.len())
+        .map(|i| ((i as f32) * 0.37).sin() * 10f32.powi((i % 5) as i32 - 2))
+        .collect();
+    let max = data.iter().fold(0f32, |m, &x| m.max(x.abs()));
+    for br in [1e-6, 1e-9] {
+        let stream = global()
+            .compress("zfp_p", &data, dims, &CompressOpts::rel(br))
+            .unwrap();
+        let (dec, d) = global().decompress::<f32>(&stream).unwrap();
+        assert_eq!(d, dims);
+        for (&a, &b) in data.iter().zip(&dec) {
+            assert!((a - b).abs() <= 1e-6 * max, "b_r = {br}: {a} vs {b}");
+        }
+    }
+}
+
+#[test]
 fn elem_width_mismatch_is_mismatch_error() {
     use pwrel::data::CodecError;
     let data: Vec<f32> = (1..64).map(|i| i as f32).collect();
