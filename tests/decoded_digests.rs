@@ -10,10 +10,14 @@
 //! The 240-value fixtures are too small to reach two decoder paths: their
 //! Huffman codes all fit the decode lookup table, and their SZ streams
 //! carry no unpredictable escapes. So the test also round-trips the Medium
-//! (64³) `dark_matter_density` field through the four SZ-family codecs at
-//! b_r = 1e-3. There, the longest Huffman codes run past the lookup table
-//! and escapes do occur. Those cells pin the compressed stream's digest
-//! too, so a mismatch says which side moved.
+//! (64³) `dark_matter_density` field through every registered codec at
+//! b_r = 1e-3. There, the longest Huffman codes run past the lookup table,
+//! escapes do occur, and every bit writer call site (the ZFP plane coder,
+//! fpzip's residuals, ISABELA's permutation stream) writes hundreds of
+//! kilobytes. One more cell runs zfp_t on the signed Medium `velocity_x`
+//! field, so the sign bitmap's RLE packer is pinned as well. Every cell
+//! pins the compressed stream's digest too, so a mismatch says which side
+//! moved.
 //!
 //! The committed digests were produced by the decoder the fixtures were
 //! written for. Regenerate them only after an intentional format change,
@@ -91,18 +95,30 @@ fn current_digests() -> BTreeMap<String, u64> {
         }
     }
 
-    let field = nyx::dark_matter_density(Scale::Medium);
+    let density = nyx::dark_matter_density(Scale::Medium);
+    let velocity = nyx::velocity_x(Scale::Medium);
+    let cells = [
+        ("sz_t", &density, "medium_sz_t"),
+        ("sz_hybrid_t", &density, "medium_sz_hybrid_t"),
+        ("sz_abs", &density, "medium_sz_abs"),
+        ("sz_pwr", &density, "medium_sz_pwr"),
+        ("zfp_t", &density, "medium_zfp_t"),
+        ("zfp_p", &density, "medium_zfp_p"),
+        ("fpzip", &density, "medium_fpzip"),
+        ("isabela", &density, "medium_isabela"),
+        ("zfp_t", &velocity, "medium_velocity_x_zfp_t"),
+    ];
     let opts = CompressOpts::rel(1e-3);
-    for codec in ["sz_t", "sz_hybrid_t", "sz_abs", "sz_pwr"] {
+    for (codec, field, cell) in cells {
         let stream = global()
             .compress(codec, &field.data, field.dims, &opts)
-            .unwrap_or_else(|e| panic!("medium {codec} compress: {e:?}"));
+            .unwrap_or_else(|e| panic!("{cell} compress: {e:?}"));
         let (dec, got) = global()
             .decompress::<f32>(&stream)
-            .unwrap_or_else(|e| panic!("medium {codec} decode: {e:?}"));
-        assert_eq!(got, field.dims, "medium {codec}");
-        out.insert(format!("medium_{codec}.stream"), fnv1a(stream));
-        out.insert(format!("medium_{codec}.decoded"), f32_digest(&dec));
+            .unwrap_or_else(|e| panic!("{cell} decode: {e:?}"));
+        assert_eq!(got, field.dims, "{cell}");
+        out.insert(format!("{cell}.stream"), fnv1a(stream));
+        out.insert(format!("{cell}.decoded"), f32_digest(&dec));
     }
     out
 }
