@@ -1,7 +1,8 @@
 //! Property tests: the word-based accumulator engine agrees with the
 //! frozen seed byte-at-a-time engine (`pwrel_bench::baseline`) on random
-//! write programs — byte-identical output streams, identical read-back,
-//! including the LSB-first ZFP paths and peek/skip sequences.
+//! write programs — the same `bit_len` after every write, byte-identical
+//! output streams, identical read-back, including the LSB-first ZFP paths
+//! and peek/skip sequences.
 
 use proptest::prelude::*;
 use pwrel_bench::baseline::{SeedBitReader, SeedBitWriter};
@@ -14,37 +15,50 @@ enum Op {
     Bits(u64, u32),
     BitsLsb(u64, u32),
     Align,
+    /// Full 64-bit values back to back: one word store per value, each
+    /// straddling the staged bits of the writes before it.
+    Words(Vec<u64>),
+    /// `write_aligned_bytes` when the stream is byte-aligned, 8-bit
+    /// writes otherwise (the seed writer has no aligned-bytes call).
+    Bytes(Vec<u8>),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        any::<bool>().prop_map(Op::Bit),
-        (any::<u64>(), 0u32..=64).prop_map(|(v, n)| Op::Bits(v, n)),
-        (any::<u64>(), 0u32..=64).prop_map(|(v, n)| Op::BitsLsb(v, n)),
-        Just(Op::Align),
+        4 => any::<bool>().prop_map(Op::Bit),
+        4 => (any::<u64>(), 0u32..=64).prop_map(|(v, n)| Op::Bits(v, n)),
+        4 => (any::<u64>(), 0u32..=64).prop_map(|(v, n)| Op::BitsLsb(v, n)),
+        2 => Just(Op::Align),
+        1 => prop::collection::vec(any::<u64>(), 64..201).prop_map(Op::Words),
+        2 => prop::collection::vec(any::<u8>(), 0..24).prop_map(Op::Bytes),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // The two writers emit byte-identical streams, and both readers
-    // recover the same values from them.
+    // The two writers agree on `bit_len` after every write and emit
+    // byte-identical streams, and both readers recover the same values
+    // from them. Writers start with no capacity, a few bytes, or plenty,
+    // so the vector's growth lands inside word stores too.
     #[test]
-    fn engines_agree_on_random_programs(ops in prop::collection::vec(op_strategy(), 0..200)) {
-        let mut live = BitWriter::new();
-        let mut seed = SeedBitWriter::new();
+    fn engines_agree_on_random_programs(
+        ops in prop::collection::vec(op_strategy(), 0..200),
+        capacity in prop_oneof![Just(0usize), 1usize..16, Just(1 << 16)],
+    ) {
+        let mut live = BitWriter::with_capacity(capacity);
+        let mut seed = SeedBitWriter::with_capacity(capacity);
         for op in &ops {
-            match *op {
-                Op::Bit(b) => {
+            match op {
+                &Op::Bit(b) => {
                     live.write_bit(b);
                     seed.write_bit(b);
                 }
-                Op::Bits(v, n) => {
+                &Op::Bits(v, n) => {
                     live.write_bits(v, n);
                     seed.write_bits(v, n);
                 }
-                Op::BitsLsb(v, n) => {
+                &Op::BitsLsb(v, n) => {
                     live.write_bits_lsb(v, n);
                     seed.write_bits_lsb(v, n);
                 }
@@ -52,9 +66,28 @@ proptest! {
                     live.align_byte();
                     seed.align_byte();
                 }
+                Op::Words(words) => {
+                    for &v in words {
+                        live.write_bits(v, 64);
+                        seed.write_bits(v, 64);
+                        prop_assert_eq!(live.bit_len(), seed.bit_len());
+                    }
+                }
+                Op::Bytes(bytes) => {
+                    if live.bit_len().is_multiple_of(8) {
+                        live.write_aligned_bytes(bytes);
+                    } else {
+                        for &b in bytes {
+                            live.write_bits(u64::from(b), 8);
+                        }
+                    }
+                    for &b in bytes {
+                        seed.write_bits(u64::from(b), 8);
+                    }
+                }
             }
+            prop_assert_eq!(live.bit_len(), seed.bit_len());
         }
-        prop_assert_eq!(live.bit_len(), seed.bit_len());
         let live_bytes = live.into_bytes();
         let seed_bytes = seed.into_bytes();
         prop_assert_eq!(&live_bytes, &seed_bytes);
@@ -62,13 +95,30 @@ proptest! {
         let mut lr = BitReader::new(&live_bytes);
         let mut sr = SeedBitReader::new(&seed_bytes);
         for op in &ops {
-            match *op {
+            match op {
                 Op::Bit(_) => prop_assert_eq!(lr.read_bit().unwrap(), sr.read_bit().unwrap()),
-                Op::Bits(_, n) => {
+                &Op::Bits(_, n) => {
                     prop_assert_eq!(lr.read_bits(n).unwrap(), sr.read_bits(n).unwrap());
                 }
-                Op::BitsLsb(_, n) => {
+                &Op::BitsLsb(_, n) => {
                     prop_assert_eq!(lr.read_bits_lsb(n).unwrap(), sr.read_bits_lsb(n).unwrap());
+                }
+                Op::Words(words) => {
+                    for &v in words {
+                        prop_assert_eq!(lr.read_bits(64).unwrap(), v);
+                        prop_assert_eq!(sr.read_bits(64).unwrap(), v);
+                    }
+                }
+                Op::Bytes(bytes) => {
+                    let got: Vec<u8> = if lr.bits_read().is_multiple_of(8) {
+                        lr.read_aligned_bytes(bytes.len()).unwrap().to_vec()
+                    } else {
+                        (0..bytes.len()).map(|_| lr.read_bits(8).unwrap() as u8).collect()
+                    };
+                    prop_assert_eq!(&got, bytes);
+                    for &b in bytes {
+                        prop_assert_eq!(sr.read_bits(8).unwrap(), u64::from(b));
+                    }
                 }
                 Op::Align => {
                     lr.align_byte();
