@@ -8,7 +8,7 @@
 //! provides:
 //!
 //! * [`BitWriter`] / [`BitReader`] — MSB-first bit streams built on 64-bit
-//!   accumulators with unaligned 8-byte refills/flushes: bulk
+//!   accumulators with unaligned 8-byte refills and whole-word stores: bulk
 //!   `write_bits`/`read_bits` (up to 64 bits per call), O(1) LSB-first
 //!   variants for ZFP bit-plane payloads, and a
 //!   `refill`/`peek_word`/`consume` protocol for check-free bulk entropy
