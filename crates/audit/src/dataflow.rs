@@ -41,7 +41,6 @@ const SOURCE_CALLS: &[&str] = &[
     "read_bits_lsb",
     "peek_bits",
     "peek_word",
-    "read_aligned_bytes",
     "get_u16",
     "get_u32",
     "get_u64",

@@ -4,45 +4,17 @@
 //! predict + quantize sweep and the fused block lift must beat the
 //! per-point reference paths they replace. The codecs run only the batched
 //! kernels; the references stay as parity oracles, and this bench calls
-//! both directly so one process measures both. The `bench_stages` binary
-//! attributes the same kernels inside the full codecs; this bench is the
-//! isolated view.
+//! both directly so one process measures both. `bench_entropy --gate`
+//! gates the sweep against its reference the same way, and perfbench's
+//! traced runs attribute both kernels inside the full codecs; this bench
+//! is the interactive view.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use pwrel_bench::quantization_codes_reference;
 use pwrel_data::{nyx, Scale};
-use pwrel_kernels::{blocklift, predict};
+use pwrel_kernels::blocklift;
+use pwrel_sz::{quantization_codes, SzCompressor};
 use pwrel_zfp::lift;
-
-/// One Lorenzo + linear-scaling quantization sweep over the field,
-/// exercising the same sink the SZ engine uses (codes + reconstruction
-/// feedback), without the entropy stages. The sink stays a concrete
-/// closure (no `dyn`) so the kernels see exactly the monomorphized shape
-/// the engine compiles.
-fn sweep_once(data: &[f32], dims: pwrel_data::Dims, batched: bool) -> usize {
-    let quant = predict::QuantKernel::new(65536);
-    let eb = 1e-3;
-    // Index-addressed, per the sweep's visit-order contract (the wavefront
-    // interleaves rows).
-    let mut codes: Vec<u32> = vec![0u32; data.len()];
-    let mut sink = |idx: usize, pred: f64| -> Result<f32, std::convert::Infallible> {
-        Ok(match quant.quantize(data[idx], pred, eb) {
-            Some((code, val)) => {
-                codes[idx] = code;
-                val
-            }
-            None => data[idx],
-        })
-    };
-    let res = if batched {
-        predict::sweep(dims, &mut sink)
-    } else {
-        predict::sweep_reference(dims, &mut vec![0f32; data.len()], &mut sink)
-    };
-    match res {
-        Ok(()) => codes.len(),
-        Err(e) => match e {},
-    }
-}
 
 fn bench_sweep(c: &mut Criterion) {
     let field = nyx::dark_matter_density(Scale::Medium);
@@ -51,11 +23,15 @@ fn bench_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep_predict_quantize");
     group.throughput(Throughput::Bytes(nbytes));
     group.sample_size(20);
+    // The engine's own predict + quantize pass (codes and reconstruction
+    // feedback, no entropy stages) against the same kernel through the
+    // per-point reference sweep.
+    let cfg = SzCompressor::default();
     group.bench_function("batched", |b| {
-        b.iter(|| sweep_once(&field.data, field.dims, true));
+        b.iter(|| quantization_codes(&field.data, field.dims, 1e-3, &cfg));
     });
     group.bench_function("reference", |b| {
-        b.iter(|| sweep_once(&field.data, field.dims, false));
+        b.iter(|| quantization_codes_reference(&field.data, field.dims, 1e-3, &cfg));
     });
     group.finish();
 }

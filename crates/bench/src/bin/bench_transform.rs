@@ -3,22 +3,25 @@
 //! throughput for the fast batched kernels vs the scalar libm baseline.
 //!
 //! The recorded `speedup_fwd_plus_inv` is the acceptance metric for the
-//! kernel work (target ≥ 1.5×). Honours `PWREL_SCALE` and writes the JSON
-//! next to the current directory so a repo-root invocation lands it at
-//! `/BENCH_transform.json`.
+//! kernel work (target ≥ 1.5×). Every timing is reported as the best rep
+//! (`*_s`, which the speedups use) and the median rep (`*_median_s`),
+//! beside the host's core count. Honours `PWREL_SCALE` and writes the
+//! JSON next to the current directory so a repo-root invocation lands it
+//! at `/BENCH_transform.json`.
 
-use pwrel_bench::{scale_from_env, timed};
+use pwrel_bench::{scale_from_env, timed, Reps};
 use pwrel_core::{transform, Kernel, LogBase};
 use pwrel_data::nyx;
 
-#[derive(Clone, Copy)]
+/// One kernel's per-rep forward and inverse seconds.
+#[derive(Default)]
 struct Phase {
-    fwd_s: f64,
-    inv_s: f64,
+    fwd: Reps,
+    inv: Reps,
 }
 
-/// One timed forward + inverse pass.
-fn one_pass(data: &[f64], kernel: Kernel) -> Phase {
+/// One timed forward + inverse pass, recorded into `phase`.
+fn one_pass(data: &[f64], kernel: Kernel, phase: &mut Phase) {
     let base = LogBase::Two;
     let br = 1e-3;
     let (t, fwd_s) = timed(|| transform::forward(data, base, br, 2.0, kernel).unwrap());
@@ -33,25 +36,20 @@ fn one_pass(data: &[f64], kernel: Kernel) -> Phase {
         .unwrap()
     });
     assert_eq!(back.len(), data.len());
-    Phase { fwd_s, inv_s }
+    phase.fwd.push(fwd_s);
+    phase.inv.push(inv_s);
 }
 
-/// Best-of-`reps`, with the two kernels interleaved within every rep so
-/// frequency drift and scheduler noise land on both sides equally.
+/// `reps` passes per kernel, with the two kernels interleaved within
+/// every rep so frequency drift and scheduler noise land on both sides
+/// equally.
 fn measure(data: &[f64], reps: usize) -> (Phase, Phase) {
-    let mut fast = Phase {
-        fwd_s: f64::INFINITY,
-        inv_s: f64::INFINITY,
-    };
-    let mut libm = fast;
-    one_pass(data, Kernel::Fast); // warm-up: page in the dataset
+    let mut fast = Phase::default();
+    let mut libm = Phase::default();
+    one_pass(data, Kernel::Fast, &mut Phase::default()); // warm-up: page in the dataset
     for _ in 0..reps {
-        let f = one_pass(data, Kernel::Fast);
-        let l = one_pass(data, Kernel::Libm);
-        fast.fwd_s = fast.fwd_s.min(f.fwd_s);
-        fast.inv_s = fast.inv_s.min(f.inv_s);
-        libm.fwd_s = libm.fwd_s.min(l.fwd_s);
-        libm.inv_s = libm.inv_s.min(l.inv_s);
+        one_pass(data, Kernel::Fast, &mut fast);
+        one_pass(data, Kernel::Libm, &mut libm);
     }
     (fast, libm)
 }
@@ -62,11 +60,27 @@ fn main() {
     let data: Vec<f64> = field.data.iter().map(|&x| x as f64).collect();
     let nbytes = data.len() * 8;
     let reps = 15;
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let (fast, libm) = measure(&data, reps);
 
     let gibs = |s: f64| nbytes as f64 / s / (1u64 << 30) as f64;
-    let speedup = (libm.fwd_s + libm.inv_s) / (fast.fwd_s + fast.inv_s);
+    let speedup = (libm.fwd.best() + libm.inv.best()) / (fast.fwd.best() + fast.inv.best());
+    let kernel_json = |p: &Phase| {
+        format!(
+            concat!(
+                "{{\"forward_s\": {:.6}, \"forward_median_s\": {:.6}, ",
+                "\"inverse_s\": {:.6}, \"inverse_median_s\": {:.6}, ",
+                "\"forward_gib_s\": {:.3}, \"inverse_gib_s\": {:.3}}}",
+            ),
+            p.fwd.best(),
+            p.fwd.median(),
+            p.inv.best(),
+            p.inv.median(),
+            gibs(p.fwd.best()),
+            gibs(p.inv.best()),
+        )
+    };
 
     let json = format!(
         concat!(
@@ -78,11 +92,10 @@ fn main() {
             "  \"dtype\": \"f64\",\n",
             "  \"base\": \"Two\",\n",
             "  \"rel_bound\": 1e-3,\n",
+            "  \"host_cpus\": {},\n",
             "  \"reps\": {},\n",
-            "  \"fast\": {{\"forward_s\": {:.6}, \"inverse_s\": {:.6}, ",
-            "\"forward_gib_s\": {:.3}, \"inverse_gib_s\": {:.3}}},\n",
-            "  \"libm\": {{\"forward_s\": {:.6}, \"inverse_s\": {:.6}, ",
-            "\"forward_gib_s\": {:.3}, \"inverse_gib_s\": {:.3}}},\n",
+            "  \"fast\": {},\n",
+            "  \"libm\": {},\n",
             "  \"speedup_fwd\": {:.3},\n",
             "  \"speedup_inv\": {:.3},\n",
             "  \"speedup_fwd_plus_inv\": {:.3}\n",
@@ -91,17 +104,12 @@ fn main() {
         field.name,
         scale,
         data.len(),
+        host_cpus,
         reps,
-        fast.fwd_s,
-        fast.inv_s,
-        gibs(fast.fwd_s),
-        gibs(fast.inv_s),
-        libm.fwd_s,
-        libm.inv_s,
-        gibs(libm.fwd_s),
-        gibs(libm.inv_s),
-        libm.fwd_s / fast.fwd_s,
-        libm.inv_s / fast.inv_s,
+        kernel_json(&fast),
+        kernel_json(&libm),
+        libm.fwd.best() / fast.fwd.best(),
+        libm.inv.best() / fast.inv.best(),
         speedup,
     );
     print!("{json}");

@@ -15,6 +15,7 @@ pub mod baseline;
 
 use pwrel_core::{transform, Kernel, LogBase};
 use pwrel_data::{AbsErrorCodec, Dims, Field, Scale};
+use pwrel_kernels::predict;
 use pwrel_pipeline::{global, ChunkPlan, CompressOpts};
 use pwrel_sz::SzCompressor;
 use pwrel_trace::noop;
@@ -152,6 +153,33 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     (r, t0.elapsed().as_secs_f64())
 }
 
+/// One timing's per-rep seconds. The bench files report each timing as
+/// its best rep (which their speedups use) and its median rep.
+#[derive(Debug, Default)]
+pub struct Reps(Vec<f64>);
+
+impl Reps {
+    /// Records one rep.
+    pub fn push(&mut self, s: f64) {
+        self.0.push(s);
+    }
+
+    /// The fastest rep (`inf` before any rep).
+    pub fn best(&self) -> f64 {
+        self.0.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    /// The median rep (`NaN` before any rep).
+    pub fn median(&self) -> f64 {
+        let mut v = self.0.clone();
+        v.sort_by(f64::total_cmp);
+        match v.len() {
+            0 => f64::NAN,
+            n => (v[(n - 1) / 2] + v[n / 2]) / 2.0,
+        }
+    }
+}
+
 /// The bytes SZ_T hands its LZ pass when `field` is compressed in
 /// `chunks` slabs along the slowest axis at `b_r = 1e-3`, as the stream
 /// engine cuts it (serve sends a 64³ field as 4 such chunks): per slab,
@@ -181,6 +209,34 @@ pub fn sz_t_lz_inputs(field: &Field<f32>, chunks: usize) -> Vec<Vec<u8>> {
             stream[1..].to_vec()
         })
         .collect()
+}
+
+/// The codes [`pwrel_sz::quantization_codes`] returns, computed with the
+/// same `QuantKernel` through the per-point
+/// [`predict::sweep_reference`]: the reference the wavefront sweep is
+/// timed against.
+pub fn quantization_codes_reference(
+    data: &[f32],
+    dims: Dims,
+    bound: f64,
+    cfg: &SzCompressor,
+) -> Vec<u32> {
+    let quant = predict::QuantKernel::new(cfg.capacity);
+    let mut codes = vec![0u32; data.len()];
+    let swept = predict::sweep_reference(dims, &mut vec![0f32; data.len()], |idx, pred| {
+        let x = data[idx];
+        Ok::<_, std::convert::Infallible>(match quant.quantize(x, pred, bound) {
+            Some((code, val)) => {
+                codes[idx] = code;
+                val
+            }
+            None => x,
+        })
+    });
+    match swept {
+        Ok(()) => codes,
+        Err(e) => match e {},
+    }
 }
 
 /// Reads the dataset scale from `PWREL_SCALE` (default `medium`).
@@ -291,6 +347,19 @@ mod tests {
         assert_eq!(PwrCodec::ZfpT(LogBase::Two).label(), "ZFP_T");
         assert_eq!(PwrCodec::ZfpP.label(), "ZFP_P");
         assert_eq!(PwrCodec::SzT(LogBase::E).label(), "SZ_T(base E)");
+    }
+
+    #[test]
+    fn reps_report_best_and_median() {
+        let mut r = Reps::default();
+        assert!(r.median().is_nan());
+        for s in [3.0, 1.0, 4.0, 2.0] {
+            r.push(s);
+        }
+        assert_eq!(r.best(), 1.0);
+        assert_eq!(r.median(), 2.5);
+        r.push(5.0);
+        assert_eq!(r.median(), 3.0);
     }
 
     #[test]

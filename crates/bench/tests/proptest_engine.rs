@@ -18,9 +18,6 @@ enum Op {
     /// Full 64-bit values back to back: one word store per value, each
     /// straddling the staged bits of the writes before it.
     Words(Vec<u64>),
-    /// `write_aligned_bytes` when the stream is byte-aligned, 8-bit
-    /// writes otherwise (the seed writer has no aligned-bytes call).
-    Bytes(Vec<u8>),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -30,7 +27,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         4 => (any::<u64>(), 0u32..=64).prop_map(|(v, n)| Op::BitsLsb(v, n)),
         2 => Just(Op::Align),
         1 => prop::collection::vec(any::<u64>(), 64..201).prop_map(Op::Words),
-        2 => prop::collection::vec(any::<u8>(), 0..24).prop_map(Op::Bytes),
     ]
 }
 
@@ -73,18 +69,6 @@ proptest! {
                         prop_assert_eq!(live.bit_len(), seed.bit_len());
                     }
                 }
-                Op::Bytes(bytes) => {
-                    if live.bit_len().is_multiple_of(8) {
-                        live.write_aligned_bytes(bytes);
-                    } else {
-                        for &b in bytes {
-                            live.write_bits(u64::from(b), 8);
-                        }
-                    }
-                    for &b in bytes {
-                        seed.write_bits(u64::from(b), 8);
-                    }
-                }
             }
             prop_assert_eq!(live.bit_len(), seed.bit_len());
         }
@@ -107,17 +91,6 @@ proptest! {
                     for &v in words {
                         prop_assert_eq!(lr.read_bits(64).unwrap(), v);
                         prop_assert_eq!(sr.read_bits(64).unwrap(), v);
-                    }
-                }
-                Op::Bytes(bytes) => {
-                    let got: Vec<u8> = if lr.bits_read().is_multiple_of(8) {
-                        lr.read_aligned_bytes(bytes.len()).unwrap().to_vec()
-                    } else {
-                        (0..bytes.len()).map(|_| lr.read_bits(8).unwrap() as u8).collect()
-                    };
-                    prop_assert_eq!(&got, bytes);
-                    for &b in bytes {
-                        prop_assert_eq!(sr.read_bits(8).unwrap(), u64::from(b));
                     }
                 }
                 Op::Align => {

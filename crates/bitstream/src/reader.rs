@@ -238,25 +238,6 @@ impl<'a> BitReader<'a> {
         // bits_read ≡ -navail (mod 8), so dropping navail % 8 bits aligns.
         self.consume(self.navail % 8);
     }
-
-    /// Reads `n` whole bytes; the reader must be byte-aligned.
-    pub fn read_aligned_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        assert_eq!(
-            self.bits_read() % 8,
-            0,
-            "read_aligned_bytes requires byte alignment"
-        );
-        let start = self.pos - (self.navail / 8) as usize;
-        let end = start.checked_add(n).ok_or(Error::UnexpectedEof)?;
-        if end > self.bytes.len() {
-            return Err(Error::UnexpectedEof);
-        }
-        // Drop the buffered read-ahead and restart after the byte run.
-        self.acc = 0;
-        self.navail = 0;
-        self.pos = end;
-        Ok(&self.bytes[start..end])
-    }
 }
 
 #[cfg(test)]
@@ -296,34 +277,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits_lsb(16).unwrap(), 0b1011_0101_1010_0011);
-    }
-
-    #[test]
-    fn aligned_bytes_round_trip() {
-        let mut w = BitWriter::new();
-        w.write_bits(0b11, 2);
-        w.align_byte();
-        w.write_aligned_bytes(b"abc");
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bits(2).unwrap(), 0b11);
-        r.align_byte();
-        assert_eq!(r.read_aligned_bytes(3).unwrap(), b"abc");
-    }
-
-    #[test]
-    fn aligned_bytes_after_buffered_readahead() {
-        // A prior read buffers well past the byte run; read_aligned_bytes
-        // must hand back the right bytes and resume cleanly after them.
-        let mut w = BitWriter::new();
-        w.write_bits(0xAB, 8);
-        w.write_aligned_bytes(b"wxyz");
-        w.write_bits(0xCD, 8);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bits(8).unwrap(), 0xAB);
-        assert_eq!(r.read_aligned_bytes(4).unwrap(), b"wxyz");
-        assert_eq!(r.read_bits(8).unwrap(), 0xCD);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 /// the write that completes 64 staged bits stores them with one 8-byte
 /// big-endian store and keeps its leftover bits staged. Partial bytes
 /// reach the vector only when the stream is aligned ([`align_byte`],
-/// [`into_bytes`], [`write_aligned_bytes`]). The invariants the hot paths
-/// rely on:
+/// [`into_bytes`]). The invariants the hot paths rely on:
 ///
 /// * outside a call, `nbits < 64`: fewer than 64 bits are staged, and
 ///   every full word has left with one 8-byte store,
@@ -27,7 +26,6 @@
 ///
 /// [`align_byte`]: BitWriter::align_byte
 /// [`into_bytes`]: BitWriter::into_bytes
-/// [`write_aligned_bytes`]: BitWriter::write_aligned_bytes
 /// [`write_bits`]: BitWriter::write_bits
 /// [`write_bit`]: BitWriter::write_bit
 /// [`write_bits_lsb`]: BitWriter::write_bits_lsb
@@ -126,18 +124,6 @@ impl BitWriter {
         self.nbits = 0;
     }
 
-    /// Appends a whole byte slice; the writer must be byte-aligned.
-    pub fn write_aligned_bytes(&mut self, data: &[u8]) {
-        assert_eq!(
-            self.nbits % 8,
-            0,
-            "write_aligned_bytes requires byte alignment"
-        );
-        // The staged whole bytes go first.
-        self.align_byte();
-        self.bytes.extend_from_slice(data);
-    }
-
     /// Finishes the stream (zero-padding the final byte) and returns it.
     pub fn into_bytes(mut self) -> Vec<u8> {
         self.align_byte();
@@ -214,16 +200,6 @@ mod tests {
         w.write_bits(0b101, 3);
         w.align_byte();
         assert_eq!(w.into_bytes(), vec![0b1010_0000]);
-    }
-
-    #[test]
-    fn aligned_bytes_follow_the_staged_bytes() {
-        let mut w = BitWriter::new();
-        w.write_bits(0x1234, 16);
-        w.write_aligned_bytes(&[0xAA, 0xBB]);
-        w.write_bits(0xC, 4);
-        assert_eq!(w.bit_len(), 36);
-        assert_eq!(w.into_bytes(), vec![0x12, 0x34, 0xAA, 0xBB, 0xC0]);
     }
 
     #[test]

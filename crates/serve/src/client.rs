@@ -1,5 +1,6 @@
 //! A small blocking PWRP/1 client: the CLI's `remote` subcommand, the
-//! black-box integration tests, and `bench_serve` all speak through it.
+//! black-box integration tests, and perfbench's serve workload all speak
+//! through it.
 //!
 //! One struct, one connection, sequential requests. The only subtlety
 //! is large request bodies: the server streams its response *while*

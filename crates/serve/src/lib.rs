@@ -20,7 +20,8 @@
 //!   (global in-flight cap), per-connection byte quotas, and read
 //!   timeouts.
 //! - [`client`] — a small blocking client used by the CLI's `remote`
-//!   subcommand, the black-box integration tests, and `bench_serve`.
+//!   subcommand, the black-box integration tests, and perfbench's serve
+//!   workload.
 //! - [`metrics`] — the text `metrics` response, rendered from the
 //!   server's one record, its `pwrel-trace` sink.
 //!
