@@ -322,8 +322,10 @@ impl SeedCanonicalCode {
 /// single-table count (saturating at `u32::MAX`, as the seed counter
 /// did), the live code-length builder, canonical codes assigned in
 /// `(length, symbol)` order as [`SeedCanonicalCode::from_lengths`] assigns
-/// them, and one [`SeedBitWriter::write_bits`] per symbol. Its bytes equal
-/// the live `huffman::encode_symbols_single`'s.
+/// them, and one [`SeedBitWriter::write_bits`] per symbol. The live
+/// encoder writes only the interleaved format, so this is also the one
+/// writer of the single-stream buffers the live decoder still reads
+/// (`tests/huffman_single_stream.rs`).
 pub fn seed_encode_symbols(symbols: &[u32], alphabet: usize) -> Vec<u8> {
     let mut freqs = vec![0u32; alphabet];
     for &s in symbols {

@@ -3,6 +3,8 @@
 use crate::CliError;
 use pwrel_core::LogBase;
 use pwrel_data::Dims;
+use pwrel_pipeline::CompressOpts;
+use std::cell::{Cell, RefCell};
 
 /// Usage text shown on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -14,13 +16,14 @@ USAGE:
   pwrel decompress -i <stream> -o <raw>
   pwrel info       -i <stream>
   pwrel codecs
-  pwrel verify     -i <raw> -c <stream> --dims <...> --bound <b> [--type f32|f64]
-  pwrel pack       -o <archive> --bound <b> [--codec <name>] <raw>:<dims> ...
+  pwrel verify     -i <raw> -c <stream> --bound <b>
+  pwrel pack       -o <archive> --bound <b> [--codec <name>] [--type f32|f64]
+                   [--base 2|e|10] <raw>:<dims> ...
   pwrel unpack     -i <archive> -o <dir>
   pwrel list       -i <archive>
   pwrel run        -i <raw> --dims <...> --bound <b> [--codec <name>]
                    [--type f32|f64] [--base 2|e|10] [--trace <out.json>] [--stats]
-                   [--stream] [--chunk-elems <n>] [--workers <n>] [--window <n>]
+                   [--stream [--chunk-elems <n>] [--workers <n>] [--window <n>]]
   pwrel serve      [--addr <host:port>] [--inflight <n>] [--max-conns <n>]
                    [--quota <bytes>] [--max-elems <n>] [--timeout-ms <ms>]
                    [--chunk-elems <n>]
@@ -28,10 +31,12 @@ USAGE:
                    [--server <host:port>] (plus the matching local flags)
 
   compress   raw little-endian floats -> compressed stream (default codec sz_t)
-  decompress compressed stream -> raw little-endian floats (codec auto-detected)
+  decompress compressed stream -> raw little-endian floats (codec, element
+             type and shape come from the stream header)
   info       print stream kind and sizes
   codecs     list every registered codec
-  verify     decompress and report error statistics against the original
+  verify     decompress and report error statistics against the original,
+             read with the stream's element type and shape
   pack       bundle several fields into one snapshot archive
   unpack     extract every field of an archive into a directory
   list       show an archive's contents
@@ -52,7 +57,7 @@ EXAMPLES:
   pwrel run -i snap.f32 --dims 512x512x512 --bound 1e-3 --trace snap.json --stats
 ";
 
-/// Element type of the raw file.
+/// Element type of a raw input file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElemType {
     /// 4-byte little-endian IEEE floats.
@@ -61,25 +66,64 @@ pub enum ElemType {
     F64,
 }
 
+/// A raw little-endian float file and its grid shape (`-i`, `--dims`;
+/// `pack` takes them as `<raw>:<dims>` specs).
+#[derive(Debug, PartialEq)]
+pub struct RawInput {
+    /// Raw file path.
+    pub path: String,
+    /// Grid shape.
+    pub dims: Dims,
+}
+
+/// How a compressing command encodes: `--codec`, `--type`, `--bound`
+/// and `--base`.
+#[derive(Debug, PartialEq)]
+pub struct CodecArgs {
+    /// Registered codec name (default `sz_t`).
+    pub codec: String,
+    /// Element type of the raw input (default `f32`).
+    pub elem: ElemType,
+    /// Error bound (codec-interpreted) and log base (default 2).
+    pub opts: CompressOpts,
+}
+
+/// `pwrel run`'s arguments.
+#[derive(Debug, PartialEq)]
+pub struct RunArgs {
+    /// Raw input.
+    pub input: RawInput,
+    /// Codec settings.
+    pub codec: CodecArgs,
+    /// Chrome trace_event JSON output path, if requested.
+    pub trace: Option<String>,
+    /// Print the per-stage summary table.
+    pub stats: bool,
+    /// Round trip through the chunk-pipelined streaming path (framed
+    /// stream, bounded memory) instead of one-shot buffers. The three
+    /// knobs below are accepted only with it.
+    pub stream: bool,
+    /// Elements per chunk (default ~4 MiB of elements, clamped to the
+    /// field).
+    pub chunk_elems: Option<usize>,
+    /// Worker thread count (default: one per CPU), clamped to the chunk
+    /// count.
+    pub workers: Option<usize>,
+    /// In-flight chunk window (default: two per worker).
+    pub window: Option<usize>,
+}
+
 /// A parsed command.
 #[derive(Debug, PartialEq)]
 pub enum Command {
     /// `pwrel compress`.
     Compress {
-        /// Raw input path.
-        input: String,
+        /// Raw input.
+        input: RawInput,
         /// Stream output path.
         output: String,
-        /// Grid shape.
-        dims: Dims,
-        /// Error bound (interpretation depends on the codec).
-        bound: f64,
-        /// Registered codec name.
-        codec: String,
-        /// Element type.
-        elem: ElemType,
-        /// Log base for the transform codecs.
-        base: LogBase,
+        /// Codec settings.
+        codec: CodecArgs,
     },
     /// `pwrel decompress`.
     Decompress {
@@ -87,8 +131,6 @@ pub enum Command {
         input: String,
         /// Raw output path.
         output: String,
-        /// Element type expected in the stream.
-        elem: ElemType,
     },
     /// `pwrel info`.
     Info {
@@ -101,16 +143,10 @@ pub enum Command {
     Pack {
         /// Archive output path.
         output: String,
-        /// Error bound for every field.
-        bound: f64,
-        /// Registered codec name.
-        codec: String,
-        /// Element type.
-        elem: ElemType,
-        /// Log base.
-        base: LogBase,
-        /// `(path, dims)` field specs.
-        inputs: Vec<(String, Dims)>,
+        /// Codec settings for every field.
+        codec: CodecArgs,
+        /// The fields, one per `<raw>:<dims>` spec.
+        inputs: Vec<RawInput>,
     },
     /// `pwrel unpack`.
     Unpack {
@@ -125,36 +161,7 @@ pub enum Command {
         input: String,
     },
     /// `pwrel run`.
-    Run {
-        /// Raw input path.
-        input: String,
-        /// Grid shape.
-        dims: Dims,
-        /// Error bound (interpretation depends on the codec).
-        bound: f64,
-        /// Registered codec name.
-        codec: String,
-        /// Element type.
-        elem: ElemType,
-        /// Log base for the transform codecs.
-        base: LogBase,
-        /// Chrome trace_event JSON output path, if requested.
-        trace: Option<String>,
-        /// Print the per-stage summary table.
-        stats: bool,
-        /// Round trip through the chunk-pipelined streaming path
-        /// (framed stream, bounded memory) instead of one-shot buffers.
-        stream: bool,
-        /// Elements per chunk for the streaming path (default ~4 MiB of
-        /// elements, clamped to the field).
-        chunk_elems: Option<usize>,
-        /// Worker thread count for the streaming path (default: one per
-        /// CPU), clamped to the chunk count.
-        workers: Option<usize>,
-        /// In-flight chunk window for the streaming path (default: two
-        /// per worker).
-        window: Option<usize>,
-    },
+    Run(RunArgs),
     /// `pwrel serve`: run the PWRP/1 service in the foreground. Flags
     /// pass through verbatim to `pwrel_serve::ServeConfig::from_args`,
     /// so the subcommand and the standalone `pwrel-serve` binary accept
@@ -176,12 +183,8 @@ pub enum Command {
         input: String,
         /// Compressed stream path.
         stream: String,
-        /// Grid shape of the original.
-        dims: Dims,
         /// Bound to check against.
         bound: f64,
-        /// Element type.
-        elem: ElemType,
     },
 }
 
@@ -189,24 +192,7 @@ pub enum Command {
 #[derive(Debug, PartialEq)]
 pub enum RemoteAction {
     /// Compress a raw file through the server.
-    Compress {
-        /// Raw input path.
-        input: String,
-        /// Stream output path.
-        output: String,
-        /// Grid shape.
-        dims: Dims,
-        /// Error bound (interpretation depends on the codec).
-        bound: f64,
-        /// Registered codec name (validated locally; the server decides).
-        codec: String,
-        /// Element type.
-        elem: ElemType,
-        /// Log base for the transform codecs.
-        base: LogBase,
-        /// Elements per PWS1 chunk (None = server default).
-        chunk_elems: Option<usize>,
-    },
+    Compress(RemoteCompressArgs),
     /// Decompress a PWS1 stream through the server.
     Decompress {
         /// Stream input path.
@@ -227,6 +213,20 @@ pub enum RemoteAction {
     Ping,
 }
 
+/// `pwrel remote compress`'s arguments.
+#[derive(Debug, PartialEq)]
+pub struct RemoteCompressArgs {
+    /// Raw input.
+    pub input: RawInput,
+    /// Stream output path.
+    pub output: String,
+    /// Codec settings (the name is validated locally; the server
+    /// decides).
+    pub codec: CodecArgs,
+    /// Elements per PWS1 chunk (None = server default).
+    pub chunk_elems: Option<usize>,
+}
+
 /// Top-level parsed CLI.
 #[derive(Debug, PartialEq)]
 pub struct Cli {
@@ -244,6 +244,15 @@ pub fn parse_dims(s: &str) -> Result<Dims, CliError> {
     let parts: Vec<&str> = s.split(['x', 'X']).collect();
     let nums: Result<Vec<usize>, _> = parts.iter().map(|p| p.parse::<usize>()).collect();
     let nums = nums.map_err(|_| usage_err(format!("bad --dims value '{s}'")))?;
+    if nums
+        .iter()
+        .try_fold(1usize, |n, &e| n.checked_mul(e))
+        .is_none()
+    {
+        return Err(usage_err(format!(
+            "--dims value '{s}' overflows the point count"
+        )));
+    }
     match nums.as_slice() {
         [nx] => Ok(Dims::d1(*nx)),
         [ny, nx] => Ok(Dims::d2(*ny, *nx)),
@@ -274,18 +283,6 @@ fn parse_base(s: &str) -> Result<LogBase, CliError> {
     }
 }
 
-/// Parses an optional positive-count flag (`--workers 4`); zero is a
-/// usage error, not a silent fallback.
-fn parse_count(flags: &Flags, name: &str) -> Result<Option<usize>, CliError> {
-    match flags.get(&[name]) {
-        None => Ok(None),
-        Some(s) => match s.parse::<usize>() {
-            Ok(0) | Err(_) => Err(usage_err(format!("bad {name} value '{s}' (want >= 1)"))),
-            Ok(n) => Ok(Some(n)),
-        },
-    }
-}
-
 fn parse_elem(s: &str) -> Result<ElemType, CliError> {
     match s {
         "f32" => Ok(ElemType::F32),
@@ -297,12 +294,18 @@ fn parse_elem(s: &str) -> Result<ElemType, CliError> {
 /// Flags that take no value; everything else consumes the next token.
 const BOOLEAN_FLAGS: &[&str] = &["--stats", "--stream"];
 
+const INPUT: &[&str] = &["-i", "--input"];
+const OUTPUT: &[&str] = &["-o", "--output"];
+
 /// Collects `--flag value` / `-f value` pairs, boolean flags, and
-/// positional arguments.
+/// positional arguments, and remembers which of them the command asked
+/// for: [`Flags::finish`] rejects the rest.
 struct Flags {
     pairs: Vec<(String, String)>,
     switches: Vec<String>,
     positionals: Vec<String>,
+    asked: RefCell<Vec<&'static str>>,
+    positionals_taken: Cell<usize>,
 }
 
 impl Flags {
@@ -329,23 +332,95 @@ impl Flags {
             pairs,
             switches,
             positionals,
+            asked: RefCell::new(Vec::new()),
+            positionals_taken: Cell::new(0),
         })
     }
 
-    fn get(&self, names: &[&str]) -> Option<&str> {
+    fn get(&self, names: &[&'static str]) -> Option<&str> {
+        self.asked.borrow_mut().extend_from_slice(names);
         self.pairs
             .iter()
             .find(|(f, _)| names.contains(&f.as_str()))
             .map(|(_, v)| v.as_str())
     }
 
-    fn has(&self, name: &str) -> bool {
+    fn has(&self, name: &'static str) -> bool {
+        self.asked.borrow_mut().push(name);
         self.switches.iter().any(|s| s == name)
     }
 
-    fn require(&self, names: &[&str], what: &str) -> Result<&str, CliError> {
+    fn require(&self, names: &[&'static str], what: &str) -> Result<&str, CliError> {
         self.get(names)
             .ok_or_else(|| usage_err(format!("missing required {what} ({})", names.join("/"))))
+    }
+
+    fn path(&self, names: &[&'static str], what: &str) -> Result<String, CliError> {
+        self.require(names, what).map(str::to_string)
+    }
+
+    /// The first `n` positional arguments (fewer if fewer were given).
+    fn positionals(&self, n: usize) -> &[String] {
+        let n = n.min(self.positionals.len());
+        self.positionals_taken.set(n);
+        &self.positionals[..n]
+    }
+
+    /// Parses an optional positive count (`--workers 4`); zero is a
+    /// usage error, not a silent fallback.
+    fn count(&self, name: &'static str) -> Result<Option<usize>, CliError> {
+        match self.get(&[name]) {
+            None => Ok(None),
+            Some(s) => match s.parse::<usize>() {
+                Ok(0) | Err(_) => Err(usage_err(format!("bad {name} value '{s}' (want >= 1)"))),
+                Ok(n) => Ok(Some(n)),
+            },
+        }
+    }
+
+    fn bound(&self) -> Result<f64, CliError> {
+        self.require(&["--bound", "-b"], "--bound")?
+            .parse::<f64>()
+            .map_err(|_| usage_err("bad --bound value"))
+    }
+
+    /// `-i <raw> --dims <...>`.
+    fn raw_input(&self) -> Result<RawInput, CliError> {
+        Ok(RawInput {
+            path: self.path(INPUT, "input path")?,
+            dims: parse_dims(self.require(&["--dims"], "--dims")?)?,
+        })
+    }
+
+    /// `--codec`, `--type`, `--bound`, `--base`.
+    fn codec_args(&self) -> Result<CodecArgs, CliError> {
+        Ok(CodecArgs {
+            codec: self
+                .get(&["--codec"])
+                .map_or(Ok("sz_t".into()), parse_codec)?,
+            elem: self
+                .get(&["--type"])
+                .map_or(Ok(ElemType::F32), parse_elem)?,
+            opts: CompressOpts {
+                bound: self.bound()?,
+                base: self.get(&["--base"]).map_or(Ok(LogBase::Two), parse_base)?,
+            },
+        })
+    }
+
+    /// Rejects every flag and positional argument `cmd` did not ask for.
+    fn finish(&self, cmd: &str) -> Result<(), CliError> {
+        let asked = self.asked.borrow();
+        let given = self.pairs.iter().map(|(f, _)| f).chain(&self.switches);
+        if let Some(flag) = given.into_iter().find(|f| !asked.contains(&f.as_str())) {
+            return Err(usage_err(format!("'{cmd}' does not take {flag}")));
+        }
+        if let Some(extra) = self.positionals.get(self.positionals_taken.get()) {
+            return Err(usage_err(format!(
+                "unexpected argument '{extra}' to '{cmd}'"
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -369,132 +444,86 @@ impl Cli {
             });
         }
         let flags = Flags::parse(rest)?;
-        let elem = flags
-            .get(&["--type"])
-            .map_or(Ok(ElemType::F32), parse_elem)?;
         let command = match cmd.as_str() {
             "compress" => Command::Compress {
-                input: flags.require(&["-i", "--input"], "input path")?.to_string(),
-                output: flags
-                    .require(&["-o", "--output"], "output path")?
-                    .to_string(),
-                dims: parse_dims(flags.require(&["--dims"], "--dims")?)?,
-                bound: flags
-                    .require(&["--bound", "-b"], "--bound")?
-                    .parse::<f64>()
-                    .map_err(|_| usage_err("bad --bound value"))?,
-                codec: flags
-                    .get(&["--codec"])
-                    .map_or(Ok("sz_t".to_string()), parse_codec)?,
-                elem,
-                base: flags
-                    .get(&["--base"])
-                    .map_or(Ok(LogBase::Two), parse_base)?,
+                input: flags.raw_input()?,
+                output: flags.path(OUTPUT, "output path")?,
+                codec: flags.codec_args()?,
             },
             "decompress" => Command::Decompress {
-                input: flags.require(&["-i", "--input"], "input path")?.to_string(),
-                output: flags
-                    .require(&["-o", "--output"], "output path")?
-                    .to_string(),
-                elem,
+                input: flags.path(INPUT, "input path")?,
+                output: flags.path(OUTPUT, "output path")?,
             },
             "info" => Command::Info {
-                input: flags.require(&["-i", "--input"], "input path")?.to_string(),
+                input: flags.path(INPUT, "input path")?,
             },
             "codecs" => Command::Codecs,
             "pack" => {
-                if flags.positionals.is_empty() {
+                let specs = flags.positionals(usize::MAX);
+                if specs.is_empty() {
                     return Err(usage_err("pack needs at least one <raw>:<dims> spec"));
                 }
-                let mut inputs = Vec::new();
-                for spec in &flags.positionals {
-                    let (path, dims_str) = spec.rsplit_once(':').ok_or_else(|| {
+                let mut inputs = Vec::with_capacity(specs.len());
+                for spec in specs {
+                    let (path, dims) = spec.rsplit_once(':').ok_or_else(|| {
                         usage_err(format!("bad field spec '{spec}' (want path:dims)"))
                     })?;
-                    inputs.push((path.to_string(), parse_dims(dims_str)?));
+                    inputs.push(RawInput {
+                        path: path.to_string(),
+                        dims: parse_dims(dims)?,
+                    });
                 }
                 Command::Pack {
-                    output: flags
-                        .require(&["-o", "--output"], "output path")?
-                        .to_string(),
-                    bound: flags
-                        .require(&["--bound", "-b"], "--bound")?
-                        .parse::<f64>()
-                        .map_err(|_| usage_err("bad --bound value"))?,
-                    codec: flags
-                        .get(&["--codec"])
-                        .map_or(Ok("sz_t".to_string()), parse_codec)?,
-                    elem,
-                    base: flags
-                        .get(&["--base"])
-                        .map_or(Ok(LogBase::Two), parse_base)?,
+                    output: flags.path(OUTPUT, "output path")?,
+                    codec: flags.codec_args()?,
                     inputs,
                 }
             }
             "unpack" => Command::Unpack {
-                input: flags.require(&["-i", "--input"], "input path")?.to_string(),
-                output: flags
-                    .require(&["-o", "--output"], "output dir")?
-                    .to_string(),
+                input: flags.path(INPUT, "input path")?,
+                output: flags.path(OUTPUT, "output dir")?,
             },
             "list" => Command::List {
-                input: flags.require(&["-i", "--input"], "input path")?.to_string(),
+                input: flags.path(INPUT, "input path")?,
             },
-            "run" => Command::Run {
-                input: flags.require(&["-i", "--input"], "input path")?.to_string(),
-                dims: parse_dims(flags.require(&["--dims"], "--dims")?)?,
-                bound: flags
-                    .require(&["--bound", "-b"], "--bound")?
-                    .parse::<f64>()
-                    .map_err(|_| usage_err("bad --bound value"))?,
-                codec: flags
-                    .get(&["--codec"])
-                    .map_or(Ok("sz_t".to_string()), parse_codec)?,
-                elem,
-                base: flags
-                    .get(&["--base"])
-                    .map_or(Ok(LogBase::Two), parse_base)?,
-                trace: flags.get(&["--trace"]).map(|s| s.to_string()),
-                stats: flags.has("--stats"),
-                stream: flags.has("--stream"),
-                chunk_elems: parse_count(&flags, "--chunk-elems")?,
-                workers: parse_count(&flags, "--workers")?,
-                window: parse_count(&flags, "--window")?,
-            },
+            "run" => {
+                let args = RunArgs {
+                    input: flags.raw_input()?,
+                    codec: flags.codec_args()?,
+                    trace: flags.get(&["--trace"]).map(str::to_string),
+                    stats: flags.has("--stats"),
+                    stream: flags.has("--stream"),
+                    chunk_elems: flags.count("--chunk-elems")?,
+                    workers: flags.count("--workers")?,
+                    window: flags.count("--window")?,
+                };
+                let tuned = args.chunk_elems.or(args.workers).or(args.window);
+                if tuned.is_some() && !args.stream {
+                    return Err(usage_err(
+                        "--chunk-elems, --workers and --window need --stream",
+                    ));
+                }
+                Command::Run(args)
+            }
             "remote" => {
-                let action_name = flags.positionals.first().ok_or_else(|| {
+                let action_name = flags.positionals(1).first().ok_or_else(|| {
                     usage_err(
                         "remote needs an action (compress|decompress|info|codecs|metrics|ping)",
                     )
                 })?;
                 let action = match action_name.as_str() {
-                    "compress" => RemoteAction::Compress {
-                        input: flags.require(&["-i", "--input"], "input path")?.to_string(),
-                        output: flags
-                            .require(&["-o", "--output"], "output path")?
-                            .to_string(),
-                        dims: parse_dims(flags.require(&["--dims"], "--dims")?)?,
-                        bound: flags
-                            .require(&["--bound", "-b"], "--bound")?
-                            .parse::<f64>()
-                            .map_err(|_| usage_err("bad --bound value"))?,
-                        codec: flags
-                            .get(&["--codec"])
-                            .map_or(Ok("sz_t".to_string()), parse_codec)?,
-                        elem,
-                        base: flags
-                            .get(&["--base"])
-                            .map_or(Ok(LogBase::Two), parse_base)?,
-                        chunk_elems: parse_count(&flags, "--chunk-elems")?,
-                    },
+                    "compress" => RemoteAction::Compress(RemoteCompressArgs {
+                        input: flags.raw_input()?,
+                        output: flags.path(OUTPUT, "output path")?,
+                        codec: flags.codec_args()?,
+                        chunk_elems: flags.count("--chunk-elems")?,
+                    }),
                     "decompress" => RemoteAction::Decompress {
-                        input: flags.require(&["-i", "--input"], "input path")?.to_string(),
-                        output: flags
-                            .require(&["-o", "--output"], "output path")?
-                            .to_string(),
+                        input: flags.path(INPUT, "input path")?,
+                        output: flags.path(OUTPUT, "output path")?,
                     },
                     "info" => RemoteAction::Info {
-                        input: flags.require(&["-i", "--input"], "input path")?.to_string(),
+                        input: flags.path(INPUT, "input path")?,
                     },
                     "codecs" => RemoteAction::Codecs,
                     "metrics" => RemoteAction::Metrics,
@@ -515,19 +544,13 @@ impl Cli {
                 }
             }
             "verify" => Command::Verify {
-                input: flags.require(&["-i", "--input"], "input path")?.to_string(),
-                stream: flags
-                    .require(&["-c", "--compressed"], "stream path")?
-                    .to_string(),
-                dims: parse_dims(flags.require(&["--dims"], "--dims")?)?,
-                bound: flags
-                    .require(&["--bound", "-b"], "--bound")?
-                    .parse::<f64>()
-                    .map_err(|_| usage_err("bad --bound value"))?,
-                elem,
+                input: flags.path(INPUT, "input path")?,
+                stream: flags.path(&["-c", "--compressed"], "stream path")?,
+                bound: flags.bound()?,
             },
             other => return Err(usage_err(format!("unknown command '{other}'"))),
         };
+        flags.finish(cmd)?;
         Ok(Cli { command })
     }
 }
@@ -548,6 +571,7 @@ mod tests {
         assert!(parse_dims("").is_err());
         assert!(parse_dims("axb").is_err());
         assert!(parse_dims("1x2x3x4").is_err());
+        assert!(parse_dims("99999999999x99999999999x99999999999").is_err());
     }
 
     #[test]
@@ -557,19 +581,12 @@ mod tests {
         ))
         .unwrap();
         match cli.command {
-            Command::Compress {
-                dims,
-                bound,
-                codec,
-                elem,
-                base,
-                ..
-            } => {
-                assert_eq!(dims, Dims::d3(4, 5, 6));
-                assert_eq!(bound, 1e-3);
-                assert_eq!(codec, "zfp_t");
-                assert_eq!(elem, ElemType::F64);
-                assert_eq!(base, LogBase::E);
+            Command::Compress { input, codec, .. } => {
+                assert_eq!(input.dims, Dims::d3(4, 5, 6));
+                assert_eq!(codec.opts.bound, 1e-3);
+                assert_eq!(codec.codec, "zfp_t");
+                assert_eq!(codec.elem, ElemType::F64);
+                assert_eq!(codec.opts.base, LogBase::E);
             }
             _ => panic!("wrong command"),
         }
@@ -579,12 +596,10 @@ mod tests {
     fn compress_defaults() {
         let cli = Cli::parse(&argv("compress -i a -o b --dims 10 --bound 0.01")).unwrap();
         match cli.command {
-            Command::Compress {
-                codec, elem, base, ..
-            } => {
-                assert_eq!(codec, "sz_t");
-                assert_eq!(elem, ElemType::F32);
-                assert_eq!(base, LogBase::Two);
+            Command::Compress { codec, .. } => {
+                assert_eq!(codec.codec, "sz_t");
+                assert_eq!(codec.elem, ElemType::F32);
+                assert_eq!(codec.opts.base, LogBase::Two);
             }
             _ => panic!("wrong command"),
         }
@@ -594,25 +609,81 @@ mod tests {
     fn missing_required_flags_error() {
         assert!(Cli::parse(&argv("compress -i a -o b --bound 0.01")).is_err());
         assert!(Cli::parse(&argv("compress -i a --dims 10 --bound 0.01")).is_err());
-        assert!(Cli::parse(&argv("verify -i a --dims 10 --bound 0.01")).is_err());
+        assert!(Cli::parse(&argv("verify -i a --bound 0.01")).is_err());
         assert!(Cli::parse(&argv("nonsense")).is_err());
         assert!(Cli::parse(&[]).is_err());
     }
 
     #[test]
-    fn decompress_and_info() {
+    fn decompress_info_and_verify() {
         assert_eq!(
             Cli::parse(&argv("decompress -i s -o r")).unwrap().command,
             Command::Decompress {
                 input: "s".into(),
                 output: "r".into(),
-                elem: ElemType::F32
             }
         );
         assert_eq!(
             Cli::parse(&argv("info -i s")).unwrap().command,
             Command::Info { input: "s".into() }
         );
+        assert_eq!(
+            Cli::parse(&argv("verify -i a -c s --bound 1e-3"))
+                .unwrap()
+                .command,
+            Command::Verify {
+                input: "a".into(),
+                stream: "s".into(),
+                bound: 1e-3,
+            }
+        );
+    }
+
+    #[test]
+    fn unknown_and_misplaced_flags_are_usage_errors() {
+        for cmd in [
+            // Misspelled flags.
+            "compress -i a -o b --dims 10 --bound 0.01 --codex zfp_t",
+            "run -i a --dims 10 --bound 0.01 --strem --workers 2",
+            // Chunking knobs without --stream.
+            "run -i a --dims 10 --bound 0.01 --workers 2",
+            "run -i a --dims 10 --bound 0.01 --chunk-elems 64",
+            "run -i a --dims 10 --bound 0.01 --window 4",
+            // The stream header carries the element type and the shape.
+            "decompress -i s -o r --type f64",
+            "verify -i a -c s --dims 10 --bound 0.01",
+            "verify -i a -c s --bound 0.01 --type f64",
+            "remote decompress -i s -o r --type f64",
+            // Flags and arguments of other commands.
+            "info -i s --codec sz_t",
+            "list -i a --stats",
+            "remote ping --bound 0.01",
+            "compress -i a -o b --dims 10 --bound 0.01 stray",
+            "remote ping stray",
+        ] {
+            match Cli::parse(&argv(cmd)) {
+                Err(CliError::Usage(_)) => {}
+                other => panic!("{cmd}: expected a usage error, got {other:?}"),
+            }
+        }
+        match Cli::parse(&argv(
+            "compress -i a -o b --dims 10 --bound 0.01 --codex zfp_t",
+        )) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("--codex"), "{msg}"),
+            other => panic!("expected usage, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn type_is_taken_only_by_the_raw_reading_commands() {
+        for cmd in [
+            "compress -i a -o b --dims 10 --bound 0.01 --type f64",
+            "pack -o x --bound 0.01 --type f64 a:10",
+            "run -i a --dims 10 --bound 0.01 --type f64",
+            "remote compress -i a -o b --dims 10 --bound 0.01 --type f64",
+        ] {
+            assert!(Cli::parse(&argv(cmd)).is_ok(), "{cmd}");
+        }
     }
 
     #[test]
@@ -634,19 +705,12 @@ mod tests {
         ))
         .unwrap();
         match cli.command {
-            Command::Run {
-                dims,
-                bound,
-                codec,
-                trace,
-                stats,
-                ..
-            } => {
-                assert_eq!(dims, Dims::d2(8, 16));
-                assert_eq!(bound, 1e-2);
-                assert_eq!(codec, "zfp_t");
-                assert_eq!(trace.as_deref(), Some("out.json"));
-                assert!(stats);
+            Command::Run(args) => {
+                assert_eq!(args.input.dims, Dims::d2(8, 16));
+                assert_eq!(args.codec.opts.bound, 1e-2);
+                assert_eq!(args.codec.codec, "zfp_t");
+                assert_eq!(args.trace.as_deref(), Some("out.json"));
+                assert!(args.stats);
             }
             _ => panic!("wrong command"),
         }
@@ -657,17 +721,12 @@ mod tests {
         // --stats is a boolean flag: it must not swallow the next token.
         let cli = Cli::parse(&argv("run --stats -i a --dims 10 --bound 0.01")).unwrap();
         match cli.command {
-            Command::Run {
-                input,
-                codec,
-                trace,
-                stats,
-                ..
-            } => {
-                assert_eq!(input, "a");
-                assert_eq!(codec, "sz_t");
-                assert_eq!(trace, None);
-                assert!(stats);
+            Command::Run(args) => {
+                assert_eq!(args.input.path, "a");
+                assert_eq!(args.codec.codec, "sz_t");
+                assert_eq!(args.trace, None);
+                assert!(args.stats);
+                assert!(!args.stream);
             }
             _ => panic!("wrong command"),
         }
@@ -680,17 +739,11 @@ mod tests {
         ))
         .unwrap();
         match cli.command {
-            Command::Run {
-                stream,
-                chunk_elems,
-                workers,
-                window,
-                ..
-            } => {
-                assert!(stream);
-                assert_eq!(chunk_elems, Some(1024));
-                assert_eq!(workers, Some(2));
-                assert_eq!(window, Some(6));
+            Command::Run(args) => {
+                assert!(args.stream);
+                assert_eq!(args.chunk_elems, Some(1024));
+                assert_eq!(args.workers, Some(2));
+                assert_eq!(args.window, Some(6));
             }
             _ => panic!("wrong command"),
         }
@@ -702,27 +755,13 @@ mod tests {
         // the tuning knobs default to None.
         let cli = Cli::parse(&argv("run --stream -i a --dims 10 --bound 0.01")).unwrap();
         match cli.command {
-            Command::Run {
-                input,
-                stream,
-                chunk_elems,
-                workers,
-                window,
-                ..
-            } => {
-                assert_eq!(input, "a");
-                assert!(stream);
-                assert_eq!(chunk_elems, None);
-                assert_eq!(workers, None);
-                assert_eq!(window, None);
+            Command::Run(args) => {
+                assert_eq!(args.input.path, "a");
+                assert!(args.stream);
+                assert_eq!(args.chunk_elems, None);
+                assert_eq!(args.workers, None);
+                assert_eq!(args.window, None);
             }
-            _ => panic!("wrong command"),
-        }
-        match Cli::parse(&argv("run -i a --dims 10 --bound 0.01"))
-            .unwrap()
-            .command
-        {
-            Command::Run { stream, .. } => assert!(!stream),
             _ => panic!("wrong command"),
         }
     }
@@ -730,9 +769,10 @@ mod tests {
     #[test]
     fn zero_counts_are_usage_errors() {
         for flag in ["--chunk-elems", "--workers", "--window"] {
-            let err = Cli::parse(&argv(&format!("run -i a --dims 10 --bound 0.01 {flag} 0")));
+            let run = "run -i a --dims 10 --bound 0.01 --stream";
+            let err = Cli::parse(&argv(&format!("{run} {flag} 0")));
             assert!(matches!(err, Err(CliError::Usage(_))), "{flag} 0: {err:?}");
-            let err = Cli::parse(&argv(&format!("run -i a --dims 10 --bound 0.01 {flag} x")));
+            let err = Cli::parse(&argv(&format!("{run} {flag} x")));
             assert!(matches!(err, Err(CliError::Usage(_))), "{flag} x: {err:?}");
         }
     }
@@ -770,21 +810,13 @@ mod tests {
             Command::Remote { server, action } => {
                 assert_eq!(server, "10.0.0.1:9999");
                 match action {
-                    RemoteAction::Compress {
-                        dims,
-                        bound,
-                        codec,
-                        elem,
-                        base,
-                        chunk_elems,
-                        ..
-                    } => {
-                        assert_eq!(dims, Dims::d2(8, 8));
-                        assert_eq!(bound, 1e-3);
-                        assert_eq!(codec, "zfp_t");
-                        assert_eq!(elem, ElemType::F64);
-                        assert_eq!(base, LogBase::Ten);
-                        assert_eq!(chunk_elems, Some(32));
+                    RemoteAction::Compress(args) => {
+                        assert_eq!(args.input.dims, Dims::d2(8, 8));
+                        assert_eq!(args.codec.opts.bound, 1e-3);
+                        assert_eq!(args.codec.codec, "zfp_t");
+                        assert_eq!(args.codec.elem, ElemType::F64);
+                        assert_eq!(args.codec.opts.base, LogBase::Ten);
+                        assert_eq!(args.chunk_elems, Some(32));
                     }
                     other => panic!("wrong action {other:?}"),
                 }

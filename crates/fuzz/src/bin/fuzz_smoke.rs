@@ -7,16 +7,55 @@
 //! cargo run --release -p pwrel-fuzz --bin fuzz_smoke -- --seconds 60
 //! ```
 //!
-//! Seeds every golden fixture under `tests/fixtures/`, then loops:
-//! pick a seed, apply a random batch of byte flips / truncations /
-//! splices, and feed the result to every fuzz target. Any panic aborts
-//! the process with a non-zero status, which is the CI failure signal.
+//! Seeds every golden fixture under `tests/fixtures/` (all `PWU1`
+//! containers) plus `PWS1` framed streams built in process (sz_t and
+//! zfp_t, four frames each), then loops: pick a seed, apply a random
+//! batch of byte flips / truncations / splices, and feed the result to
+//! every fuzz target. Any panic aborts the process with a non-zero
+//! status, which is the CI failure signal.
 //! This is the registry-less stand-in for the coverage-guided `fuzz/`
 //! scaffold; it trades feedback for determinism and zero dependencies.
 
+use pwrel_data::Dims;
+use pwrel_pipeline::{global, CompressOpts, SliceSource};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::time::{Duration, Instant};
+
+/// Framed streams of a signed 16³ field, four 4-slice frames each: sz_t
+/// on f32 and zfp_t on f64, so both element types reach the frame walk.
+fn framed_seeds() -> Vec<Vec<u8>> {
+    let dims = Dims::d3(16, 16, 16);
+    let field: Vec<f64> = (0..dims.len())
+        .map(|i| (i as f64 * 0.37).sin() * 10f64.powi((i % 9) as i32 - 4))
+        .collect();
+    let single: Vec<f32> = field.iter().map(|&v| v as f32).collect();
+    let opts = CompressOpts::rel(1e-3);
+    let chunk = 4 * 16 * 16;
+    let mut sz_t = Vec::new();
+    global()
+        .compress_stream(
+            "sz_t",
+            &mut SliceSource::new(&single[..]),
+            &mut sz_t,
+            dims,
+            &opts,
+            chunk,
+        )
+        .expect("sz_t framed seed");
+    let mut zfp_t = Vec::new();
+    global()
+        .compress_stream(
+            "zfp_t",
+            &mut SliceSource::new(&field[..]),
+            &mut zfp_t,
+            dims,
+            &opts,
+            chunk,
+        )
+        .expect("zfp_t framed seed");
+    vec![sz_t, zfp_t]
+}
 
 fn corpus() -> Vec<Vec<u8>> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures");
@@ -36,6 +75,7 @@ fn corpus() -> Vec<Vec<u8>> {
         // Degenerate fallback so the smoke still runs from odd CWDs.
         seeds.push(b"PWU1\x01\x00\x20\x01".to_vec());
     }
+    seeds.extend(framed_seeds());
     seeds
 }
 

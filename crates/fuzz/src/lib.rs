@@ -15,19 +15,16 @@
 
 use pwrel_bitstream::BitReader;
 use pwrel_lossless::huffman;
-use pwrel_pipeline::container;
-use pwrel_pipeline::registry::global;
+use pwrel_pipeline::{global, identify};
 use pwrel_zfp::nb;
 
-/// Unified `PWU1` container parse + full registry decode dispatch.
+/// The registry's one read path: header identification and full decode
+/// of a `PWU1` container or a `PWS1` framed stream, at both element
+/// types. Any other magic fails at once, so every input takes it.
 pub fn fuzz_container_header(data: &[u8]) {
-    let _ = container::is_unified(data);
-    if container::unwrap(data).is_ok() {
-        // Header parsed: the payload must now fail (or round-trip)
-        // structurally in whichever codec the id dispatches to.
-        let _ = global().decompress::<f32>(data);
-        let _ = global().decompress::<f64>(data);
-    }
+    let _ = identify(data);
+    let _ = global().decompress::<f32>(data);
+    let _ = global().decompress::<f64>(data);
 }
 
 /// Canonical Huffman table + symbol stream decoder.
@@ -79,6 +76,7 @@ mod tests {
             Vec::new(),
             b"PWU1".to_vec(),
             b"PWU1\x01\x00\x20".to_vec(),
+            b"PWS1\x02\x01\x20\x01".to_vec(),
             vec![0xFF; 64],
             (0..=255u8).collect(),
         ];

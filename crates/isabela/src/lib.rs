@@ -260,7 +260,10 @@ pub fn decompress<F: Float>(bytes: &[u8]) -> Result<(Vec<F>, Dims), CodecError> 
     pos = sym_end;
     let elem = F::BITS as usize / 8;
     let n_escapes = varint::read_uvarint(bytes, &mut pos)? as usize;
-    let escape_buf = bytesio::get_bytes(bytes, &mut pos, n_escapes * elem)?;
+    let escape_bytes = n_escapes
+        .checked_mul(elem)
+        .ok_or(CodecError::Corrupt("escape count overflows"))?;
+    let escape_buf = bytesio::get_bytes(bytes, &mut pos, escape_bytes)?;
 
     let n = dims.len();
     if symbols.len() != n {

@@ -8,8 +8,10 @@
 //! Two packed-buffer modes share the serialized table format:
 //!
 //! * **Single-stream (legacy)** — one bit-stream of all symbols in order;
-//!   every buffer written before the interleaved mode existed, and the
-//!   fallback the decoder keeps accepting byte-for-byte.
+//!   every buffer written before the interleaved mode existed (the
+//!   version-1 golden fixtures carry it). Only the decoder remains: it
+//!   keeps accepting these buffers byte-for-byte, and the frozen seed
+//!   encoder in `pwrel-bench` writes them for tests.
 //! * **Interleaved** — the Huff0/zstd trick: symbols split round-robin
 //!   into [`LANES`] independently addressable sub-streams, each encoded
 //!   with the *same* canonical code. Per-symbol order within a sub-stream
@@ -338,7 +340,8 @@ impl CanonicalCode {
     }
 
     /// Writes a whole symbol slice — the bulk counterpart of
-    /// [`CanonicalCode::encode`], used by every entropy stage hot path.
+    /// [`CanonicalCode::encode`], and the definition each interleaved
+    /// sub-stream's bytes are tested against.
     ///
     /// Codes concatenate MSB-first into a local accumulator and reach the
     /// writer as near-full 64-bit words — one [`BitWriter::write_bits`]
@@ -777,24 +780,6 @@ pub(crate) fn encoded_len_lower_bound(freqs: &[u64]) -> usize {
     table.len() + (code.encoded_bits(freqs) / 8) as usize
 }
 
-/// [`encode_symbols`] in the legacy single-stream mode (table + count +
-/// one payload). Kept as a first-class encoder so equivalence tests and
-/// the seed-engine benchmarks can still produce the format every
-/// pre-interleaving stream used; [`decode_symbols`] accepts both modes.
-pub fn encode_symbols_single(symbols: &[u32], alphabet: usize) -> Vec<u8> {
-    let (pairs, _) = count_pairs(symbols, alphabet);
-    let code = CanonicalCode::from_pairs(&code_length_pairs(&pairs, alphabet), alphabet);
-    let mut out = Vec::new();
-    code.serialize(&mut out);
-    varint::write_uvarint(&mut out, symbols.len() as u64);
-    let mut w = BitWriter::with_capacity(symbols.len() / 2);
-    code.encode_all(&mut w, symbols);
-    let payload = w.into_bytes();
-    varint::write_uvarint(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    out
-}
-
 /// Inverse of [`encode_symbols`]; advances `pos` past the buffer. Accepts
 /// both packed modes: buffers starting with the interleaved marker decode
 /// through the fused multi-reader loop, anything else through the legacy
@@ -1082,29 +1067,6 @@ mod tests {
     }
 
     #[test]
-    fn hostile_symbol_count_is_rejected_before_allocation() {
-        let syms: Vec<u32> = (0..64).map(|i| i % 16).collect();
-        let buf = encode_symbols_single(&syms, 16);
-        // Re-serialize with an absurd declared count: table, then count,
-        // then the original (now far too short) payload.
-        let mut pos = 0;
-        let code = CanonicalCode::deserialize(&buf, &mut pos).unwrap();
-        let _n = varint::read_uvarint(&buf, &mut pos).unwrap();
-        let payload_len = varint::read_uvarint(&buf, &mut pos).unwrap() as usize;
-        let payload = &buf[pos..pos + payload_len];
-        let mut forged = Vec::new();
-        code.serialize(&mut forged);
-        varint::write_uvarint(&mut forged, u32::MAX as u64);
-        varint::write_uvarint(&mut forged, payload_len as u64);
-        forged.extend_from_slice(payload);
-        let mut pos = 0;
-        assert_eq!(
-            decode_symbols(&forged, &mut pos),
-            Err(Error::InvalidValue("symbol count exceeds payload bits"))
-        );
-    }
-
-    #[test]
     fn large_alphabet_sparse_usage() {
         // SZ uses a 65536-code alphabet with few distinct codes in practice.
         let syms: Vec<u32> = (0..5000).map(|i| 32768 + (i % 5) * 17).collect();
@@ -1116,20 +1078,6 @@ mod tests {
 
     fn mixed_symbols(n: usize) -> Vec<u32> {
         (0..n as u32).map(|i| (i * i + 7 * i) % 300).collect()
-    }
-
-    #[test]
-    fn interleaved_and_single_modes_decode_identically() {
-        for n in [0usize, 1, 2, 3, 4, 5, 63, 64, 1000, 20_000] {
-            let syms = mixed_symbols(n);
-            let new_buf = encode_symbols(&syms, 512);
-            let old_buf = encode_symbols_single(&syms, 512);
-            let (mut p0, mut p1) = (0, 0);
-            assert_eq!(decode_symbols(&new_buf, &mut p0).unwrap(), syms, "n={n}");
-            assert_eq!(decode_symbols(&old_buf, &mut p1).unwrap(), syms, "n={n}");
-            assert_eq!(p0, new_buf.len());
-            assert_eq!(p1, old_buf.len());
-        }
     }
 
     #[test]
@@ -1255,8 +1203,6 @@ mod tests {
         let (_, payload_len, _, lens, _) = dissect(&buf);
         assert_eq!(lane_lengths(&buf), Some(lens));
         assert_eq!(lens.iter().sum::<u64>(), payload_len);
-        let legacy = encode_symbols_single(&syms, 512);
-        assert_eq!(lane_lengths(&legacy), None);
         assert_eq!(lane_lengths(&[]), None);
     }
 

@@ -9,7 +9,7 @@ use pwrel_trace::Recorder;
 /// `bound` is interpreted by the codec: a point-wise relative bound for
 /// the transform-wrapped and PWR codecs, an absolute bound for `sz_abs`.
 /// `base` only matters to the log-transform codecs; the rest ignore it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressOpts {
     /// Error bound (codec-interpreted, see above).
     pub bound: f64,

@@ -86,12 +86,14 @@ pub fn is_unified(bytes: &[u8]) -> bool {
     bytes.starts_with(CONTAINER_MAGIC)
 }
 
-/// Parses a unified stream into its header and codec payload.
+/// Parses a unified stream's header: every field before the payload,
+/// the payload length included. It reads only the header's own bytes,
+/// so a stream prefix that holds the header parses. Returns the header,
+/// the recorded payload length and the offset the payload starts at.
 ///
 /// Fails with [`CodecError::Mismatch`] when the magic is absent or the
-/// version is unknown, [`CodecError::Corrupt`] on malformed header
-/// fields or a payload shorter than its recorded length.
-pub fn unwrap(bytes: &[u8]) -> Result<(ContainerHeader, &[u8]), CodecError> {
+/// version is unknown, [`CodecError::Corrupt`] on malformed fields.
+pub fn read_header(bytes: &[u8]) -> Result<(ContainerHeader, usize, usize), CodecError> {
     if !is_unified(bytes) {
         return Err(CodecError::Mismatch("not a unified container"));
     }
@@ -129,19 +131,25 @@ pub fn unwrap(bytes: &[u8]) -> Result<(ContainerHeader, &[u8]), CodecError> {
         ENTROPY_MODE_SINGLE
     };
     let payload_len = varint::read_uvarint(bytes, &mut pos)? as usize;
+    let header = ContainerHeader {
+        version,
+        codec_id,
+        elem_bits,
+        dims,
+        bound,
+        base,
+        entropy_mode,
+    };
+    Ok((header, payload_len, pos))
+}
+
+/// Parses a unified stream into its header and codec payload: the
+/// [`read_header`] errors, plus [`CodecError::Corrupt`] for a payload
+/// shorter than its recorded length.
+pub fn unwrap(bytes: &[u8]) -> Result<(ContainerHeader, &[u8]), CodecError> {
+    let (header, payload_len, mut pos) = read_header(bytes)?;
     let payload = bytesio::get_bytes(bytes, &mut pos, payload_len)?;
-    Ok((
-        ContainerHeader {
-            version,
-            codec_id,
-            elem_bits,
-            dims,
-            bound,
-            base,
-            entropy_mode,
-        },
-        payload,
-    ))
+    Ok((header, payload))
 }
 
 #[cfg(test)]
@@ -210,6 +218,16 @@ mod tests {
                 "mode={bad}"
             );
         }
+    }
+
+    #[test]
+    fn header_parses_without_the_payload() {
+        let payload = [7u8; 300];
+        let bytes = wrap(&header(), &payload);
+        let start = bytes.len() - payload.len();
+        let (h, len, at) = read_header(&bytes[..start]).unwrap();
+        assert_eq!((h, len, at), (header(), payload.len(), start));
+        assert!(unwrap(&bytes[..start]).is_err());
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * [`container`] defines the one versioned self-describing outer
 //!   header (`magic | version | codec id | elem | dims | bound
 //!   metadata`) every registered codec's stream is wrapped in,
-//! * [`legacy`] keeps pre-registry streams decodable by sniffing the old
-//!   per-codec magics,
+//! * [`identify`] reads either header without the payload behind it,
+//!   and [`StreamInfo`]'s `Display` is the one rendering of what it says,
 //! * [`stream`] is the framed streaming layer: a stream header plus
 //!   self-describing per-chunk frames so whole fields compress and
 //!   decompress through chunk sources/sinks with bounded memory. Its one
@@ -35,7 +35,6 @@
 pub mod codec;
 pub mod codecs;
 pub mod container;
-pub mod legacy;
 pub mod registry;
 pub mod stream;
 
@@ -44,8 +43,7 @@ pub use container::{
     ContainerHeader, CONTAINER_MAGIC, CONTAINER_VERSION, ENTROPY_MODE_INTERLEAVED,
     ENTROPY_MODE_SINGLE,
 };
-pub use legacy::{identify, StreamInfo, StreamKind};
-pub use registry::{global, CodecRegistry};
+pub use registry::{global, identify, CodecRegistry, StreamInfo};
 pub use stream::{
     BufferPool, ChunkPlan, ChunkSink, ChunkSource, FrameHeader, FrameWalker, ReadSource,
     SliceSource, StreamHeader, StreamStats, VecSink, WriteSink, STREAM_MAGIC, STREAM_VERSION,

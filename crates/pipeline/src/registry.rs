@@ -1,12 +1,13 @@
-//! The codec registry: id/name lookup plus container-aware dispatch.
+//! The codec registry: id/name lookup plus container-aware dispatch, and
+//! stream identification from a header alone.
 
 use crate::codec::{Codec, CompressOpts, PipelineElem};
 use crate::codecs;
 use crate::container::{self, ContainerHeader, CONTAINER_VERSION};
-use crate::legacy;
 use crate::stream::{self, ChunkSink, ChunkSource, Sequential, StreamHeader, StreamStats, VecSink};
 use pwrel_data::{CodecError, Dims};
 use pwrel_trace::{noop, stage, Recorder, Span};
+use std::fmt;
 use std::sync::OnceLock;
 
 /// An ordered set of [`Codec`] implementations keyed by id and name.
@@ -224,8 +225,9 @@ impl CodecRegistry {
             .ok_or(CodecError::InvalidArgument("unknown codec id in stream"))
     }
 
-    /// Decompresses a unified container, a framed stream, or (by legacy
-    /// per-codec magic sniff) a pre-container stream.
+    /// Decompresses a unified container or a framed stream. Anything
+    /// else, a bare codec payload included, is [`CodecError::Mismatch`]:
+    /// such a payload decodes through its own codec.
     pub fn decompress<F: PipelineElem>(&self, bytes: &[u8]) -> Result<(Vec<F>, Dims), CodecError> {
         self.decompress_traced(bytes, noop())
     }
@@ -259,9 +261,6 @@ impl CodecRegistry {
             }
             return Ok((data, header.dims));
         }
-        if !container::is_unified(bytes) {
-            return legacy::decompress_legacy(bytes);
-        }
         let (header, payload) = container::unwrap(bytes)?;
         if header.elem_bits as u32 != F::BITS {
             return Err(CodecError::Mismatch("element type does not match stream"));
@@ -281,6 +280,78 @@ impl CodecRegistry {
         }
         Ok((data, dims))
     }
+}
+
+/// What a compressed stream's header says it holds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum StreamInfo {
+    /// A unified container with its parsed header.
+    Unified(ContainerHeader),
+    /// A framed chunk stream with its parsed stream header.
+    Framed(StreamHeader),
+}
+
+impl StreamInfo {
+    /// Element width in bits (32 or 64).
+    pub fn elem_bits(&self) -> u8 {
+        match self {
+            StreamInfo::Unified(h) => h.elem_bits,
+            StreamInfo::Framed(h) => h.elem_bits,
+        }
+    }
+}
+
+/// One line naming the stream kind, the codec (by its builtin registry
+/// name), element type, shape, bound and entropy mode: what `pwrel info`
+/// and the service's `info` request print.
+impl fmt::Display for StreamInfo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (kind, codec_id, elem_bits, dims, bound, mode) = match self {
+            StreamInfo::Unified(h) => (
+                "unified container",
+                h.codec_id,
+                h.elem_bits,
+                h.dims,
+                h.bound,
+                h.entropy_mode,
+            ),
+            StreamInfo::Framed(h) => (
+                "framed stream",
+                h.codec_id,
+                h.elem_bits,
+                h.dims,
+                h.bound,
+                h.entropy_mode,
+            ),
+        };
+        let name = global().get(codec_id).map_or("<unknown>", |c| c.name());
+        write!(
+            f,
+            "{kind}: codec {name} (id {codec_id}), f{elem_bits}, dims {dims}, bound {bound:e}, "
+        )?;
+        if let StreamInfo::Framed(h) = self {
+            write!(f, "{} chunks, ", h.n_chunks)?;
+        }
+        // The mode byte is also the entropy stage's sub-stream count.
+        match mode {
+            container::ENTROPY_MODE_SINGLE => write!(f, "entropy mode 1 (single stream)"),
+            _ => write!(f, "entropy mode {mode} (interleaved, {mode} sub-streams)"),
+        }
+    }
+}
+
+/// Identifies a unified container or a framed stream from its header
+/// bytes alone, so a prefix that holds the header is enough.
+pub fn identify(bytes: &[u8]) -> Option<StreamInfo> {
+    if stream::is_framed(bytes) {
+        let mut r: &[u8] = bytes;
+        return stream::decode_stream_header(&mut r)
+            .ok()
+            .map(StreamInfo::Framed);
+    }
+    container::read_header(bytes)
+        .ok()
+        .map(|(h, _, _)| StreamInfo::Unified(h))
 }
 
 impl Default for CodecRegistry {
@@ -370,6 +441,36 @@ mod tests {
             assert_eq!(d, dims, "{}", codec.name());
             assert_eq!(back.len(), data.len(), "{}", codec.name());
         }
+    }
+
+    #[test]
+    fn identify_reads_the_header_alone() {
+        let data: Vec<f32> = (1..5000).map(|i| (i as f32).sqrt()).collect();
+        let dims = Dims::d1(data.len());
+        let opts = CompressOpts::rel(1e-3);
+        let r = CodecRegistry::builtin();
+        let unified = r.compress("sz_t", &data, dims, &opts).unwrap();
+        let mut framed = Vec::new();
+        let mut src = stream::SliceSource::new(&data[..]);
+        r.compress_stream("zfp_t", &mut src, &mut framed, dims, &opts, 1024)
+            .unwrap();
+        for (bytes, want) in [
+            (
+                unified,
+                "unified container: codec sz_t (id 1), f32, dims 4999, bound 1e-3",
+            ),
+            (
+                framed,
+                "framed stream: codec zfp_t (id 3), f32, dims 4999, bound 1e-3, 5 chunks",
+            ),
+        ] {
+            // 40 bytes hold either header but none of the payload.
+            let info = identify(&bytes[..40]).unwrap();
+            assert_eq!(info.elem_bits(), 32);
+            assert!(info.to_string().starts_with(want), "{info}");
+        }
+        assert_eq!(identify(b"PWT1 pre-container stream"), None);
+        assert_eq!(identify(b""), None);
     }
 
     #[test]

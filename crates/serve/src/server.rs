@@ -31,7 +31,7 @@ use crate::ServeConfig;
 use pwrel_pipeline::stream::decode_stream_header;
 use pwrel_pipeline::{
     global, identify, CodecRegistry, CompressOpts, PipelineElem, ReadSource, StreamHeader,
-    StreamInfo, WriteSink,
+    WriteSink,
 };
 use pwrel_trace::{stage, Recorder, TraceSink};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -478,12 +478,7 @@ fn dispatch(
         proto::MSG_INFO => {
             let t0 = Instant::now();
             let blob = proto::decode_info_blob(reader)?;
-            let text = match identify(&blob) {
-                Some(StreamInfo::Unified(h)) => format!("unified container: {h:?}"),
-                Some(StreamInfo::Framed(h)) => format!("framed stream: {h:?}"),
-                Some(StreamInfo::Legacy(kind)) => kind.describe().to_string(),
-                None => "unrecognized stream".to_string(),
-            };
+            let text = identify(&blob).map_or("unrecognized stream".to_string(), |i| i.to_string());
             span_total(shared, stage::SERVE_INFO, t0);
             respond_ok_body(writer, prefix, shared, text.as_bytes())?;
             Ok(true)

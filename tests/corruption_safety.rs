@@ -394,7 +394,8 @@ mod forged {
     /// nx = 2^63 + 8 and ny = 2: the point count wraps `usize` to 16, the
     /// stream's real count, and the decoder then indexed past its class
     /// table. `Dims::from_header` must refuse the header, both when fpzip
-    /// is called directly and when the registry routes the raw bytes.
+    /// is called directly and when the registry routes the payload out of
+    /// a container.
     #[test]
     fn dims_whose_point_count_wraps_are_corrupt() {
         let dims = Dims::d1(16);
@@ -414,7 +415,12 @@ mod forged {
         }
         forged.extend_from_slice(&stream[pos..]);
         let direct = pwrel::fpzip::decompress::<f32>(&forged).map(|_| ());
-        let routed = global().decompress::<f32>(&forged).map(|_| ());
+        let opts = pwrel::pipeline::CompressOpts::rel(1e-3);
+        let unified = global().compress("fpzip", &data, dims, &opts).unwrap();
+        let (header, _) = container::unwrap(&unified).unwrap();
+        let routed = global()
+            .decompress::<f32>(&container::wrap(&header, &forged))
+            .map(|_| ());
         for (path, result) in [("fpzip", direct), ("registry", routed)] {
             match result {
                 Err(CodecError::Corrupt("bad dims")) => {}
@@ -446,6 +452,41 @@ mod forged {
         forged.extend_from_slice(&table);
         forged.extend_from_slice(&stream[classes_end..]);
         match pwrel::fpzip::decompress::<f32>(&forged) {
+            Err(CodecError::Corrupt(_)) => {}
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// ISABELA's escape count times the element width: a count whose
+    /// byte length wraps (2^61 f64 escapes wrap to 0 bytes) must be
+    /// corrupt, not an overflow panic or a decode that ignores it.
+    #[test]
+    fn isabela_escape_count_whose_bytes_wrap_is_corrupt() {
+        let dims = Dims::d1(64);
+        let data: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin() + 2.0).collect();
+        let stream = IsabelaCompressor::default()
+            .compress_rel(&data, dims, 1e-2)
+            .unwrap();
+        // magic, float width, rank, nx ny nz, bound f64, window, knots,
+        // then three length-prefixed sections (permutation, knots,
+        // symbols) before the escape count.
+        let mut pos = 4 + 2;
+        for _ in 0..3 {
+            read_uvarint(&stream, &mut pos);
+        }
+        pos += 8;
+        read_uvarint(&stream, &mut pos);
+        read_uvarint(&stream, &mut pos);
+        for _ in 0..3 {
+            let len = read_uvarint(&stream, &mut pos) as usize;
+            pos += len;
+        }
+        let count_at = pos;
+        let mut forged = stream[..count_at].to_vec();
+        read_uvarint(&stream, &mut pos);
+        write_uvarint(&mut forged, 1 << 61);
+        forged.extend_from_slice(&stream[pos..]);
+        match pwrel::isabela::decompress::<f64>(&forged) {
             Err(CodecError::Corrupt(_)) => {}
             other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
         }

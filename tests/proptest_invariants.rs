@@ -55,23 +55,6 @@ proptest! {
     }
 
     #[test]
-    fn huffman_single_and_interleaved_decode_agree(
-        syms in prop::collection::vec(0u32..512, 0..8192)
-    ) {
-        // The legacy single-stream format and the 4-way interleaved
-        // format are alternative encodings of the same symbols; one
-        // decoder entry point must read both back identically.
-        let legacy = huffman::encode_symbols_single(&syms, 512);
-        let inter = huffman::encode_symbols(&syms, 512);
-        let mut pos = 0;
-        prop_assert_eq!(huffman::decode_symbols(&legacy, &mut pos).unwrap(), syms.clone());
-        prop_assert_eq!(pos, legacy.len());
-        let mut pos = 0;
-        prop_assert_eq!(huffman::decode_symbols(&inter, &mut pos).unwrap(), syms);
-        prop_assert_eq!(pos, inter.len());
-    }
-
-    #[test]
     fn sz_abs_bound_always_holds(data in data_vec(), eb_exp in -12i32..2) {
         let eb = (eb_exp as f64).exp2();
         let dims = Dims::d1(data.len());

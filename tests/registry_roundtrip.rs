@@ -213,9 +213,9 @@ fn elem_width_mismatch_is_mismatch_error() {
 }
 
 #[test]
-fn legacy_streams_still_decode_through_the_registry() {
+fn bare_codec_payloads_are_mismatch() {
     use pwrel::core::{LogBase, PwRelCompressor};
-    use pwrel::data::AbsErrorCodec;
+    use pwrel::data::{AbsErrorCodec, CodecError};
     use pwrel::sz::SzCompressor;
     use pwrel::zfp::ZfpCompressor;
     use pwrel_trace::noop;
@@ -223,28 +223,32 @@ fn legacy_streams_still_decode_through_the_registry() {
     let data: Vec<f32> = (1..3000).map(|i| (i as f32).ln() + 0.5).collect();
     let dims = Dims::d1(data.len());
 
-    // Pre-container streams: raw per-codec magics.
-    let legacy_szt = PwRelCompressor::new(SzCompressor::default(), LogBase::Two)
+    // A codec's own payload, without the PWU1 or PWS1 header around it,
+    // is not a registry stream: it decodes through its own codec.
+    let sz_t = PwRelCompressor::new(SzCompressor::default(), LogBase::Two);
+    let bare_szt = sz_t.compress(&data, dims, 1e-3, noop()).unwrap();
+    let bare_zfpt = PwRelCompressor::new(ZfpCompressor, LogBase::Ten)
         .compress(&data, dims, 1e-3, noop())
         .unwrap();
-    let legacy_zfpt = PwRelCompressor::new(ZfpCompressor, LogBase::Ten)
-        .compress(&data, dims, 1e-3, noop())
-        .unwrap();
-    let legacy_sz = SzCompressor::default()
+    let bare_sz = SzCompressor::default()
         .compress_abs(&data, dims, 1e-3, noop())
         .unwrap();
-
     for (tag, stream) in [
-        ("legacy sz_t", legacy_szt),
-        ("legacy zfp_t", legacy_zfpt),
-        ("legacy sz_abs", legacy_sz),
+        ("sz_t", &bare_szt),
+        ("zfp_t", &bare_zfpt),
+        ("sz_abs", &bare_sz),
     ] {
-        let (dec, d) = global()
-            .decompress::<f32>(&stream)
-            .unwrap_or_else(|e| panic!("{tag}: {e:?}"));
-        assert_eq!(d, dims, "{tag}");
-        assert_eq!(dec.len(), data.len(), "{tag}");
+        assert!(
+            matches!(
+                global().decompress::<f32>(stream),
+                Err(CodecError::Mismatch(_))
+            ),
+            "{tag}"
+        );
+        assert_eq!(pwrel::pipeline::identify(stream), None, "{tag}");
     }
+    let (back, d) = sz_t.decompress::<f32>(&bare_szt, noop()).unwrap();
+    assert_eq!((back.len(), d), (data.len(), dims));
 }
 
 #[test]

@@ -225,6 +225,28 @@ fn info_ping_codecs_metrics_respond() {
     }
 }
 
+#[test]
+fn info_identifies_a_unified_stream_longer_than_the_blob_cap() {
+    let handle = spawn_default();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let dims = pwrel::data::Dims::d1(8192);
+    let data: Vec<f32> = sample(dims.len());
+    let stream = global()
+        .compress("sz_t", &data, dims, &CompressOpts::rel(1e-3))
+        .expect("compress");
+    assert!(
+        stream.len() as u64 > proto::INFO_BLOB_MAX,
+        "{} bytes",
+        stream.len()
+    );
+    // The client sends only the first INFO_BLOB_MAX bytes; the header
+    // alone names the stream, in the rendering `pwrel info` prints.
+    let info = client.info(&stream).expect("info");
+    assert!(info.starts_with("unified container: codec sz_t"), "{info}");
+    let local = pwrel::pipeline::identify(&stream).expect("identify");
+    assert_eq!(info, local.to_string());
+}
+
 /// The value of line `name` in a `metrics` response.
 fn metric(text: &str, name: &str) -> Option<f64> {
     text.lines()

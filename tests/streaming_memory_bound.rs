@@ -1,7 +1,9 @@
-//! Streaming compress runs in bounded memory: compressing a 128³ f32
-//! field (8 MiB) in 1 MiB chunks through `ChunkedCodec` raises the
+//! Streaming compress runs in bounded memory: compressing a 512×128×128
+//! f32 field (32 MiB) in 1 MiB chunks through `ChunkedCodec` raises the
 //! process's peak resident set by at most `4 × chunk_bytes × window`, at
-//! 1, 2 and 4 workers with a four-chunks-per-worker window.
+//! 1, 2 and 4 workers with a four-chunks-per-worker window. The field is
+//! twice the 1-worker budget (16 MiB), so a leak the size of the field,
+//! such as keeping every chunk's input buffer, breaks that budget.
 //!
 //! The field is never materialized: a template source synthesizes each
 //! chunk on demand, and the framed stream goes to `std::io::sink()`. The
@@ -21,8 +23,10 @@ use pwrel::data::{CodecError, Dims};
 use pwrel::parallel::{ChunkedCodec, WorkerPool};
 use pwrel::pipeline::{global, ChunkSource, CompressOpts};
 
-/// Grid edge: 128³ f32 is 8 MiB.
+/// Edge of the two fast axes.
 const N: usize = 128;
+/// Slowest axis: 512×128×128 f32 is 32 MiB.
+const NZ: usize = 512;
 /// Sixteen slices of the slowest axis: 1 MiB of f32 per chunk.
 const CHUNK_ELEMS: usize = 16 * N * N;
 
@@ -71,7 +75,7 @@ fn vm_hwm_kib() -> u64 {
 
 #[test]
 fn streaming_compress_peak_rss_stays_within_four_chunks_per_window_slot() {
-    let dims = Dims::d3(N, N, N);
+    let dims = Dims::d3(NZ, N, N);
     let chunk_bytes = CHUNK_ELEMS * 4;
     let baseline_kib = vm_hwm_kib();
     for workers in [1, 2, 4] {
@@ -88,7 +92,7 @@ fn streaming_compress_peak_rss_stays_within_four_chunks_per_window_slot() {
                 &CompressOpts::rel(1e-3),
             )
             .expect("streaming compress");
-        assert_eq!(stats.chunks, (N / 16) as u64);
+        assert_eq!(stats.chunks, (NZ / 16) as u64);
         let delta_kib = vm_hwm_kib().saturating_sub(baseline_kib);
         assert!(
             delta_kib <= budget_kib,
