@@ -12,7 +12,8 @@
 //! - **L3** — `unsafe` is confined to `pwrel-parallel`, and every site
 //!   there carries a `// SAFETY:` comment.
 //! - **L4** — every codec registered in `CodecRegistry::builtin` has all
-//!   six golden-stream fixtures under `tests/fixtures`.
+//!   six golden-stream fixtures under `tests/fixtures`, and every `*.bin`
+//!   there belongs to a registered codec.
 //! - **L5** — interprocedural taint: a value read from an untrusted
 //!   stream (uvarints, header fields, bit reads) must pass a recognized
 //!   validation before reaching an allocation size, slice index, or loop

@@ -415,7 +415,8 @@ pub fn lint_l3(files: &[(FileModel, FileClass)]) -> Vec<Finding> {
 }
 
 /// Runs L4: every codec name in `registered` has all six golden-stream
-/// fixtures (`{f32,f64} × {1d,2d,3d}`) under `fixtures_dir`.
+/// fixtures (`{f32,f64} × {1d,2d,3d}`) under `fixtures_dir`, and every
+/// `*.bin` there belongs to a registered codec.
 pub fn lint_l4(registered: &[String], fixtures_dir: &std::path::Path) -> Vec<Finding> {
     let mut out = Vec::new();
     for name in registered {
@@ -433,8 +434,9 @@ pub fn lint_l4(registered: &[String], fixtures_dir: &std::path::Path) -> Vec<Fin
                             "registered codec `{name}` lacks golden-stream fixture `{file}`"
                         ),
                         note: Some(
-                            "regenerate with: cargo test --test golden_streams -- --ignored \
-                             (see tests/golden_streams.rs)"
+                            "`PWREL_REGEN_FIXTURES=1 cargo test --test golden_streams` \
+                             regenerates the `_v2` fixtures only; legacy fixtures are \
+                             never regenerated (see tests/golden_streams.rs)"
                                 .to_string(),
                         ),
                         allowed: false,
@@ -444,7 +446,47 @@ pub fn lint_l4(registered: &[String], fixtures_dir: &std::path::Path) -> Vec<Fin
             }
         }
     }
+    let mut files: Vec<String> = std::fs::read_dir(fixtures_dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|e| e.file_name().into_string().ok())
+        .filter(|f| f.ends_with(".bin"))
+        .collect();
+    files.sort();
+    for file in files {
+        let codec = fixture_codec(&file);
+        if codec.is_some_and(|c| registered.iter().any(|r| r == c)) {
+            continue;
+        }
+        out.push(Finding {
+            lint: "L4",
+            path: format!("tests/fixtures/{file}"),
+            line: 0,
+            func: "<registry>".to_string(),
+            kind: format!("orphan-{file}"),
+            msg: format!("golden-stream fixture `{file}` belongs to no registered codec"),
+            note: Some(
+                "delete it and its lines in tests/fixtures/decoded_digests.txt, \
+                 or register its codec"
+                    .to_string(),
+            ),
+            allowed: false,
+            waived: false,
+        });
+    }
     out
+}
+
+/// The codec a fixture file name `<codec>_<f32|f64>_<1|2|3>d[_v2].bin`
+/// names, or `None` if the name does not follow that pattern.
+fn fixture_codec(file: &str) -> Option<&str> {
+    let stem = file.strip_suffix(".bin")?;
+    let stem = stem.strip_suffix("_v2").unwrap_or(stem);
+    let (rest, nd) = stem.rsplit_once('_')?;
+    let (codec, elem) = rest.rsplit_once('_')?;
+    let shape_ok = ["1d", "2d", "3d"].contains(&nd) && ["f32", "f64"].contains(&elem);
+    (shape_ok && !codec.is_empty()).then_some(codec)
 }
 
 /// Method names that participate in the pipeline executor's channel and
@@ -937,5 +979,36 @@ mod tests {
         let f = lint_l4(&["have".into(), "missing".into()], &dir);
         assert_eq!(f.len(), 6, "{f:?}");
         assert!(f.iter().all(|x| x.kind.starts_with("fixture-missing")));
+    }
+
+    #[test]
+    fn l4_reports_fixtures_of_unregistered_codecs() {
+        let dir = std::env::temp_dir().join("pwrel_audit_l4_orphan_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::create_dir_all(&dir);
+        for elem in ["f32", "f64"] {
+            for nd in ["1d", "2d", "3d"] {
+                let _ = std::fs::write(dir.join(format!("sz_t_{elem}_{nd}.bin")), b"x");
+                let _ = std::fs::write(dir.join(format!("sz_t_{elem}_{nd}_v2.bin")), b"x");
+            }
+        }
+        for file in ["gone_t_f32_1d_v2.bin", "gone_t_f64_3d.bin", "stray.bin"] {
+            let _ = std::fs::write(dir.join(file), b"x");
+        }
+        let _ = std::fs::write(dir.join("decoded_digests.txt"), b"x");
+        let f = lint_l4(&["sz_t".into()], &dir);
+        let kinds: Vec<&str> = f.iter().map(|x| x.kind.as_str()).collect();
+        assert_eq!(
+            kinds,
+            [
+                "orphan-gone_t_f32_1d_v2.bin",
+                "orphan-gone_t_f64_3d.bin",
+                "orphan-stray.bin"
+            ],
+            "{f:?}"
+        );
+        assert_eq!(fixture_codec("sz_t_f64_2d_v2.bin"), Some("sz_t"));
+        assert_eq!(fixture_codec("zfp_p_f32_1d.bin"), Some("zfp_p"));
+        assert_eq!(fixture_codec("_f32_1d.bin"), None);
     }
 }

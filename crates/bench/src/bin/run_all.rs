@@ -20,7 +20,6 @@ fn main() {
         "ablation_pwr_block",
         "ablation_capacity",
         "ablation_zfp_modes",
-        "ablation_predictor",
         "ablation_signs",
     ];
     let exe = std::env::current_exe().expect("current exe path");

@@ -5,7 +5,7 @@
 //! stage boundary and nothing per element.
 //!
 //! A counting recorder stands in for `noop()`: it answers `false` from
-//! `is_enabled` and counts every call it receives. All eight registered
+//! `is_enabled` and counts every call it receives. All seven registered
 //! codecs run one-shot, `Sequential`-stream and `ChunkedCodec` round trips
 //! at 4,096 and 131,072 elements. Any recording call fails the test, and a
 //! one-shot round trip must consult `is_enabled` the same number of times

@@ -2,26 +2,6 @@
 
 use crate::{Error, Result};
 
-/// Appends a `u16` little-endian.
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `u32` little-endian.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `u64` little-endian.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends an `f32` little-endian.
-pub fn put_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends an `f64` little-endian.
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -82,10 +62,10 @@ mod tests {
     #[test]
     fn scalar_round_trips() {
         let mut buf = Vec::new();
-        put_u16(&mut buf, 0xBEEF);
-        put_u32(&mut buf, 0xDEAD_BEEF);
-        put_u64(&mut buf, 0x0123_4567_89AB_CDEF);
-        put_f32(&mut buf, -1.5);
+        buf.extend_from_slice(&0xBEEFu16.to_le_bytes());
+        buf.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+        buf.extend_from_slice(&0x0123_4567_89AB_CDEFu64.to_le_bytes());
+        buf.extend_from_slice(&(-1.5f32).to_le_bytes());
         put_f64(&mut buf, std::f64::consts::PI);
         let mut pos = 0;
         assert_eq!(get_u16(&buf, &mut pos).unwrap(), 0xBEEF);

@@ -687,14 +687,7 @@ mod tests {
     fn codecs_lists_registry() {
         let msg = run_str("codecs").unwrap();
         for name in [
-            "sz_t",
-            "sz_hybrid_t",
-            "zfp_t",
-            "sz_abs",
-            "sz_pwr",
-            "fpzip",
-            "isabela",
-            "zfp_p",
+            "sz_t", "zfp_t", "sz_abs", "sz_pwr", "fpzip", "isabela", "zfp_p",
         ] {
             assert!(msg.contains(name), "missing {name} in {msg}");
         }

@@ -15,13 +15,6 @@ pub fn u64_from_len(n: usize) -> u64 {
     n as u64
 }
 
-/// Capacity/alphabet value → `usize`. Lossless: `usize` is at least
-/// 32 bits on every supported target.
-#[inline]
-pub fn usize_from_u32(v: u32) -> usize {
-    v as usize
-}
-
 /// Float width in bits (32 or 64) → container header byte.
 #[inline]
 pub fn width_byte(bits: u32) -> u8 {
@@ -68,7 +61,6 @@ mod tests {
     fn round_trips_in_documented_ranges() {
         assert_eq!(u64_from_len(usize::MAX), usize::MAX as u64);
         assert_eq!(f64_from_count(1 << 24), 16777216.0);
-        assert_eq!(usize_from_u32(u32::MAX), u32::MAX as usize);
         assert_eq!(width_byte(32), 32);
         assert_eq!(width_byte(64), 64);
         assert_eq!(quant_code(-3.0), -3);

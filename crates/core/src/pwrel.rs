@@ -528,19 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_hybrid_sz_matches_buffered() {
-        let codec = PwRelCompressor::new(
-            SzCompressor {
-                hybrid_predictor: true,
-                ..SzCompressor::default()
-            },
-            LogBase::Two,
-        );
-        let (data, dims) = fused_test_field();
-        assert_fused_matches_buffered(&codec, &data, dims, 1e-3);
-    }
-
-    #[test]
     fn rejects_nonfinite_and_bad_bounds() {
         let codec = sz_t(LogBase::Two);
         let dims = pwrel_data::Dims::d1(2);

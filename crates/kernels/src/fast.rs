@@ -10,7 +10,8 @@
 //! two factors so results down in the subnormal range stay correct.
 //!
 //! Both bodies are pure arithmetic and selects — no data-dependent
-//! branches — so the `*_batch` loops below auto-vectorize.
+//! branches — so the chunked loops of `Kernel::log_batch` and
+//! `Kernel::exp_batch` auto-vectorize.
 //!
 //! # Error model
 //!
@@ -36,8 +37,9 @@ pub const FAST_EXP2_REL_ERR: f64 = 1e-12;
 /// caller in the workspace is comfortably inside.
 pub const EXP2_MAX_ARG: f64 = 2000.0;
 
-/// Fixed batch width for the chunked entry points. Wide enough to fill an
-/// AVX-512 register pair, small enough to stay in registers on NEON.
+/// Fixed batch width for `Kernel`'s chunked batch loops. Wide enough to
+/// fill an AVX-512 register pair, small enough to stay in registers on
+/// NEON.
 pub const LANES: usize = 8;
 
 const MANT_MASK: u64 = (1u64 << 52) - 1;
@@ -131,42 +133,6 @@ pub fn fast_exp2(d: f64) -> f64 {
     (p * s1) * s2
 }
 
-/// `dst[i] = fast_log2(src[i])` over equal-length slices, in fixed-width
-/// chunks of [`LANES`] so the loop auto-vectorizes.
-pub fn fast_log2_batch(src: &[f64], dst: &mut [f64]) {
-    assert_eq!(src.len(), dst.len());
-    let n = src.len() - src.len() % LANES;
-    for (s, d) in src[..n]
-        .chunks_exact(LANES)
-        .zip(dst[..n].chunks_exact_mut(LANES))
-    {
-        for i in 0..LANES {
-            d[i] = fast_log2(s[i]);
-        }
-    }
-    for (s, d) in src[n..].iter().zip(&mut dst[n..]) {
-        *d = fast_log2(*s);
-    }
-}
-
-/// `dst[i] = fast_exp2(src[i])` over equal-length slices, chunked like
-/// [`fast_log2_batch`].
-pub fn fast_exp2_batch(src: &[f64], dst: &mut [f64]) {
-    assert_eq!(src.len(), dst.len());
-    let n = src.len() - src.len() % LANES;
-    for (s, d) in src[..n]
-        .chunks_exact(LANES)
-        .zip(dst[..n].chunks_exact_mut(LANES))
-    {
-        for i in 0..LANES {
-            d[i] = fast_exp2(s[i]);
-        }
-    }
-    for (s, d) in src[n..].iter().zip(&mut dst[n..]) {
-        *d = fast_exp2(*s);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,20 +200,6 @@ mod tests {
             let rel = ((rt - x) / x).abs();
             // log abs error ε in the exponent is a relative error ~ ε·ln2.
             assert!(rel < 2.0 * FAST_LOG2_ABS_ERR, "x = {x:e}: rel = {rel:e}");
-        }
-    }
-
-    #[test]
-    fn batches_agree_with_scalar() {
-        let src: Vec<f64> = (1..100).map(|i| (i as f64) * 0.37e-3).collect();
-        let mut dst = vec![0.0; src.len()];
-        fast_log2_batch(&src, &mut dst);
-        for (s, d) in src.iter().zip(&dst) {
-            assert_eq!(*d, fast_log2(*s));
-        }
-        fast_exp2_batch(&src, &mut dst);
-        for (s, d) in src.iter().zip(&dst) {
-            assert_eq!(*d, fast_exp2(*s));
         }
     }
 }

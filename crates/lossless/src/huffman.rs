@@ -303,11 +303,6 @@ impl CanonicalCode {
         (e >> 6, (e & 63) as u32)
     }
 
-    /// Number of symbols in the (nominal) alphabet.
-    pub fn alphabet_len(&self) -> usize {
-        self.encode_table.len()
-    }
-
     /// Total encoded size in bits for the given frequency histogram.
     pub fn encoded_bits(&self, freqs: &[u64]) -> u64 {
         freqs
@@ -331,17 +326,9 @@ impl CanonicalCode {
         (1..self.counts.len() as u32).find(|&l| self.counts.get(l as usize).is_some_and(|&c| c > 0))
     }
 
-    /// Writes one symbol.
-    #[inline]
-    pub fn encode(&self, w: &mut BitWriter, symbol: u32) {
-        let (code, len) = self.entry(symbol);
-        debug_assert!(len > 0, "encoding symbol absent from the code");
-        w.write_bits(code, len);
-    }
-
-    /// Writes a whole symbol slice — the bulk counterpart of
-    /// [`CanonicalCode::encode`], and the definition each interleaved
-    /// sub-stream's bytes are tested against.
+    /// Writes a whole symbol slice as one single-lane bitstream. This is
+    /// the reference encoder: `huffman_definition.rs` checks every
+    /// interleaved lane's bytes against it, and no codec calls it.
     ///
     /// Codes concatenate MSB-first into a local accumulator and reach the
     /// writer as near-full 64-bit words — one [`BitWriter::write_bits`]

@@ -57,22 +57,12 @@ macro_rules! dispatch_elem {
     };
 }
 
-/// SZ_T / SZ_HYBRID_T: the paper's transform scheme around the SZ-like
-/// codec, fused single-pass compression.
-#[derive(Debug, Clone, Copy)]
-pub struct SzT {
-    /// Use the hybrid Lorenzo/regression predictor.
-    pub hybrid: bool,
-}
+/// SZ_T: the paper's transform scheme around the SZ-like codec, fused
+/// single-pass compression.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SzT;
 
 impl SzT {
-    fn config(&self) -> SzCompressor {
-        SzCompressor {
-            hybrid_predictor: self.hybrid,
-            ..SzCompressor::default()
-        }
-    }
-
     fn compress_impl<F: Float>(
         &self,
         data: &[F],
@@ -80,7 +70,8 @@ impl SzT {
         opts: &CompressOpts,
         rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
-        PwRelCompressor::new(self.config(), opts.base).compress(data, dims, opts.bound, rec)
+        PwRelCompressor::new(SzCompressor::default(), opts.base)
+            .compress(data, dims, opts.bound, rec)
     }
 
     fn decompress_impl<F: Float>(
@@ -90,49 +81,31 @@ impl SzT {
     ) -> Result<(Vec<F>, Dims), CodecError> {
         // The base is read from the payload; the constructor's base is a
         // compile-side default.
-        PwRelCompressor::new(self.config(), LogBase::Two).decompress(payload, rec)
+        PwRelCompressor::new(SzCompressor::default(), LogBase::Two).decompress(payload, rec)
     }
 }
 
 impl Codec for SzT {
     fn id(&self) -> u8 {
-        if self.hybrid {
-            2
-        } else {
-            1
-        }
+        1
     }
 
     fn name(&self) -> &'static str {
-        if self.hybrid {
-            "sz_hybrid_t"
-        } else {
-            "sz_t"
-        }
+        "sz_t"
     }
 
     fn describe(&self) -> &'static str {
-        if self.hybrid {
-            "log transform + SZ with hybrid Lorenzo/regression predictor"
-        } else {
-            "log transform + SZ (the paper's SZ_T)"
-        }
+        "log transform + SZ (the paper's SZ_T)"
     }
 
     fn stages(&self) -> &'static [&'static str] {
-        if self.hybrid {
-            // The hybrid coder is block-structured and reports as one
-            // encode stage; the transform and sign stages still apply.
-            &[stage::TRANSFORM, stage::ENCODE, stage::SIGNS]
-        } else {
-            &[
-                stage::TRANSFORM,
-                stage::PREDICT_QUANTIZE,
-                stage::HUFFMAN,
-                stage::LZ,
-                stage::SIGNS,
-            ]
-        }
+        &[
+            stage::TRANSFORM,
+            stage::PREDICT_QUANTIZE,
+            stage::HUFFMAN,
+            stage::LZ,
+            stage::SIGNS,
+        ]
     }
 
     fn entropy_mode(&self) -> u8 {

@@ -26,8 +26,7 @@ impl CodecRegistry {
     /// A registry holding every codec built into the workspace.
     pub fn builtin() -> Self {
         let mut r = Self::new();
-        r.register(Box::new(codecs::SzT { hybrid: false }));
-        r.register(Box::new(codecs::SzT { hybrid: true }));
+        r.register(Box::new(codecs::SzT));
         r.register(Box::new(codecs::ZfpT));
         r.register(Box::new(codecs::SzAbs));
         r.register(Box::new(codecs::SzPwr));
@@ -376,19 +375,13 @@ mod tests {
         let names: Vec<_> = r.iter().map(|c| c.name()).collect();
         assert_eq!(
             names,
-            [
-                "sz_t",
-                "sz_hybrid_t",
-                "zfp_t",
-                "sz_abs",
-                "sz_pwr",
-                "fpzip",
-                "isabela",
-                "zfp_p"
-            ]
+            ["sz_t", "zfp_t", "sz_abs", "sz_pwr", "fpzip", "isabela", "zfp_p"]
         );
-        for (i, c) in r.iter().enumerate() {
-            assert_eq!(c.id() as usize, i + 1);
+        // Every stream carries its codec id, so ids are never renumbered:
+        // id 2 stays unassigned.
+        let ids: Vec<u8> = r.iter().map(|c| c.id()).collect();
+        assert_eq!(ids, [1, 3, 4, 5, 6, 7, 8]);
+        for c in r.iter() {
             assert!(!c.describe().is_empty());
         }
     }

@@ -585,6 +585,37 @@ mod tests {
         assert_eq!(decode_request_prefix(&mut r).unwrap(), None);
     }
 
+    /// PROTOCOL.md §8's worked compress request, byte for byte.
+    #[test]
+    fn protocol_worked_example_request_bytes() {
+        let mut out = Vec::new();
+        encode_request_prefix(
+            &mut out,
+            RequestPrefix {
+                msg_type: MSG_COMPRESS,
+                request_id: 42,
+            },
+        );
+        encode_compress_header(
+            &mut out,
+            &CompressHeader {
+                codec_id: 1,
+                elem_bits: 32,
+                base: LogBase::Two,
+                bound: 1e-3,
+                dims: Dims::d1(6),
+                chunk_elems: 0,
+            },
+        );
+        assert_eq!(
+            out,
+            [
+                0x01, 0x2a, 0x00, 0x00, 0x00, 0x01, 0x20, 0x00, 0xfc, 0xa9, 0xf1, 0xd2, 0x4d, 0x62,
+                0x50, 0x3f, 0x01, 0x06, 0x01, 0x01, 0x00
+            ]
+        );
+    }
+
     #[test]
     fn compress_header_round_trips() {
         let h = CompressHeader {

@@ -472,9 +472,6 @@ pub(crate) fn decompress<F: Float>(
     if stream.float_bits as u32 != F::BITS {
         return Err(CodecError::Mismatch("element type differs from stream"));
     }
-    if matches!(stream.mode, SzMode::AbsHybrid { .. }) {
-        return crate::hybrid::decompress(&stream);
-    }
     if matches!(stream.mode, SzMode::PwrSpatial { .. }) {
         return crate::pwr_spatial::decompress(&stream);
     }
@@ -497,10 +494,10 @@ pub(crate) fn decompress<F: Float>(
             block_ebs: block_exps.iter().map(|&e| (e as f64).exp2()).collect(),
             block_len: *block_len as usize,
         },
-        // Routed to dedicated decoders above; a structured error instead
+        // Routed to its dedicated decoder above; a structured error instead
         // of `unreachable!` keeps the decode path panic-free (lint L1)
         // even if the routing ever regresses.
-        SzMode::AbsHybrid { .. } | SzMode::PwrSpatial { .. } => {
+        SzMode::PwrSpatial { .. } => {
             return Err(CodecError::Corrupt("mode not routed to its decoder"))
         }
     };

@@ -5,12 +5,16 @@
 //! ```text
 //! magic "SZR1" | float_bits u8 | mode u8 | rank u8 | nx ny nz uvarint
 //! capacity uvarint
-//! mode=Abs: eb f64
-//! mode=Pwr: rel_bound f64 | block_len uvarint | n_blocks uvarint
-//!           | per-block exponent ivarint...
+//! mode=0 Abs: eb f64
+//! mode=1 Pwr: rel_bound f64 | block_len uvarint | n_blocks uvarint
+//!             | per-block exponent ivarint...
+//! mode=3 PwrSpatial: rel_bound f64 | n_blocks uvarint
+//!                    | per-block exponent ivarint...
 //! huffman-coded quantization codes (self-contained block)
 //! n_unpred uvarint | raw unpredictable values (BITS/8 bytes each)
 //! ```
+//!
+//! Mode byte 2 is retired and decodes as an unknown mode.
 //!
 //! The serialized container is wrapped as `[0u8] ++ payload` (raw) or
 //! `[1u8] ++ lz(payload)`, whichever is smaller when the LZ pass is enabled
@@ -75,20 +79,6 @@ pub enum SzMode {
         rel_bound: f64,
         /// Power-of-two exponent of each spatial block's absolute bound.
         block_exps: Vec<i32>,
-    },
-    /// Absolute bound with the hybrid Lorenzo/regression predictor
-    /// (SZ 2-style extension; see `regression`).
-    AbsHybrid {
-        /// The bound every point respects.
-        eb: f64,
-        /// One bit per block: 1 = regression, 0 = Lorenzo (packed LSB
-        /// first within each byte).
-        selectors: Vec<u8>,
-        /// Number of blocks (governs the selector bitmap length).
-        n_blocks: u64,
-        /// Serialized `LinearModel`s for the regression blocks, in block
-        /// order.
-        model_bytes: Vec<u8>,
     },
 }
 
@@ -168,24 +158,6 @@ impl SzStream {
                     varint::write_ivarint(&mut p, e as i64 - prev);
                     prev = e as i64;
                 }
-            }
-            SzMode::AbsHybrid {
-                eb,
-                selectors,
-                n_blocks,
-                model_bytes,
-            } => {
-                p.push(2);
-                p.push(rank);
-                varint::write_uvarint(&mut p, nx);
-                varint::write_uvarint(&mut p, ny);
-                varint::write_uvarint(&mut p, nz);
-                varint::write_uvarint(&mut p, self.capacity as u64);
-                bytesio::put_f64(&mut p, *eb);
-                varint::write_uvarint(&mut p, *n_blocks);
-                p.extend_from_slice(selectors);
-                varint::write_uvarint(&mut p, model_bytes.len() as u64);
-                p.extend_from_slice(model_bytes);
             }
         }
         varint::write_uvarint(&mut p, self.codes_buf.len() as u64);
@@ -294,7 +266,7 @@ impl SzStream {
                 let rel_bound = bytesio::get_f64(p, &mut pos)?;
                 let n_blocks = varint::read_uvarint(p, &mut pos)? as usize;
                 // Count without allocating: dims are untrusted.
-                if n_blocks as u64 != crate::regression::block_count(dims) {
+                if n_blocks as u64 != crate::pwr_spatial::block_count(dims) {
                     return Err(CodecError::Corrupt("spatial block count mismatch"));
                 }
                 // Each exponent costs ≥ 1 byte in the stream.
@@ -313,30 +285,6 @@ impl SzStream {
                 SzMode::PwrSpatial {
                     rel_bound,
                     block_exps,
-                }
-            }
-            2 => {
-                let eb = bytesio::get_f64(p, &mut pos)?;
-                let n_blocks = varint::read_uvarint(p, &mut pos)?;
-                // One selector bit per block; count without allocating
-                // (dims are untrusted) and bound by the remaining payload.
-                if n_blocks != crate::regression::block_count(dims) {
-                    return Err(CodecError::Corrupt("hybrid block count mismatch"));
-                }
-                if n_blocks.div_ceil(8) > p.len() as u64 {
-                    return Err(CodecError::Corrupt(
-                        "hybrid selector bitmap exceeds payload",
-                    ));
-                }
-                let sel_bytes = (n_blocks as usize).div_ceil(8);
-                let selectors = bytesio::get_bytes(p, &mut pos, sel_bytes)?.to_vec();
-                let model_len = varint::read_uvarint(p, &mut pos)? as usize;
-                let model_bytes = bytesio::get_bytes(p, &mut pos, model_len)?.to_vec();
-                SzMode::AbsHybrid {
-                    eb,
-                    selectors,
-                    n_blocks,
-                    model_bytes,
                 }
             }
             _ => return Err(CodecError::Corrupt("unknown mode")),

@@ -34,21 +34,17 @@
 //! implementation apiece there is nothing for a stage trait to choose
 //! between, so the engine calls them directly.
 
-pub mod adaptive;
 mod engine;
 mod format;
-mod hybrid;
 mod pwr_spatial;
-pub mod regression;
 mod unpred;
 
-pub use adaptive::estimate_capacity;
 pub use engine::{quantization_codes, EbSpec, DEFAULT_CAPACITY};
 pub use format::{SzMode, SzStream};
 
 use pwrel_data::{AbsErrorCodec, CodecError, Dims, Float};
 use pwrel_kernels::{FusedOutput, LogFusedCodec, LogPlan};
-use pwrel_trace::{noop, stage, Recorder, Span, StageTimer};
+use pwrel_trace::{noop, Recorder};
 
 /// Configuration + entry points for the SZ-like codec.
 ///
@@ -75,10 +71,6 @@ pub struct SzCompressor {
     pub lossless_pass: bool,
     /// Block length (in points, raster order) for the PWR mode. Default 256.
     pub pwr_block_len: usize,
-    /// Use the hybrid Lorenzo/regression predictor for absolute-bound
-    /// compression (SZ 2-style extension). Default false (the paper's
-    /// SZ 1.4 pipeline).
-    pub hybrid_predictor: bool,
 }
 
 impl Default for SzCompressor {
@@ -87,23 +79,11 @@ impl Default for SzCompressor {
             capacity: DEFAULT_CAPACITY,
             lossless_pass: true,
             pwr_block_len: 256,
-            hybrid_predictor: false,
         }
     }
 }
 
 impl SzCompressor {
-    /// Builds a compressor whose quantization capacity is estimated from a
-    /// sample of the data's prediction errors (SZ 1.4's adaptive interval
-    /// selection). The bound must be the one later passed to
-    /// [`AbsErrorCodec::compress_abs`].
-    pub fn adaptive<F: Float>(data: &[F], dims: Dims, bound: f64) -> Self {
-        Self {
-            capacity: adaptive::estimate_capacity(data, dims, bound, 256, DEFAULT_CAPACITY),
-            ..Self::default()
-        }
-    }
-
     /// Validates configuration invariants.
     fn check_config(&self) -> Result<(), CodecError> {
         if self.capacity < 4 || !self.capacity.is_multiple_of(2) {
@@ -158,21 +138,6 @@ impl SzCompressor {
         )
     }
 
-    /// Compresses with an absolute error bound using the hybrid
-    /// Lorenzo/regression predictor (SZ 2-style extension): each 6^d block
-    /// picks whichever of the two predictors fits it better. Wins on
-    /// fields with strong local gradients; never loses much elsewhere.
-    /// Callers select it with [`SzCompressor::hybrid_predictor`].
-    pub(crate) fn compress_abs_hybrid<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        bound: f64,
-    ) -> Result<Vec<u8>, CodecError> {
-        self.check_abs(data, dims, bound)?;
-        hybrid::compress(data, dims, bound, self)
-    }
-
     /// Validates the configuration and an absolute-bound request.
     fn check_abs<F: Float>(&self, data: &[F], dims: Dims, bound: f64) -> Result<(), CodecError> {
         self.check_config()?;
@@ -197,8 +162,7 @@ impl SzCompressor {
 }
 
 impl<F: Float> AbsErrorCodec<F> for SzCompressor {
-    /// Runs the hybrid predictor when [`SzCompressor::hybrid_predictor`]
-    /// is set, the paper's SZ 1.4 pipeline otherwise.
+    /// The paper's SZ 1.4 pipeline under one absolute bound.
     fn compress_abs(
         &self,
         data: &[F],
@@ -206,15 +170,8 @@ impl<F: Float> AbsErrorCodec<F> for SzCompressor {
         bound: f64,
         rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
-        if self.hybrid_predictor {
-            // The hybrid coder is block-structured and not internally
-            // instrumented; it reports as one encode stage.
-            let _enc = Span::enter(rec, stage::ENCODE);
-            self.compress_abs_hybrid(data, dims, bound)
-        } else {
-            self.check_abs(data, dims, bound)?;
-            engine::compress(data, dims, EbSpec::Abs(bound), self, rec)
-        }
+        self.check_abs(data, dims, bound)?;
+        engine::compress(data, dims, EbSpec::Abs(bound), self, rec)
     }
 
     fn decompress_abs(
@@ -229,10 +186,7 @@ impl<F: Float> AbsErrorCodec<F> for SzCompressor {
 impl<F: Float> LogFusedCodec<F> for SzCompressor {
     /// Single streaming pass: log transform, Lorenzo prediction, and
     /// quantization fused per [`pwrel_kernels::CHUNK`]-sized window, sign
-    /// bitmap collected in the same sweep. The hybrid-predictor
-    /// configuration has block-structured access that defeats the linear
-    /// window, so it maps into a buffer first (still batched) and reuses
-    /// the hybrid coder — the stream contract holds either way.
+    /// bitmap collected in the same sweep.
     fn compress_fused(
         &self,
         data: &[F],
@@ -241,29 +195,6 @@ impl<F: Float> LogFusedCodec<F> for SzCompressor {
         rec: &dyn Recorder,
     ) -> Result<FusedOutput, CodecError> {
         self.check_abs(data, dims, plan.abs_bound)?;
-        if self.hybrid_predictor {
-            let mut mapped: Vec<F> = vec![F::zero(); data.len()];
-            let mut scratch = [0f64; pwrel_kernels::CHUNK];
-            let mut signs = Vec::with_capacity(if plan.any_negative { data.len() } else { 0 });
-            {
-                let mut map_timer = StageTimer::new(rec, stage::TRANSFORM);
-                for (src, out) in data
-                    .chunks(pwrel_kernels::CHUNK)
-                    .zip(mapped.chunks_mut(pwrel_kernels::CHUNK))
-                {
-                    map_timer.time(|| plan.map_chunk(src, out, &mut scratch, &mut signs));
-                }
-                map_timer.finish();
-            }
-            let stream = {
-                let _enc = Span::enter(rec, stage::ENCODE);
-                self.compress_abs_hybrid(&mapped, dims, plan.abs_bound)?
-            };
-            return Ok(FusedOutput {
-                stream,
-                signs: plan.any_negative.then_some(signs),
-            });
-        }
         let (stream, signs) = engine::compress_fused(data, dims, plan, self, rec)?;
         Ok(FusedOutput { stream, signs })
     }

@@ -7,12 +7,11 @@
 //! faithful (and slightly stronger) version of SZ_PWR for rank ≥ 2; 1D
 //! data keeps the raster-run implementation in `engine`.
 //!
-//! Blocks are the 6^d partition shared with the hybrid predictor;
-//! traversal is block-by-block on both sides, with Lorenzo predicting from
-//! the global decompressed buffer.
+//! Blocks are the 6^d partition below (SZ's block edge); traversal is
+//! block-by-block on both sides, with Lorenzo predicting from the global
+//! decompressed buffer.
 
 use crate::format::{SzMode, SzStream};
-use crate::regression;
 use crate::{unpred, SzCompressor};
 use pwrel_bitstream::{BitReader, BitWriter};
 use pwrel_data::{CodecError, Dims, Float};
@@ -20,9 +19,60 @@ use pwrel_kernels::predict::predict_point;
 use pwrel_lossless::huffman;
 use pwrel_trace::noop;
 
+/// Block edge length (SZ uses 6).
+const BLOCK_EDGE: usize = 6;
+
+/// One block's extent and origin within the grid.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    /// Origin (x, y, z).
+    origin: (usize, usize, usize),
+    /// Extent along each axis (≤ [`BLOCK_EDGE`]).
+    extent: (usize, usize, usize),
+}
+
+/// Number of blocks [`blocks`] would produce, without allocating — safe
+/// to evaluate on untrusted dims before any reservation.
+pub(crate) fn block_count(dims: Dims) -> u64 {
+    if dims.is_empty() {
+        return 0;
+    }
+    let c = |n: usize| n.max(1).div_ceil(BLOCK_EDGE) as u64;
+    c(dims.nx) * c(dims.ny) * c(dims.nz)
+}
+
+/// Enumerates blocks in raster order (x fastest).
+fn blocks(dims: Dims) -> Vec<Block> {
+    let step = BLOCK_EDGE;
+    let mut out = Vec::new();
+    let mut z = 0;
+    while z < dims.nz.max(1) {
+        let ez = step.min(dims.nz.max(1) - z);
+        let mut y = 0;
+        while y < dims.ny.max(1) {
+            let ey = step.min(dims.ny.max(1) - y);
+            let mut x = 0;
+            while x < dims.nx.max(1) {
+                let ex = step.min(dims.nx.max(1) - x);
+                out.push(Block {
+                    origin: (x, y, z),
+                    extent: (ex, ey, ez),
+                });
+                x += step;
+            }
+            y += step;
+        }
+        z += step;
+    }
+    if dims.is_empty() {
+        out.clear();
+    }
+    out
+}
+
 /// Per-block power-of-two bound exponent (see `engine::block_exponents`
 /// for the 1D analogue and the zero-block rationale).
-fn block_exponent<F: Float>(data: &[F], dims: Dims, b: &regression::Block, rel: f64) -> i32 {
+fn block_exponent<F: Float>(data: &[F], dims: Dims, b: &Block, rel: f64) -> i32 {
     let (ox, oy, oz) = b.origin;
     let (ex, ey, ez) = b.extent;
     let mut min_mag = f64::INFINITY;
@@ -57,7 +107,7 @@ pub(crate) fn compress<F: Float>(
 ) -> Result<Vec<u8>, CodecError> {
     let capacity = cfg.capacity;
     let radius = (capacity / 2) as i64;
-    let blist = regression::blocks(dims);
+    let blist = blocks(dims);
     let exps: Vec<i32> = blist
         .iter()
         .map(|b| block_exponent(data, dims, b, rel_bound))
@@ -133,7 +183,7 @@ pub(crate) fn decompress<F: Float>(stream: &SzStream) -> Result<(Vec<F>, Dims), 
     let dims = stream.dims;
     let n = dims.len();
     let radius = (stream.capacity / 2) as i64;
-    let blist = regression::blocks(dims);
+    let blist = blocks(dims);
     if blist.len() != block_exps.len() {
         return Err(CodecError::Corrupt("spatial block count mismatch"));
     }
@@ -197,6 +247,40 @@ mod tests {
             }
         }
         bytes
+    }
+
+    #[test]
+    fn blocks_cover_grid_exactly_once() {
+        for dims in [Dims::d1(13), Dims::d2(7, 11), Dims::d3(6, 8, 13)] {
+            let mut seen = vec![0u8; dims.len()];
+            for b in blocks(dims) {
+                let (ox, oy, oz) = b.origin;
+                let (ex, ey, ez) = b.extent;
+                assert!(ex <= BLOCK_EDGE && ey <= BLOCK_EDGE && ez <= BLOCK_EDGE);
+                for dk in 0..ez {
+                    for dj in 0..ey {
+                        for di in 0..ex {
+                            seen[dims.index(ox + di, oy + dj, oz + dk)] += 1;
+                        }
+                    }
+                }
+            }
+            assert!(seen.iter().all(|&c| c == 1), "{dims}");
+        }
+    }
+
+    #[test]
+    fn block_count_matches_enumeration() {
+        for dims in [
+            Dims::d1(0),
+            Dims::d1(1),
+            Dims::d1(13),
+            Dims::d2(7, 11),
+            Dims::d3(6, 8, 13),
+            Dims::d3(1, 1, 1),
+        ] {
+            assert_eq!(block_count(dims), blocks(dims).len() as u64, "{dims}");
+        }
     }
 
     #[test]

@@ -1,59 +1,11 @@
 //! Feature-composition tests: the extensions must compose with the paper's
 //! transform wrapper without weakening any guarantee.
 
-use pwrel::core::{LogBase, PwRelCompressor};
 use pwrel::data::{nyx, Scale};
 use pwrel::parallel::{ChunkedCodec, WorkerPool};
 use pwrel::pipeline::{global, CompressOpts, SliceSource, VecSink};
 use pwrel::sz::SzCompressor;
 use pwrel_trace::noop;
-
-fn hybrid_sz() -> SzCompressor {
-    SzCompressor {
-        hybrid_predictor: true,
-        ..SzCompressor::default()
-    }
-}
-
-#[test]
-fn hybrid_predictor_inside_the_wrapper_is_strictly_bounded() {
-    let field = nyx::dark_matter_density(Scale::Small);
-    let codec = PwRelCompressor::new(hybrid_sz(), LogBase::Two);
-    for br in [1e-3, 1e-1] {
-        let stream = codec.compress(&field.data, field.dims, br, noop()).unwrap();
-        let (dec, _) = codec.decompress::<f32>(&stream, noop()).unwrap();
-        for (&a, &b) in field.data.iter().zip(&dec) {
-            if a == 0.0 {
-                assert_eq!(b, 0.0);
-            } else {
-                assert!(((a as f64 - b as f64) / a as f64).abs() <= br);
-            }
-        }
-    }
-}
-
-#[test]
-fn adaptive_capacity_inside_the_wrapper_is_strictly_bounded() {
-    let field = nyx::velocity_x(Scale::Small);
-    let br = 1e-2;
-    // Estimate capacity in the transformed domain, as a user tuning the
-    // wrapped codec would: on the log magnitudes.
-    let mags: Vec<f32> = field
-        .data
-        .iter()
-        .map(|v| v.abs().max(1e-30).log2())
-        .collect();
-    let abs_guess = pwrel::core::theory::abs_bound_for(LogBase::Two, br);
-    let sz = SzCompressor::adaptive(&mags, field.dims, abs_guess);
-    let codec = PwRelCompressor::new(sz, LogBase::Two);
-    let stream = codec.compress(&field.data, field.dims, br, noop()).unwrap();
-    let (dec, _) = codec.decompress::<f32>(&stream, noop()).unwrap();
-    for (&a, &b) in field.data.iter().zip(&dec) {
-        if a != 0.0 {
-            assert!(((a as f64 - b as f64) / a as f64).abs() <= br);
-        }
-    }
-}
 
 #[test]
 fn chunked_wrapper_composition_preserves_bound_and_zeros() {

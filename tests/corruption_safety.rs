@@ -228,8 +228,6 @@ mod forged {
     use pwrel::data::CodecError;
     use pwrel::lossless::huffman;
     use pwrel::pipeline::{container, global};
-    use pwrel::sz::regression::LinearModel;
-    use pwrel::sz::{SzMode, SzStream};
 
     /// `PwRelCompressor::decompress_full` header reads (and the
     /// `bytesio::take_n` f64 reads behind them): every truncation of the
@@ -273,42 +271,26 @@ mod forged {
         assert!(container::unwrap(b"PWU1").is_err());
     }
 
-    /// `LinearModel::read` on every short prefix.
+    /// SZ mode byte 2 was the Lorenzo/regression predictor's mode, which
+    /// no encoder writes any more: an absolute-bound stream with its mode
+    /// byte rewritten from 0 to 2 is an unknown mode, not a stream to
+    /// parse further.
     #[test]
-    fn truncated_regression_model_is_none() {
-        let buf = [0u8; LinearModel::NBYTES];
-        for len in 0..LinearModel::NBYTES {
-            assert!(LinearModel::read(&buf[..len]).is_none(), "len={len}");
-        }
-    }
-
-    /// A hybrid stream whose selector bitmap promises one regression
-    /// model but whose model section is a byte short: the decoder must
-    /// surface `Corrupt`, not slice out of bounds.
-    #[test]
-    fn hybrid_stream_with_truncated_model_errors() {
-        let dims = Dims::d1(6); // exactly one 6-point block
-        let capacity = 65536u32;
-        let radius = capacity / 2;
-        let codes = vec![radius; dims.len()]; // all q = 0
-        let stream = SzStream {
-            float_bits: 32,
-            dims,
-            capacity,
-            mode: SzMode::AbsHybrid {
-                eb: 0.01,
-                selectors: vec![0x01], // block 0 claims a model
-                n_blocks: 1,
-                model_bytes: vec![0u8; LinearModel::NBYTES - 1],
-            },
-            codes_buf: huffman::encode_symbols(&codes, capacity as usize),
-            n_unpred: 0,
-            unpred_bytes: Vec::new(),
-        }
-        .serialize(false, noop());
-        match SzCompressor::default().decompress::<f32>(&stream, noop()) {
-            Err(CodecError::Corrupt(_)) => {}
-            other => panic!("expected Corrupt, got {other:?}"),
+    fn sz_mode_byte_2_is_an_unknown_mode() {
+        let (data, dims) = sample_field();
+        let cfg = SzCompressor {
+            lossless_pass: false,
+            ..SzCompressor::default()
+        };
+        let mut stream = cfg.compress_abs(&data, dims, 0.01, noop()).unwrap();
+        assert!(cfg.decompress::<f32>(&stream, noop()).is_ok());
+        // wrapper byte, magic, float width, then the mode byte.
+        let mode_at = 1 + 4 + 1;
+        assert_eq!(stream[mode_at], 0);
+        stream[mode_at] = 2;
+        match cfg.decompress::<f32>(&stream, noop()) {
+            Err(CodecError::Corrupt("unknown mode")) => {}
+            other => panic!("expected unknown mode, got {:?}", other.map(|_| ())),
         }
     }
 

@@ -99,7 +99,6 @@ fn current_digests() -> BTreeMap<String, u64> {
     let velocity = nyx::velocity_x(Scale::Medium);
     let cells = [
         ("sz_t", &density, "medium_sz_t"),
-        ("sz_hybrid_t", &density, "medium_sz_hybrid_t"),
         ("sz_abs", &density, "medium_sz_abs"),
         ("sz_pwr", &density, "medium_sz_pwr"),
         ("zfp_t", &density, "medium_zfp_t"),

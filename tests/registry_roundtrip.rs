@@ -37,15 +37,7 @@ fn field() -> impl Strategy<Value = (Dims, Vec<f64>)> {
 
 /// Codecs with a point-wise relative guarantee (everything but zfp_p,
 /// whose fixed-precision mode only tracks the bound loosely).
-const PW_REL_CODECS: [&str; 7] = [
-    "sz_t",
-    "sz_hybrid_t",
-    "zfp_t",
-    "sz_abs",
-    "sz_pwr",
-    "fpzip",
-    "isabela",
-];
+const PW_REL_CODECS: [&str; 6] = ["sz_t", "zfp_t", "sz_abs", "sz_pwr", "fpzip", "isabela"];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -150,15 +142,9 @@ fn wrong_codec_id_errors_not_panics() {
     let mut stream = global()
         .compress("sz_t", &data, dims, &CompressOpts::rel(1e-2))
         .unwrap();
-    // Byte 5 is the codec id. Point it at every format-incompatible
-    // codec: the payload is an SZ_T stream, so each must fail cleanly.
-    // (sz_hybrid_t shares the SZ_T stream format — the predictor choice
-    // is recorded in the stream — so it decodes this payload correctly
-    // and is excluded.)
-    for codec in global()
-        .iter()
-        .filter(|c| c.name() != "sz_t" && c.name() != "sz_hybrid_t")
-    {
+    // Byte 5 is the codec id. Point it at every other codec: the payload
+    // is an SZ_T stream, so each must fail cleanly.
+    for codec in global().iter().filter(|c| c.name() != "sz_t") {
         stream[5] = codec.id();
         assert!(
             global().decompress::<f32>(&stream).is_err(),
@@ -166,9 +152,11 @@ fn wrong_codec_id_errors_not_panics() {
             codec.name()
         );
     }
-    // An unregistered id is invalid outright.
-    stream[5] = 250;
-    assert!(global().decompress::<f32>(&stream).is_err());
+    // Unregistered ids are invalid outright, the retired id 2 included.
+    for id in [2, 250] {
+        stream[5] = id;
+        assert!(global().decompress::<f32>(&stream).is_err(), "id {id}");
+    }
 }
 
 #[test]

@@ -341,28 +341,31 @@ fn unknown_request_type_is_bad_request() {
 fn unknown_codec_id_is_rejected_before_the_body() {
     let handle = spawn_default();
     let hello = proto::encode_hello(proto::PROTO_VERSION);
-    let mut payload = Vec::new();
-    proto::encode_request_prefix(
-        &mut payload,
-        proto::RequestPrefix {
-            msg_type: proto::MSG_COMPRESS,
-            request_id: 1,
-        },
-    );
-    proto::encode_compress_header(
-        &mut payload,
-        &CompressHeader {
-            codec_id: 250,
-            elem_bits: 32,
-            base: pwrel::core::LogBase::Two,
-            bound: 1e-3,
-            dims: pwrel::data::Dims::d1(16),
-            chunk_elems: 0,
-        },
-    );
-    let (_, _, status, msg) = raw_exchange(handle.addr(), &hello, &payload).unwrap();
-    assert_eq!(status, proto::ST_UNKNOWN_CODEC);
-    assert!(msg.contains("250"), "{msg}");
+    // 2 is the retired id no codec may reuse; 250 was never assigned.
+    for codec_id in [2u8, 250] {
+        let mut payload = Vec::new();
+        proto::encode_request_prefix(
+            &mut payload,
+            proto::RequestPrefix {
+                msg_type: proto::MSG_COMPRESS,
+                request_id: 1,
+            },
+        );
+        proto::encode_compress_header(
+            &mut payload,
+            &CompressHeader {
+                codec_id,
+                elem_bits: 32,
+                base: pwrel::core::LogBase::Two,
+                bound: 1e-3,
+                dims: pwrel::data::Dims::d1(16),
+                chunk_elems: 0,
+            },
+        );
+        let (_, _, status, msg) = raw_exchange(handle.addr(), &hello, &payload).unwrap();
+        assert_eq!(status, proto::ST_UNKNOWN_CODEC, "id {codec_id}");
+        assert!(msg.contains(&format!("id {codec_id}")), "{msg}");
+    }
     assert_still_serving(handle.addr());
 }
 
